@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from hardyhenon.cylinder import CylinderGrid, psi_nodes, solve_cylinder_pde
+from hardyhenon.cylinder import CylinderGrid, solve_end_perturbed
 from hardyhenon.energy import energy_trace, monotonicity_verdict
-from hardyhenon.extension import exact_sphere_profile
 from hardyhenon.params import derive_exponents, validate_params
 
 REGIMES = {
@@ -41,12 +40,7 @@ def main() -> int:
         params = validate_params(*tup)
         eps = 0.005 if name == "critical" else args.eps
         grid = CylinderGrid().refined() if name == "critical" else CylinderGrid()
-        psi = psi_nodes(grid)
-        profile = exact_sphere_profile(params, psi)
-        result = solve_cylinder_pde(
-            params, (1.0 + eps) * profile.phi, profile.phi, grid,
-            initial=np.tile(profile.phi, (grid.n_s, 1)),
-        )
+        result = solve_end_perturbed(params, eps, grid)
         trace = energy_trace(result.field, (-3.5, 3.5), params)
         scale = float(np.max(np.abs(trace.E)))
         verdict = monotonicity_verdict(trace, budget=1e-4 * scale)

@@ -47,11 +47,11 @@ from .extension import (
     fowler_unmap,
     exact_sphere_profile,
     exact_extension_field,
-    poisson_extension_field,
     verify_sphere_ode,
     verify_barrier_identity,
 )
 from .cylinder import CylinderGrid, CylinderSolveResult, SolverDivergence, solve_cylinder_pde
+from .cylinder import solve_end_perturbed
 from .energy import (
     EnergyTrace,
     MonotonicityVerdict,

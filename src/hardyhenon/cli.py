@@ -20,15 +20,9 @@ import time
 import numpy as np
 
 from . import suite as acceptance
-from .cylinder import CylinderGrid, psi_nodes, solve_cylinder_pde
+from .cylinder import CylinderGrid, psi_nodes, solve_end_perturbed
 from .energy import derivative_identity_check, energy_trace, monotonicity_verdict
-from .extension import (
-    exact_extension_field,
-    exact_sphere_profile,
-    fowler_map,
-    neumann_flux,
-    verify_barrier_identity,
-)
+from .extension import exact_extension_field, fowler_map, neumann_flux, verify_barrier_identity
 from .fraclap import QuadratureConfig, power_profile, verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
 from .params import ParamError, classify_regime, derive_exponents, validate_params
@@ -132,8 +126,8 @@ def _quad_config(args) -> QuadratureConfig:
 
 def _cmd_classify(args) -> int:
     params = _params_from(args)
-    verdict = classify_regime(params)
     rep = _new_report("classify", params)
+    verdict = classify_regime(params)
     rep["results"] = verdict.to_dict()
     rep["results"]["derived"] = dataclasses.asdict(derive_exponents(params))
     rep["tolerances"] = {"threshold_equality": 1e-12}
@@ -142,8 +136,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_constants(args) -> int:
     params = _params_from(args)
-    d = derive_exponents(params)
     rep = _new_report("constants", params)
+    d = derive_exponents(params)
     results = {
         "kappa_sigma": kappa_sigma(params.sigma),
         "c_n_sigma": hypersingular_normalizer(params.n, params.sigma),
@@ -167,10 +161,10 @@ def _cmd_constants(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     params = _params_from(args)
+    rep = _new_report("verify-lemma", params)
     radii = [float(tok) for tok in args.radii.split(",")]
     cfg = _quad_config(args)
     report = verify_fall_identity(params, radii, cfg)
-    rep = _new_report("verify-lemma", params)
     rep["results"] = {
         "radii": list(report.radii),
         "per_radius_errors": list(report.per_radius_errors),
@@ -189,6 +183,7 @@ def _parse_grid(token: str) -> tuple[int, int]:
 
 def _cmd_extend(args) -> int:
     params = _params_from(args)
+    rep = _new_report("extend", params)
     n_r, n_psi = _parse_grid(args.grid)
     r_lo, r_hi = (float(t) for t in args.r_range.split(","))
     grid = CylinderGrid(n_s=n_r, n_psi=n_psi)
@@ -203,7 +198,6 @@ def _cmd_extend(args) -> int:
     flux = neumann_flux(
         power_profile(derive_exponents(params).beta, singular_constant(params)), 1.0, params
     )
-    rep = _new_report("extend", params)
     rep["results"] = {
         "columns": ["r", "psi", "value"],
         "rows": rows,
@@ -220,25 +214,17 @@ def _cmd_solve_cylinder(args) -> int:
     with open(args.spec) as f:
         spec = json.load(f)
     params = validate_params(**spec["params"])
+    rep = _new_report("solve-cylinder", params)
     s_range = spec.get("s_range", [-4.0, 4.0])
     n_s, n_psi = spec.get("grid", [161, 65])
     eps = spec.get("perturbation", 0.0)
     grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
-    psi = psi_nodes(grid)
-    profile = exact_sphere_profile(params, psi)
-    result = solve_cylinder_pde(
-        params,
-        (1.0 + eps) * profile.phi,
-        profile.phi,
-        grid,
-        initial=np.tile(profile.phi, (grid.n_s, 1)),
-    )
+    result = solve_end_perturbed(params, eps, grid)
     rows = [
         [float(s), float(ps), float(result.field.values[i, j])]
         for i, s in enumerate(result.field.s_grid)
-        for j, ps in enumerate(psi)
+        for j, ps in enumerate(result.field.psi_grid)
     ]
-    rep = _new_report("solve-cylinder", params)
     rep["results"] = {
         "columns": ["s", "psi", "value"],
         "rows": rows,
@@ -254,23 +240,15 @@ def _cmd_solve_cylinder(args) -> int:
 
 def _cmd_energy(args) -> int:
     params = _params_from(args)
+    rep = _new_report("energy", params)
     s_lo, s_hi = (float(t) for t in args.s_range.split(","))
     n_s, n_psi = _parse_grid(args.grid)
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
-    psi = psi_nodes(grid)
-    profile = exact_sphere_profile(params, psi)
     if args.perturbation != 0.0:
-        result = solve_cylinder_pde(
-            params,
-            (1.0 + args.perturbation) * profile.phi,
-            profile.phi,
-            grid,
-            initial=np.tile(profile.phi, (grid.n_s, 1)),
-        )
-        field = result.field
+        field = solve_end_perturbed(params, args.perturbation, grid).field
     else:
         r_grid = np.exp(np.linspace(s_lo, s_hi, n_s))
-        field = fowler_map(exact_extension_field(params, r_grid, psi, profile=profile))
+        field = fowler_map(exact_extension_field(params, r_grid, psi_nodes(grid)))
     margin = 2.5 * (s_hi - s_lo) / (n_s - 1)
     trace = energy_trace(field, (s_lo + margin, s_hi - margin), params)
     verdict = monotonicity_verdict(trace, budget=args.tol_drift * float(np.max(np.abs(trace.E))))
@@ -279,7 +257,6 @@ def _cmd_energy(args) -> int:
         [float(s), float(e), float(df), float(dfd)]
         for s, e, df, dfd in zip(trace.s_values, trace.E, trace.dE_formula, trace.dE_fd)
     ]
-    rep = _new_report("energy", params)
     rep["results"] = {
         "columns": ["s", "E", "dE_formula", "dE_fd"],
         "rows": rows,
@@ -294,6 +271,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_barrier(args) -> int:
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
+    rep = _new_report("barrier", params)
     point = (math.cos(args.psi), math.sin(args.psi))
     levels = []
     for k in range(args.levels):
@@ -306,7 +284,6 @@ def _cmd_barrier(args) -> int:
     rows = [[k, levels[k][0], levels[k][1]] for k in range(args.levels)]
     ratios_i = [levels[k][0] / levels[k + 1][0] for k in range(args.levels - 1)]
     ratios_n = [levels[k][1] / levels[k + 1][1] for k in range(args.levels - 1)]
-    rep = _new_report("barrier", params)
     rep["results"] = {
         "columns": ["level", "interior_residual", "neumann_residual"],
         "rows": rows,
@@ -322,9 +299,9 @@ def _cmd_barrier(args) -> int:
 
 def _cmd_kelvin(args) -> int:
     params = _params_from(args)
+    rep = _new_report("kelvin", params)
     kmap = kelvin_exponent(params)
     checks = verify_equivalences(params)
-    rep = _new_report("kelvin", params)
     results = {
         "vartheta": kmap.vartheta,
         "mapped_params": {

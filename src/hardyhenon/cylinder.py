@@ -14,17 +14,18 @@ the flux condition fixes c against kappa_sigma V0^p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .extension import FowlerField
+from .extension import FowlerField, exact_sphere_profile
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma
 
-__all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes", "solve_cylinder_pde"]
+__all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes",
+           "solve_cylinder_pde", "solve_end_perturbed"]
 
 
 class SolverDivergence(RuntimeError):
@@ -52,11 +53,7 @@ class CylinderGrid:
             raise ValueError("grid too small")
 
     def refined(self) -> "CylinderGrid":
-        return CylinderGrid(
-            s_min=self.s_min, s_max=self.s_max,
-            n_s=2 * (self.n_s - 1) + 1, n_psi=2 * (self.n_psi - 1) + 1,
-            grading=self.grading,
-        )
+        return replace(self, n_s=2 * (self.n_s - 1) + 1, n_psi=2 * (self.n_psi - 1) + 1)
 
 
 def psi_nodes(grid: CylinderGrid) -> np.ndarray:
@@ -151,7 +148,11 @@ def solve_cylinder_pde(
     modes, so particular window lengths are Dirichlet-resonant and leave the
     Newton matrix near-singular (observed near s_max - s_min in [3, 4] for
     the reference subcritical configuration); the iteration then stalls and
-    reports divergence.  The default window of length 8 is well-conditioned.
+    reports divergence.  No window length is safe for every configuration:
+    started from the exact profile with 5% end perturbation, the default
+    [-4, 4] window diverges for (n, sigma, alpha, p) = (2, 0.3, 0.2, 3.0),
+    (3, 0.3, 0, 1.6) and (4, 0.5, 0, 1.5), the first at every length from 5
+    to 12.
     """
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
@@ -235,4 +236,18 @@ def solve_cylinder_pde(
         residual_history=history,
         iterations=it,
         projected_negative=projected,
+    )
+
+
+def solve_end_perturbed(
+    params: ProblemParams, eps: float, grid: CylinderGrid
+) -> CylinderSolveResult:
+    """Cylinder solve from the exact sphere profile phi, perturbed at one end.
+
+    The end data are (1 + eps) phi at s_min and phi at s_max; Newton starts
+    from phi at every axial node.
+    """
+    phi = exact_sphere_profile(params, psi_nodes(grid)).phi
+    return solve_cylinder_pde(
+        params, (1.0 + eps) * phi, phi, grid, initial=np.tile(phi, (grid.n_s, 1))
     )

@@ -306,7 +306,6 @@ def monotonicity_verdict(trace: EnergyTrace, budget: float | None = None) -> Mon
     dmin = float(np.min(trace.dE_fd))
     dmax = float(np.max(trace.dE_fd))
     if abs(trace.J1) < 1e-14:
-        spread = dmax - dmin
         if max(abs(dmin), abs(dmax)) <= budget:
             return MonotonicityVerdict.CONSTANT
         return MonotonicityVerdict.VIOLATED

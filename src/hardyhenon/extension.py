@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fraclap import QuadratureConfig, DEFAULT_CONFIG, RadialProfile, check_Lsigma_membership
+from .fraclap import (
+    DEFAULT_CONFIG,
+    QuadratureConfig,
+    RadialProfile,
+    _halving_checked,
+    check_Lsigma_membership,
+)
 from .params import ProblemParams, derive_exponents
 from .quadrature import (
     angular_kernel,
@@ -38,7 +44,6 @@ __all__ = [
     "fowler_unmap",
     "exact_sphere_profile",
     "exact_extension_field",
-    "poisson_extension_field",
     "verify_sphere_ode",
     "verify_barrier_identity",
 ]
@@ -153,20 +158,10 @@ def poisson_extend_radial(
         raise ValueError("elevation angle must lie in (0, pi/2]; use the trace at psi = 0")
     if not check_Lsigma_membership(trace, n, sigma):
         raise ValueError("trace is outside the integrability class")
-    value = _poisson_value(trace, point, n, sigma, cfg)
-    if convergence_tol is not None:
-        from .fraclap import QuadratureError
-
-        coarse = _poisson_value(trace, point, n, sigma, cfg.halved())
-        scale = max(abs(value), abs(coarse), 1e-300)
-        estimate = abs(value - coarse) / scale
-        if estimate > convergence_tol:
-            raise QuadratureError(
-                f"node-doubling disagreement {estimate:.3e} exceeds {convergence_tol:.3e} "
-                f"at point {point}",
-                estimate,
-            )
-    return value
+    return _halving_checked(
+        lambda cf: _poisson_value(trace, point, n, sigma, cf),
+        cfg, convergence_tol, f"point {point}",
+    )
 
 
 def _poisson_value(trace, point, n, sigma, cfg) -> float:
@@ -224,6 +219,21 @@ class FluxResult:
     fit_residual: float
 
 
+def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[float, float]:
+    """Richardson limit t -> 0 of samples carrying t^{2-2 sigma} and t^2 corrections.
+
+    Least squares on [1, t^{2-2s}, t^2] (the t^2 column is dropped when the
+    two exponents nearly coincide); returns the constant and the max residual.
+    """
+    e1 = 2.0 - 2.0 * sigma
+    cols = [np.ones_like(t), t ** e1]
+    if abs(e1 - 2.0) > 0.1:
+        cols.append(t ** 2.0)
+    M = np.stack(cols, axis=1)
+    coef, *_ = np.linalg.lstsq(M, samples, rcond=None)
+    return float(coef[0]), float(np.max(np.abs(M @ coef - samples)))
+
+
 def neumann_flux(
     trace: RadialProfile,
     r: float,
@@ -244,15 +254,9 @@ def neumann_flux(
     samples = np.array(
         [_weighted_t_derivative(trace, r, t, n, sigma, cfg) for t in t_sequence]
     )
-    e1 = 2.0 - 2.0 * sigma
-    cols = [np.ones_like(t_sequence), t_sequence ** e1]
-    if abs(e1 - 2.0) > 0.1:
-        cols.append(t_sequence ** 2.0)
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, samples, rcond=None)
-    resid = float(np.max(np.abs(M @ coef - samples)))
+    value, resid = _extrapolate_t0(t_sequence, samples, sigma)
     return FluxResult(
-        value=float(coef[0]),
+        value=value,
         t_samples=tuple(t_sequence),
         flux_samples=tuple(samples),
         fit_residual=resid,
@@ -326,40 +330,15 @@ def exact_extension_field(
     r_grid: np.ndarray,
     psi_grid: np.ndarray,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    profile: SphereProfile | None = None,
 ) -> ExtensionField:
     """Extension of the exact singular solution, built from its homogeneity."""
-    if profile is None:
-        profile = exact_sphere_profile(params, psi_grid, cfg)
+    profile = exact_sphere_profile(params, psi_grid, cfg)
     beta = derive_exponents(params).beta
     r_grid = np.asarray(r_grid, dtype=float)
     values = r_grid[:, None] ** (-beta) * profile.phi[None, :]
     return ExtensionField(
         r_grid=r_grid, psi_grid=np.asarray(psi_grid, float), values=values,
         params=params, representation_tag="exact_homogeneous",
-    )
-
-
-def poisson_extension_field(
-    trace: RadialProfile,
-    params: ProblemParams,
-    r_grid: np.ndarray,
-    psi_grid: np.ndarray,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ExtensionField:
-    """Pointwise extension of an arbitrary admissible trace (slow path)."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    psi_grid = np.asarray(psi_grid, dtype=float)
-    values = np.empty((len(r_grid), len(psi_grid)))
-    for i, r in enumerate(r_grid):
-        for j, psi in enumerate(psi_grid):
-            if psi == 0.0:
-                values[i, j] = float(trace.evaluate(np.array([r]))[0])
-            else:
-                values[i, j] = poisson_extend_radial(trace, (r, psi), params.n, params.sigma, cfg)
-    return ExtensionField(
-        r_grid=r_grid, psi_grid=psi_grid, values=values,
-        params=params, representation_tag="poisson_evaluated",
     )
 
 
@@ -497,12 +476,6 @@ def verify_barrier_identity(
             for tt in tk
         ]
     )
-    e1 = 2.0 - 2.0 * sigma
-    cols = [np.ones_like(tk), tk ** e1]
-    if abs(e1 - 2.0) > 0.1:
-        cols.append(tk ** 2.0)
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, g, rcond=None)
     target = 2.0 * sigma * delta * q ** (-2.0 * sigma) * _barrier(mu, delta, sigma, q, 0.0)
-    neumann = abs(float(coef[0]) - target)
+    neumann = abs(_extrapolate_t0(tk, g, sigma)[0] - target)
     return BarrierResiduals(interior=interior, neumann=neumann)

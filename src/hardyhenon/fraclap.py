@@ -11,7 +11,7 @@ that weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,23 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
+def _halving_checked(evaluate, cfg, tol: float | None, where: str) -> float:
+    """``evaluate(cfg)``; with ``tol`` set, also at half the node counts.
+
+    A relative disagreement above ``tol`` raises QuadratureError carrying
+    the achieved estimate.
+    """
+    value = evaluate(cfg)
+    if tol is not None:
+        coarse = evaluate(cfg.halved())
+        estimate = abs(value - coarse) / max(abs(value), abs(coarse), 1e-300)
+        if estimate > tol:
+            raise QuadratureError(
+                f"node-doubling disagreement {estimate:.3e} exceeds {tol:.3e} at {where}", estimate
+            )
+    return value
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial function with asserted power-law behavior at 0 and infinity.
@@ -60,7 +77,6 @@ class RadialProfile:
     evaluate: Callable[[np.ndarray], np.ndarray]
     inner_exponent: float
     outer_exponent: float
-    smooth_on_positive_axis: bool = True
 
     def __call__(self, r):
         return self.evaluate(np.asarray(r, dtype=float))
@@ -93,7 +109,6 @@ def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> Radi
         evaluate=ev,
         inner_exponent=max(p.inner_exponent for p in profiles),
         outer_exponent=min(p.outer_exponent for p in profiles),
-        smooth_on_positive_axis=all(p.smooth_on_positive_axis for p in profiles),
     )
 
 
@@ -124,12 +139,10 @@ class QuadratureConfig:
             raise ValueError("tail cutoff must lie beyond the outer split")
 
     def halved(self) -> "QuadratureConfig":
-        return QuadratureConfig(
+        return replace(
+            self,
             nodes_radial=max(8, self.nodes_radial // 2),
             nodes_angular=max(8, self.nodes_angular // 2),
-            split_radius_factors=self.split_radius_factors,
-            tail_cutoff=self.tail_cutoff,
-            inner_cutoff=self.inner_cutoff,
         )
 
 
@@ -263,18 +276,10 @@ def frac_laplacian_radial(
             f"{profile.outer_exponent}) with n={n}, sigma={sigma}"
         )
     c = hypersingular_normalizer(n, sigma)
-    value = c * _frac_laplacian_raw(profile, r, n, sigma, cfg)
-    if convergence_tol is not None:
-        coarse = c * _frac_laplacian_raw(profile, r, n, sigma, cfg.halved())
-        scale = max(abs(value), abs(coarse), 1e-300)
-        estimate = abs(value - coarse) / scale
-        if estimate > convergence_tol:
-            raise QuadratureError(
-                f"node-doubling disagreement {estimate:.3e} exceeds {convergence_tol:.3e} "
-                f"at r={r}",
-                estimate,
-            )
-    return value
+    return _halving_checked(
+        lambda cf: c * _frac_laplacian_raw(profile, r, n, sigma, cf),
+        cfg, convergence_tol, f"r={r}",
+    )
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ def kelvin_profile(u: RadialProfile, n: int, sigma: float) -> RadialProfile:
         evaluate=ev,
         inner_exponent=k - u.outer_exponent,
         outer_exponent=k - u.inner_exponent,
-        smooth_on_positive_axis=u.smooth_on_positive_axis,
     )
 
 

@@ -16,7 +16,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .specialfn import unit_sphere_area
 
@@ -33,62 +32,64 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for int_0^1 s^beta f(s) ds."""
+    from scipy.special import roots_jacobi  # deferred: only the PV zone needs it
+
     x, w = roots_jacobi(n, 0.0, beta)
     s = (x + 1.0) / 2.0
     w = w * 0.5 ** (beta + 1.0)
     return s, w
 
 
-def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
-    """Vectorized Phi(c0, q) for exponent m; c0 and q broadcast together.
+def _sphere_integral(c0, q, n: int, n_nodes: int, integrand):
+    """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
 
-    q = 0 entries are exact: the integrand is constant over the sphere.
+    ``integrand(D, w)`` returns w f(D) elementwise, where w = sin^{n-2} g is
+    the polar weight of the sphere; the caller multiplies it in first, which
+    fixes the rounding of integrands that cancel near the spike.  c0 and q
+    broadcast together.  Offsets with c0/q below the switch use the
+    sinh-stretched rule; q = 0 entries are exact, since D is then constant
+    over the sphere.
     """
-    c0 = np.asarray(c0, dtype=float)
-    q = np.asarray(q, dtype=float)
-    c0b, qb = np.broadcast_arrays(c0, q)
-    out = np.empty(c0b.shape, dtype=float)
-    area = unit_sphere_area(n)
+    c0b, qb = np.broadcast_arrays(np.asarray(c0, dtype=float), np.asarray(q, dtype=float))
+    flat_c0 = c0b.reshape(-1)
+    flat_q = qb.reshape(-1)
+    out = np.empty(flat_c0.shape)
     ring = unit_sphere_area(n - 1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(qb > 0.0, c0b / np.where(qb > 0.0, qb, 1.0), np.inf)
+        ratio = np.where(flat_q > 0.0, flat_c0 / np.where(flat_q > 0.0, flat_q, 1.0), np.inf)
     spike = ratio < _ANGULAR_SWITCH
 
     xg, wg = gauss_legendre(n_nodes)
     x01 = (xg + 1.0) / 2.0
     w01 = wg / 2.0
 
-    flat_c0 = c0b.reshape(-1)
-    flat_q = qb.reshape(-1)
-    flat_out = out.reshape(-1)
-    flat_spike = spike.reshape(-1)
-
-    idx = np.nonzero(~flat_spike)[0]
-    if idx.size:
+    flat = ~spike
+    if flat.any():
         gam = math.pi * x01
-        s2 = np.sin(gam / 2.0) ** 2
-        D = flat_c0[idx, None] + 4.0 * flat_q[idx, None] * s2[None, :]
-        f = np.sin(gam)[None, :] ** (n - 2) * D ** (-m / 2.0)
-        flat_out[idx] = math.pi * (f @ w01) * ring
+        D = flat_c0[flat, None] + 4.0 * flat_q[flat, None] * np.sin(gam / 2.0) ** 2
+        f = integrand(D, np.sin(gam) ** (n - 2))
+        out[flat] = math.pi * (f @ w01) * ring
 
-    idx = np.nonzero(flat_spike)[0]
-    if idx.size:
-        delta = np.sqrt(flat_c0[idx] / flat_q[idx])
+    if spike.any():
+        delta = np.sqrt(flat_c0[spike] / flat_q[spike])
         xi_max = np.arcsinh(math.pi / delta)
-        xi = xi_max[:, None] * x01[None, :]
+        xi = xi_max[:, None] * x01
         gam = delta[:, None] * np.sinh(xi)
         jac = delta[:, None] * np.cosh(xi) * xi_max[:, None]
-        s2 = np.sin(gam / 2.0) ** 2
-        D = flat_c0[idx, None] + 4.0 * flat_q[idx, None] * s2
-        f = np.sin(gam) ** (n - 2) * D ** (-m / 2.0) * jac
-        flat_out[idx] = (f * w01[None, :]).sum(axis=1) * ring
+        D = flat_c0[spike, None] + 4.0 * flat_q[spike, None] * np.sin(gam / 2.0) ** 2
+        f = integrand(D, np.sin(gam) ** (n - 2)) * jac
+        out[spike] = (f * w01).sum(axis=1) * ring
 
-    # q == 0: the distance is constant over the sphere
     zero_q = flat_q == 0.0
     if zero_q.any():
-        flat_out[zero_q] = area * flat_c0[zero_q] ** (-m / 2.0)
-    return out
+        out[zero_q] = unit_sphere_area(n) * integrand(flat_c0[zero_q], 1.0)
+    return out.reshape(c0b.shape)
+
+
+def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
+    """Vectorized Phi(c0, q) for exponent m; c0 and q broadcast together."""
+    return _sphere_integral(c0, q, n, n_nodes, lambda D, w: w * D ** (-m / 2.0))
 
 
 def angular_flux_kernel(c0, q, t2: float, n: int, sigma: float, n_nodes: int):
@@ -99,52 +100,10 @@ def angular_flux_kernel(c0, q, t2: float, n: int, sigma: float, n_nodes: int):
     instead of between two large quadrature results.
     """
     m = n + 2.0 * sigma
-    c0 = np.asarray(c0, dtype=float)
-    q = np.asarray(q, dtype=float)
-    c0b, qb = np.broadcast_arrays(c0, q)
-    out = np.empty(c0b.shape, dtype=float)
-    ring = unit_sphere_area(n - 1)
-    area = unit_sphere_area(n)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(qb > 0.0, c0b / np.where(qb > 0.0, qb, 1.0), np.inf)
-    spike = ratio < _ANGULAR_SWITCH
-
-    xg, wg = gauss_legendre(n_nodes)
-    x01 = (xg + 1.0) / 2.0
-    w01 = wg / 2.0
-
-    flat_c0 = c0b.reshape(-1)
-    flat_q = qb.reshape(-1)
-    flat_out = out.reshape(-1)
-    flat_spike = spike.reshape(-1)
-
-    def accumulate(idx, gam, jac, scale):
-        s2 = np.sin(gam / 2.0) ** 2
-        D = flat_c0[idx, None] + 4.0 * flat_q[idx, None] * s2
-        numer = 2.0 * sigma * (D - t2) - n * t2
-        f = np.sin(gam) ** (n - 2) * numer * D ** (-(m + 2.0) / 2.0) * jac
-        flat_out[idx] = (f * w01[None, :]).sum(axis=1) * scale
-
-    idx = np.nonzero(~flat_spike)[0]
-    if idx.size:
-        gam = np.broadcast_to(math.pi * x01, (idx.size, n_nodes))
-        accumulate(idx, gam, math.pi, ring)
-
-    idx = np.nonzero(flat_spike)[0]
-    if idx.size:
-        delta = np.sqrt(flat_c0[idx] / flat_q[idx])
-        xi_max = np.arcsinh(math.pi / delta)
-        xi = xi_max[:, None] * x01[None, :]
-        gam = delta[:, None] * np.sinh(xi)
-        jac = delta[:, None] * np.cosh(xi) * xi_max[:, None]
-        accumulate(idx, gam, jac, ring)
-
-    zero_q = flat_q == 0.0
-    if zero_q.any():
-        D0 = flat_c0[zero_q]
-        flat_out[zero_q] = area * (2.0 * sigma * (D0 - t2) - n * t2) * D0 ** (-(m + 2.0) / 2.0)
-    return out
+    return _sphere_integral(
+        c0, q, n, n_nodes,
+        lambda D, w: w * (2.0 * sigma * (D - t2) - n * t2) * D ** (-(m + 2.0) / 2.0),
+    )
 
 
 def log_zone_nodes(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

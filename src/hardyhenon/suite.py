@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cylinder import CylinderGrid, psi_nodes, solve_cylinder_pde
+from .cylinder import CylinderGrid, psi_nodes, solve_end_perturbed
 from .energy import (
     MonotonicityVerdict,
     derivative_identity_check,
@@ -29,7 +29,7 @@ from .extension import (
 )
 from .fraclap import verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
-from .params import ProblemParams, classify_regime, derive_exponents, validate_params
+from .params import classify_regime, derive_exponents, validate_params
 from .quadrature import gauss_jacobi_01, gauss_legendre
 from .specialfn import (
     classical_limit_constant,
@@ -179,19 +179,6 @@ def criterion_5_exact_energy() -> CriterionResult:
                            {"target": target, "relative_drift": drift, "value_rel_error": value_err})
 
 
-def _perturbed_solve(params: ProblemParams, eps: float, grid: CylinderGrid):
-    psi = psi_nodes(grid)
-    profile = exact_sphere_profile(params, psi)
-    result = solve_cylinder_pde(
-        params,
-        (1.0 + eps) * profile.phi,
-        profile.phi,
-        grid,
-        initial=np.tile(profile.phi, (grid.n_s, 1)),
-    )
-    return result
-
-
 def _fd_budget(trace_coarse, trace_fine) -> float:
     """Maximum shift of the finite-difference slope under one grid refinement."""
     sf = trace_fine.s_values
@@ -212,8 +199,8 @@ def criterion_6_monotonicity_signs() -> CriterionResult:
         params = validate_params(*tup)
         J1 = derive_exponents(params).J1
         sgn = 1.0 if J1 > 0 else -1.0
-        coarse = _perturbed_solve(params, eps, CylinderGrid())
-        fine = _perturbed_solve(params, eps, CylinderGrid().refined())
+        coarse = solve_end_perturbed(params, eps, CylinderGrid())
+        fine = solve_end_perturbed(params, eps, CylinderGrid().refined())
         tr = energy_trace(coarse.field, window, params)
         tr_fine = energy_trace(fine.field, window, params)
         budget = _fd_budget(tr, tr_fine)
@@ -233,7 +220,7 @@ def criterion_6_monotonicity_signs() -> CriterionResult:
         ok = ok and case_ok
 
     params = validate_params(3, 0.5, 0.0, 2.0)
-    crit = _perturbed_solve(params, 0.005, CylinderGrid().refined())
+    crit = solve_end_perturbed(params, 0.005, CylinderGrid().refined())
     tr = energy_trace(crit.field, (-3.0, 3.0), params)
     scale = float(np.max(np.abs(tr.E)))
     drift = float((tr.E.max() - tr.E.min()) / scale)
@@ -249,10 +236,10 @@ def criterion_7_derivative_identity() -> CriterionResult:
     """Two-sided slope identity on solved fields; O(1) failure on a non-solution."""
     params = validate_params(3, 0.5, 0.0, 1.8)
     window = (-3.0, -2.0)
-    coarse = _perturbed_solve(params, 0.05, CylinderGrid())
+    coarse = solve_end_perturbed(params, 0.05, CylinderGrid())
     tr = energy_trace(coarse.field, window, params)
     mismatch = derivative_identity_check(tr)
-    fine = _perturbed_solve(params, 0.05, CylinderGrid().refined())
+    fine = solve_end_perturbed(params, 0.05, CylinderGrid().refined())
     tr_fine = energy_trace(fine.field, window, params)
     mismatch_fine = derivative_identity_check(tr_fine)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -152,3 +153,14 @@ class TestKelvinCommand:
         assert res["vartheta"] == pytest.approx(-0.4, rel=1e-9)
         assert all(c["agree"] for c in res["equivalences"])
         assert res["constant_invariance_rel"] < 1e-12
+
+
+class TestElapsed:
+    def test_extend_elapsed_covers_the_computation(self, capsys):
+        t0 = time.perf_counter()
+        code = run(["extend", "--n", "3", "--sigma", "0.5", "--alpha", "0", "--p", "2",
+                    "--grid", "9x17"])
+        wall = time.perf_counter() - t0
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert rep["elapsed"] >= 0.5 * wall
