@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import suite as acceptance
-from .cylinder import CylinderGrid, psi_nodes, solve_end_perturbed
+from .cylinder import CylinderGrid, SolverDivergence, psi_nodes, solve_end_perturbed
 from .energy import derivative_identity_check, energy_trace, monotonicity_verdict
 from .extension import exact_extension_field, fowler_map, neumann_flux, verify_barrier_identity
 from .fraclap import QuadratureConfig, power_profile, verify_fall_identity
@@ -115,6 +115,18 @@ def _new_report(command: str, params=None) -> dict:
             "n": params.n, "sigma": params.sigma, "alpha": params.alpha, "p": params.p,
         }
     return rep
+
+
+def _emit_divergence(rep: dict, args, exc: SolverDivergence, tolerances: dict) -> int:
+    """Report a Newton solve that missed its tolerance as a named violation."""
+    rep["results"] = {
+        "residual_norm": exc.history[-1],
+        "iterations": len(exc.history) - 1,
+        "residual_history": exc.history,
+        "message": str(exc),
+    }
+    rep["tolerances"] = tolerances
+    return _emit(rep, args, ["solver_convergence"])
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -219,7 +231,10 @@ def _cmd_solve_cylinder(args) -> int:
     n_s, n_psi = spec.get("grid", [161, 65])
     eps = spec.get("perturbation", 0.0)
     grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
-    result = solve_end_perturbed(params, eps, grid)
+    try:
+        result = solve_end_perturbed(params, eps, grid)
+    except SolverDivergence as exc:
+        return _emit_divergence(rep, args, exc, {"tol_residual": args.tol_residual})
     rows = [
         [float(s), float(ps), float(result.field.values[i, j])]
         for i, s in enumerate(result.field.s_grid)
@@ -245,7 +260,10 @@ def _cmd_energy(args) -> int:
     n_s, n_psi = _parse_grid(args.grid)
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
     if args.perturbation != 0.0:
-        field = solve_end_perturbed(params, args.perturbation, grid).field
+        try:
+            field = solve_end_perturbed(params, args.perturbation, grid).field
+        except SolverDivergence as exc:
+            return _emit_divergence(rep, args, exc, {"tol_drift": args.tol_drift})
     else:
         r_grid = np.exp(np.linspace(s_lo, s_hi, n_s))
         field = fowler_map(exact_extension_field(params, r_grid, psi_nodes(grid)))

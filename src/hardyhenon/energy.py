@@ -30,13 +30,13 @@ __all__ = [
 ]
 
 
-def _cell_quad_weights(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
-    """Nodal weights for int_0^{pi/2} f(psi) sin^{1-2s} psi cos^{n-1} psi d psi.
+def _cell_quad_weights(psi: np.ndarray, n: int, sigma: float, start_cell: int = 0) -> np.ndarray:
+    """Nodal weights for int f(psi) sin^{1-2s} psi cos^{n-1} psi d psi.
 
-    Each cell integrates the weight against the cubic Lagrange interpolant of
-    f on the four nearest nodes.  A leading cell starting at psi = 0 uses the
-    power substitution psi = psi_1 v^{1/(2-2s)} so the degenerate weight is
-    resolved exactly.
+    The integral runs over [psi[start_cell], pi/2].  Each cell integrates the
+    weight against the cubic Lagrange interpolant of f on the four nearest
+    nodes.  A leading cell starting at psi = 0 uses the power substitution
+    psi = psi_1 v^{1/(2-2s)} so the degenerate weight is resolved exactly.
     """
     xg, wg = gauss_legendre(12)
     x01 = (xg + 1.0) / 2.0
@@ -47,7 +47,7 @@ def _cell_quad_weights(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
     def weight(pp):
         return np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
 
-    for c in range(nn - 1):
+    for c in range(start_cell, nn - 1):
         lo, hi = psi[c], psi[c + 1]
         if hi <= lo:
             continue
@@ -82,77 +82,51 @@ def _axial_derivative(values: np.ndarray, ds: float) -> np.ndarray:
     return out
 
 
-def _psi_derivative(row: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Second-order d/dpsi on a nonuniform grid; one-sided at both ends."""
-    out = np.empty_like(row)
+def _psi_derivative(values: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Second-order d/dpsi along the last axis on a nonuniform grid; one-sided at both ends."""
+    out = np.empty_like(values)
     hm = psi[1:-1] - psi[:-2]
     hp = psi[2:] - psi[1:-1]
-    out[1:-1] = (
-        -hp / (hm * (hm + hp)) * row[:-2]
-        + (hp - hm) / (hm * hp) * row[1:-1]
-        + hm / (hp * (hm + hp)) * row[2:]
+    out[..., 1:-1] = (
+        -hp / (hm * (hm + hp)) * values[..., :-2]
+        + (hp - hm) / (hm * hp) * values[..., 1:-1]
+        + hm / (hp * (hm + hp)) * values[..., 2:]
     )
-    out[0] = (row[1] - row[0]) / (psi[1] - psi[0])
-    out[-1] = (row[-1] - row[-2]) / (psi[-1] - psi[-2])
+    out[..., 0] = (values[..., 1] - values[..., 0]) / (psi[1] - psi[0])
+    out[..., -1] = (values[..., -1] - values[..., -2]) / (psi[-1] - psi[-2])
     return out
 
 
-def _gradient_integral(row: np.ndarray, psi: np.ndarray, n: int, sigma: float,
-                       weights: np.ndarray) -> float:
-    """Weighted integral of (dV/dpsi)^2 with a modeled edge cell.
+def _gradient_integral(values: np.ndarray, psi: np.ndarray, n: int, sigma: float,
+                       weights: np.ndarray) -> np.ndarray:
+    """Weighted integral of (dV/dpsi)^2 for each row of an (..., n_psi) array.
 
     Near psi = 0 the field carries a sin^{2 sigma} component whose derivative
     is not resolvable by difference quotients, so the contribution of
     [0, psi_2] is integrated from the fitted local model
     V = V0 + c sin^{2s} psi + e sin^2 psi instead.
     """
-    dv = _psi_derivative(row, psi)
-    f = dv ** 2
+    f = _psi_derivative(values, psi) ** 2
     if psi[0] != 0.0:
-        return float(np.sum(weights * f))
+        return np.sum(weights * f, axis=-1)
     # difference quotients cannot see the sin^{2s} edge component: replace the
     # first two cells by the fitted local model
     cut = psi[2]
-    wtrunc = _cell_quad_weights_from(psi, 2, n, sigma)
-    total = float(np.sum(wtrunc * f))
-    w2 = np.sin(psi[1:3]) ** (2.0 * sigma)
-    q2 = np.sin(psi[1:3]) ** 2
-    M = np.stack([w2, q2], axis=1)
-    coef, *_ = np.linalg.lstsq(M, row[1:3] - row[0], rcond=None)
-    c, e = float(coef[0]), float(coef[1])
+    total = np.sum(_cell_quad_weights(psi, n, sigma, start_cell=2) * f, axis=-1)
+    M = np.stack([np.sin(psi[1:3]) ** (2.0 * sigma), np.sin(psi[1:3]) ** 2], axis=1)
+    rhs = values[..., 1:3] - values[..., :1]
+    c, e = np.linalg.solve(M, rhs.reshape(-1, 2).T).reshape((2,) + rhs.shape[:-1])
     xg, wg = gauss_legendre(16)
     v = (xg + 1.0) / 2.0
     ex = 1.0 / (2.0 * sigma)
     pp = cut * v ** ex
     jac = cut * ex * v ** (ex - 1.0)
-    dv_model = 2.0 * sigma * c * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp) + 2.0 * e * np.sin(
-        pp
-    ) * np.cos(pp)
+    dv_model = (
+        2.0 * sigma * c[..., None] * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp)
+        + 2.0 * e[..., None] * np.sin(pp) * np.cos(pp)
+    )
     wfun = np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
-    total += float(np.sum(wg / 2.0 * jac * dv_model ** 2 * wfun))
-    return total
-
-
-def _cell_quad_weights_from(psi: np.ndarray, start_cell: int, n: int, sigma: float) -> np.ndarray:
-    """Same as _cell_quad_weights but skipping cells before ``start_cell``."""
-    xg, wg = gauss_legendre(12)
-    x01 = (xg + 1.0) / 2.0
-    w01 = wg / 2.0
-    nn = len(psi)
-    out = np.zeros(nn)
-    for c in range(start_cell, nn - 1):
-        lo, hi = psi[c], psi[c + 1]
-        pp = lo + (hi - lo) * x01
-        cellw = w01 * (hi - lo) * np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
-        i0 = min(max(c - 1, 0), nn - 4)
-        stencil = psi[i0 : i0 + 4]
-        for k in range(4):
-            lag = np.ones_like(pp)
-            for l in range(4):
-                if l != k:
-                    lag *= (pp - stencil[l]) / (stencil[k] - stencil[l])
-            out[i0 + k] += float(np.sum(cellw * lag))
-    return out
+    return total + np.sum(wg / 2.0 * jac * dv_model ** 2 * wfun, axis=-1)
 
 
 def _locate(grid: np.ndarray, value: float, margin: int) -> int:
@@ -178,21 +152,14 @@ def _energy_cylinder_rows(field: FowlerField, params: ProblemParams):
     area = unit_sphere_area(n)
     kap = kappa_sigma(sigma)
     w = _cell_quad_weights(psi, n, sigma)
-    ds = field.s_grid[1] - field.s_grid[0]
-    Vs = _axial_derivative(field.values, ds)
-    ns = len(field.s_grid)
-    E = np.empty(ns)
-    dE_formula = np.empty(ns)
-    for i in range(ns):
-        row = field.values[i]
-        kinetic = float(np.sum(w * Vs[i] ** 2))
-        mass = float(np.sum(w * row ** 2))
-        grad = _gradient_integral(row, psi, n, sigma, w)
-        boundary = row[0] ** (p + 1.0)
-        E[i] = area * (
-            0.5 * kinetic - 0.5 * d.J2 * mass - 0.5 * grad + kap / (p + 1.0) * boundary
-        )
-        dE_formula[i] = d.J1 * area * kinetic
+    V = field.values
+    kinetic = np.sum(w * _axial_derivative(V, field.s_grid[1] - field.s_grid[0]) ** 2, axis=1)
+    mass = np.sum(w * V ** 2, axis=1)
+    grad = _gradient_integral(V, psi, n, sigma, w)
+    E = area * (
+        0.5 * kinetic - 0.5 * d.J2 * mass - 0.5 * grad + kap / (p + 1.0) * V[:, 0] ** (p + 1.0)
+    )
+    dE_formula = d.J1 * area * kinetic
     return E, dE_formula
 
 

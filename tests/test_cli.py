@@ -164,3 +164,23 @@ class TestElapsed:
         rep = json.loads(capsys.readouterr().out)
         assert code == 0
         assert rep["elapsed"] >= 0.5 * wall
+
+
+class TestSolverDivergence:
+    def test_resonant_window_reports_named_violation(self, tmp_path, capsys):
+        # a length-3.5 window is Dirichlet-resonant for this configuration:
+        # Newton stalls near a residual of 1e-5
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8},
+            "s_range": [-1.75, 1.75], "grid": [71, 33], "perturbation": 0.05,
+        }))
+        code = run(["solve-cylinder", "--spec", str(spec)])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 1
+        assert "solver_convergence" in captured.err
+        history = rep["results"]["residual_history"]
+        assert len(history) == rep["results"]["iterations"] + 1
+        assert history[-1] == rep["results"]["residual_norm"] > 1e-8

@@ -10,6 +10,7 @@ from hardyhenon.cylinder import (
     SolverDivergence,
     psi_nodes,
     solve_cylinder_pde,
+    solve_end_perturbed,
 )
 from hardyhenon.energy import (
     MonotonicityVerdict,
@@ -201,3 +202,43 @@ class TestPerturbedEnergy:
     def test_window_too_small_rejected(self, perturbed_solution):
         with pytest.raises(ValueError, match="window"):
             energy_trace(perturbed_solution.field, (0.0, 0.05), SUB)
+
+
+# E and dE_formula at s = -3, -2, 0, 2, 3 on the default grid, recorded from the
+# per-row energy evaluation; any rewrite of the energy path must reproduce them
+PINNED_ENERGY = {
+    (3, 0.5, 0.0, 1.8): [
+        (-0.30310754522720107, 0.0011123580684855787),
+        (-0.298751983120636, 0.007641559633930958),
+        (-0.2895157330739119, 0.0006881546493601075),
+        (-0.24058084406587293, 0.036314638046694096),
+        (-0.22764310770980012, 0.004848170158794061),
+    ],
+    (4, 0.75, 0.0, 5.0 / 3.0): [
+        (-0.15041509669028583, 0.0002314830710935611),
+        (-0.14994117040457472, 0.00035518951725187724),
+        (-0.1482732439500862, 0.0008109423274105152),
+        (-0.14544354567062875, 0.0006931880080061882),
+        (-0.1449517990038418, 0.0028701502453054102),
+    ],
+}
+
+
+def assert_pinned(field, params, pins):
+    tr = energy_trace(field, params=params)
+    for s, (E, dE) in zip((-3.0, -2.0, 0.0, 2.0, 3.0), pins):
+        i = int(np.argmin(np.abs(tr.s_values - s)))
+        assert tr.E[i] == pytest.approx(E, rel=1e-12)
+        assert tr.dE_formula[i] == pytest.approx(dE, rel=1e-12)
+
+
+class TestEnergyRegression:
+    def test_half_order_solution(self, perturbed_solution):
+        assert_pinned(perturbed_solution.field, SUB, PINNED_ENERGY[(3, 0.5, 0.0, 1.8)])
+
+    def test_three_quarter_order_solution(self):
+        # sigma != 1/2 exercises the power-substituted first cell and the
+        # truncated weights of the gradient integral
+        params = validate_params(4, 0.75, 0.0, 5.0 / 3.0)
+        field = solve_end_perturbed(params, 0.05, CylinderGrid()).field
+        assert_pinned(field, params, PINNED_ENERGY[(4, 0.75, 0.0, 5.0 / 3.0)])
