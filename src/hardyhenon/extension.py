@@ -89,49 +89,56 @@ class SphereProfile:
     boundary_value: float
 
 
-def _poisson_radial_integral(trace, x, t, n, sigma, cfg, kernel):
-    """int_0^inf u(rho) rho^{n-1} * kernel(rho) d rho with peak-aware zones.
+def _poisson_radial_integral(trace, x, t, n, cfg, kernel):
+    """Per point, int_0^R u(rho) rho^{n-1} kernel(rho) d rho with peak-aware zones.
 
-    ``kernel`` maps a rho array to the sphere-reduced kernel at offset
-    c0 = (x-rho)^2 + t^2 and product x*rho.  Endpoint pieces use the
-    asserted power laws of the trace.
+    ``x`` and ``t`` are 1-D arrays of points; R is ``tail_cutoff`` times the
+    point's radius.  ``kernel(c0, q, t2)`` maps flat arrays of offsets
+    c0 = (x-rho)^2 + t^2, products x*rho and the points' t^2 to the
+    sphere-reduced kernel; every zone of every point goes through one call.
+    Each point sums its zones in a fixed order: the spike at rho = x (only
+    when x > 0.05 |X|), the outer and the inner log zone, then [0, rho0],
+    where the asserted inner power law of the trace is used.  Returns the
+    sums and R.
     """
     u = trace.evaluate
-    L = math.hypot(x, t)
+    L = np.hypot(x, t)
     R = cfg.tail_cutoff * L
-    total = 0.0
-
-    def log_piece(lo, hi):
-        nonlocal total
-        if hi <= lo:
-            return
-        rho, w = log_zone_nodes(lo, hi, cfg.nodes_radial)
-        total += float(np.sum(w * u(rho) * rho ** (n - 1) * kernel(rho)))
-
-    if x > 0.05 * L:
-        # spike of width ~t at rho = x: sinh clustering on both sides
-        h = 0.5
-        d = max(t / x, 1e-300)
-        zmax = math.asinh(h / d)
-        xg, wg = gauss_legendre(cfg.nodes_radial)
-        z = zmax * xg
-        rho = x * (1.0 + d * np.sinh(z))
-        jac = x * d * np.cosh(z) * zmax
-        total += float(np.sum(wg * u(rho) * rho ** (n - 1) * kernel(rho) * jac))
-        inner_hi = x * (1.0 - h)
-        log_piece(x * (1.0 + h), R)
-    else:
-        inner_hi = 0.3 * L
-        log_piece(inner_hi, R)
-
+    t2 = t * t
+    h = 0.5
+    spike = x > 0.05 * L
+    inner_hi = np.where(spike, x * (1.0 - h), 0.3 * L)
     rho0 = cfg.inner_cutoff * inner_hi
-    log_piece(rho0, inner_hi)
 
-    # [0, rho0]: kernel constant to O((rho0/L)^2)
+    # zones as (points, rho, weight, jacobian), each of shape (points, nodes)
+    xs = x[spike, None]
+    d = np.maximum(t[spike, None] / xs, 1e-300)
+    zmax = np.arcsinh(h / d)
+    xg, wg = gauss_legendre(cfg.nodes_radial)
+    z = zmax * xg
+    # spike of width ~t at rho = x: sinh clustering on both sides
+    zones = [(spike, xs * (1.0 + d * np.sinh(z)), wg, xs * d * np.cosh(z) * zmax)]
+    for lo, hi in ((np.where(spike, x * (1.0 + h), inner_hi), R), (rho0, inner_hi)):
+        on = hi > lo
+        zones.append((on, *log_zone_nodes(lo[on, None], hi[on, None], cfg.nodes_radial), 1.0))
+
+    # one kernel call over every zone; the last len(x) rows are rho = 0, the
+    # [0, rho0] piece, where the kernel is constant to O((rho0/L)^2)
+    parts = [(np.broadcast_to(x[on, None], rho.shape), np.broadcast_to(t2[on, None], rho.shape), rho)
+             for on, rho, *_ in zones]
+    parts.append((x, t2, np.zeros_like(x)))
+    xf, t2f, rhof = (np.concatenate([a.ravel() for a in col]) for col in zip(*parts))
+    k = kernel((xf - rhof) ** 2 + t2f, xf * rhof, t2f)
+    total = np.zeros_like(x)
+    start = 0
+    for on, rho, w, jac in zones:
+        kz = k[start:start + rho.size].reshape(rho.shape)
+        start += rho.size
+        total[on] += np.sum(w * u(rho) * rho ** (n - 1) * kz * jac, axis=1)
+
     a = trace.inner_exponent
-    ua = float(u(np.array([rho0]))[0]) * rho0 ** a
-    k0 = float(kernel(np.array([0.0]))[0])
-    total += k0 * ua * rho0 ** (n - a) / (n - a)
+    ua = u(rho0) * rho0 ** a
+    total += k[start:] * ua * rho0 ** (n - a) / (n - a)
     return total, R
 
 
@@ -158,28 +165,27 @@ def poisson_extend_radial(
         raise ValueError("elevation angle must lie in (0, pi/2]; use the trace at psi = 0")
     if not check_Lsigma_membership(trace, n, sigma):
         raise ValueError("trace is outside the integrability class")
+    r_arr, psi_arr = np.array([r], dtype=float), np.array([psi], dtype=float)
     return _halving_checked(
-        lambda cf: _poisson_value(trace, point, n, sigma, cf),
+        lambda cf: float(_poisson_values(trace, r_arr, psi_arr, n, sigma, cf)[0]),
         cfg, convergence_tol, f"point {point}",
     )
 
 
-def _poisson_value(trace, point, n, sigma, cfg) -> float:
-    r, psi = point
-    x = r * math.cos(psi)
-    t = r * math.sin(psi)
+def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
+    """Extension values at the points (r, psi), two 1-D arrays, in one batch."""
+    x = r * np.cos(psi)
+    t = r * np.sin(psi)
     m = n + 2.0 * sigma
-    t2 = t * t
-
-    def kernel(rho):
-        return angular_kernel((x - rho) ** 2 + t2, x * rho, n, m, cfg.nodes_angular)
-
-    total, R = _poisson_radial_integral(trace, x, t, n, sigma, cfg, kernel)
+    total, R = _poisson_radial_integral(
+        trace, x, t, n, cfg,
+        lambda c0, q, t2: angular_kernel(c0, q, n, m, cfg.nodes_angular),
+    )
 
     # power tail beyond R with the second-order far-field kernel moment
     b = trace.outer_exponent
-    ub = float(trace.evaluate(np.array([R]))[0]) * R ** b
-    A = tail_moment_coefficient(n, sigma, x * x, t2)
+    ub = trace.evaluate(R) * R ** b
+    A = tail_moment_coefficient(n, sigma, x * x, t * t)
     area = unit_sphere_area(n)
     total += area * ub * (
         R ** (-2.0 * sigma - b) / (2.0 * sigma + b)
@@ -188,17 +194,16 @@ def _poisson_value(trace, point, n, sigma, cfg) -> float:
     return poisson_normalizer(n, sigma) * t ** (2.0 * sigma) * total
 
 
-def _weighted_t_derivative(trace, x, t, n, sigma, cfg) -> float:
-    """-t^{1-2 sigma} d/dt of the extension, by differentiating the kernel."""
+def _weighted_t_derivatives(trace, x, t, n, sigma, cfg) -> np.ndarray:
+    """-t^{1-2 sigma} d/dt of the extension at the points (x, t), by differentiating the kernel."""
     t2 = t * t
-
-    def kernel(rho):
-        return angular_flux_kernel((x - rho) ** 2 + t2, x * rho, t2, n, sigma, cfg.nodes_angular)
-
-    total, R = _poisson_radial_integral(trace, x, t, n, sigma, cfg, kernel)
+    total, R = _poisson_radial_integral(
+        trace, x, t, n, cfg,
+        lambda c0, q, t2: angular_flux_kernel(c0, q, t2, n, sigma, cfg.nodes_angular),
+    )
 
     b = trace.outer_exponent
-    ub = float(trace.evaluate(np.array([R]))[0]) * R ** b
+    ub = trace.evaluate(R) * R ** b
     m = n + 2.0 * sigma
     A = tail_moment_coefficient(n, sigma, x * x, t2)
     area = unit_sphere_area(n)
@@ -251,8 +256,8 @@ def neumann_flux(
     if t_sequence is None:
         t_sequence = r * 0.05 * 2.0 ** (-np.arange(9, dtype=float))
     t_sequence = np.asarray(t_sequence, dtype=float)
-    samples = np.array(
-        [_weighted_t_derivative(trace, r, t, n, sigma, cfg) for t in t_sequence]
+    samples = _weighted_t_derivatives(
+        trace, np.full_like(t_sequence, r), t_sequence, n, sigma, cfg
     )
     value, resid = _extrapolate_t0(t_sequence, samples, sigma)
     return FluxResult(
@@ -298,9 +303,11 @@ def exact_sphere_profile(
 ) -> SphereProfile:
     """Angular profile of the exact singular solution on the unit half-sphere.
 
-    Interior angles are evaluated by extension quadrature of the exact trace;
-    the boundary value is extrapolated from two small angles, so matching the
-    closed-form amplitude is a genuine quadrature check.
+    Interior angles are evaluated by extension quadrature of the exact trace,
+    all in one batch; the boundary value is extrapolated from two small
+    angles, so matching the closed-form amplitude is a genuine quadrature
+    check.  Every psi = 0 entry takes the boundary value; angles outside
+    [0, pi/2] raise ValueError.
     """
     n, sigma = params.n, params.sigma
     beta = derive_exponents(params).beta
@@ -311,17 +318,15 @@ def exact_sphere_profile(
         outer_exponent=beta,
     )
     psi_grid = np.asarray(psi_grid, dtype=float)
-    phi = np.empty_like(psi_grid)
-    for j, psi in enumerate(psi_grid):
-        if psi == 0.0:
-            continue
-        phi[j] = poisson_extend_radial(trace, (1.0, psi), n, sigma, cfg)
+    if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
+        raise ValueError("profile angles must lie in [0, pi/2]")
+    inside = psi_grid > 0.0
     pa, pb = 1e-3, 2e-3
-    fa = poisson_extend_radial(trace, (1.0, pa), n, sigma, cfg)
-    fb = poisson_extend_radial(trace, (1.0, pb), n, sigma, cfg)
-    boundary = _boundary_extrapolate([(pa, fa), (pb, fb)], sigma)
-    if psi_grid[0] == 0.0:
-        phi[0] = boundary
+    psi = np.concatenate([psi_grid[inside], [pa, pb]])
+    values = _poisson_values(trace, np.ones_like(psi), psi, n, sigma, cfg)
+    boundary = _boundary_extrapolate([(pa, float(values[-2])), (pb, float(values[-1]))], sigma)
+    phi = np.full_like(psi_grid, boundary)
+    phi[inside] = values[:-2]
     return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=boundary)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .specialfn import unit_sphere_area
 
 #: Below this value of c0/q the sinh-stretched angular rule is used.
 _ANGULAR_SWITCH = 0.25
+#: Rows per block of the sphere integral: its (rows, nodes) temporaries stay
+#: near 0.5 MB at 64 angular nodes, whatever the batch size.
+_BLOCK_ROWS = 1024
 
 
 @lru_cache(maxsize=64)
@@ -40,51 +44,74 @@ def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def _sphere_integral(c0, q, n: int, n_nodes: int, integrand):
-    """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
+class _AngularRule(NamedTuple):
+    x01: np.ndarray  # Gauss-Legendre nodes on [0, 1]
+    w01: np.ndarray  # and their weights
+    flat_s2: np.ndarray  # sin^2(g/2) at the flat rule's angles g = pi x01
+    flat_w: np.ndarray  # sin^{n-2} g there
+    ring: float  # |S^{n-2}|
+    area: float  # |S^{n-1}|
 
-    ``integrand(D, w)`` returns w f(D) elementwise, where w = sin^{n-2} g is
-    the polar weight of the sphere; the caller multiplies it in first, which
-    fixes the rounding of integrands that cancel near the spike.  c0 and q
-    broadcast together.  Offsets with c0/q below the switch use the
-    sinh-stretched rule; q = 0 entries are exact, since D is then constant
-    over the sphere.
-    """
-    c0b, qb = np.broadcast_arrays(np.asarray(c0, dtype=float), np.asarray(q, dtype=float))
-    flat_c0 = c0b.reshape(-1)
-    flat_q = qb.reshape(-1)
-    out = np.empty(flat_c0.shape)
-    ring = unit_sphere_area(n - 1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(flat_q > 0.0, flat_c0 / np.where(flat_q > 0.0, flat_q, 1.0), np.inf)
-    spike = ratio < _ANGULAR_SWITCH
-
+@lru_cache(maxsize=64)
+def _angular_rule(n: int, n_nodes: int) -> _AngularRule:
+    """Everything in the sphere integral that depends on (n, n_nodes) only."""
     xg, wg = gauss_legendre(n_nodes)
     x01 = (xg + 1.0) / 2.0
-    w01 = wg / 2.0
+    gam = math.pi * x01
+    tables = (x01, wg / 2.0, np.sin(gam / 2.0) ** 2, np.sin(gam) ** (n - 2))
+    for a in tables:
+        a.flags.writeable = False
+    return _AngularRule(*tables, unit_sphere_area(n - 1), unit_sphere_area(n))
 
-    flat = ~spike
-    if flat.any():
-        gam = math.pi * x01
-        D = flat_c0[flat, None] + 4.0 * flat_q[flat, None] * np.sin(gam / 2.0) ** 2
-        f = integrand(D, np.sin(gam) ** (n - 2))
-        out[flat] = math.pi * (f @ w01) * ring
 
-    if spike.any():
-        delta = np.sqrt(flat_c0[spike] / flat_q[spike])
-        xi_max = np.arcsinh(math.pi / delta)
-        xi = xi_max[:, None] * x01
-        gam = delta[:, None] * np.sinh(xi)
-        jac = delta[:, None] * np.cosh(xi) * xi_max[:, None]
-        D = flat_c0[spike, None] + 4.0 * flat_q[spike, None] * np.sin(gam / 2.0) ** 2
-        f = integrand(D, np.sin(gam) ** (n - 2)) * jac
-        out[spike] = (f * w01).sum(axis=1) * ring
+def _blocks(rows: np.ndarray):
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield rows[start:start + _BLOCK_ROWS]
+
+
+def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
+    """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
+
+    ``integrand(D, w, *args)`` returns w f(D) elementwise, where w = sin^{n-2} g
+    is the polar weight of the sphere; the caller multiplies it in first,
+    which fixes the rounding of integrands that cancel near the spike.  c0, q
+    and the per-row ``row_args`` broadcast together; each arg reaches the
+    integrand as a column that broadcasts against D.  Offsets with c0/q below
+    the switch use the sinh-stretched rule; q = 0 entries are exact, since D
+    is then constant over the sphere.  Rows are evaluated in blocks of
+    ``_BLOCK_ROWS``, so the temporaries do not grow with the batch.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c0, q, *row_args)))
+    flat_c0, flat_q, *flat_args = (a.reshape(-1) for a in arrays)
+    out = np.empty(flat_c0.shape)
+    rule = _angular_rule(n, n_nodes)
 
     zero_q = flat_q == 0.0
+    spike = flat_c0 < _ANGULAR_SWITCH * flat_q
+
+    for rows in _blocks(np.flatnonzero(~(spike | zero_q))):
+        D = flat_c0[rows, None] + 4.0 * flat_q[rows, None] * rule.flat_s2
+        f = integrand(D, rule.flat_w, *(a[rows, None] for a in flat_args))
+        # a per-row sum, not f @ w01: BLAS rounds a row by how many rows share the call
+        out[rows] = math.pi * (f * rule.w01).sum(axis=1) * rule.ring
+
+    for rows in _blocks(np.flatnonzero(spike)):
+        c0s, qs = flat_c0[rows, None], flat_q[rows, None]
+        delta = np.sqrt(c0s / qs)
+        xi_max = np.arcsinh(math.pi / delta)
+        xi = xi_max * rule.x01
+        gam = delta * np.sinh(xi)
+        jac = delta * np.cosh(xi) * xi_max
+        s2 = np.sin(gam / 2.0) ** 2
+        # sin^2 g = 4 sin^2(g/2) cos^2(g/2): one sine per node
+        w = (4.0 * s2 * (1.0 - s2)) ** ((n - 2) / 2.0)
+        f = integrand(c0s + 4.0 * qs * s2, w, *(a[rows, None] for a in flat_args)) * jac
+        out[rows] = (f * rule.w01).sum(axis=1) * rule.ring
+
     if zero_q.any():
-        out[zero_q] = unit_sphere_area(n) * integrand(flat_c0[zero_q], 1.0)
-    return out.reshape(c0b.shape)
+        out[zero_q] = rule.area * integrand(flat_c0[zero_q], 1.0, *(a[zero_q] for a in flat_args))
+    return out.reshape(arrays[0].shape)
 
 
 def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
@@ -92,24 +119,29 @@ def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
     return _sphere_integral(c0, q, n, n_nodes, lambda D, w: w * D ** (-m / 2.0))
 
 
-def angular_flux_kernel(c0, q, t2: float, n: int, sigma: float, n_nodes: int):
+def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
     """Angular integral of (2 sigma R^2 - n t^2) D^{-(m+2)/2} over the sphere.
 
-    R^2 = D - t^2 is the horizontal squared distance.  Combining the two
-    terms inside the integrand keeps the near-spike cancellation pointwise
-    instead of between two large quadrature results.
+    R^2 = D - t^2 is the horizontal squared distance; t2 broadcasts with c0
+    and q, so points at different elevations share one call.  Combining the
+    two terms inside the integrand keeps the near-spike cancellation
+    pointwise instead of between two large quadrature results.
     """
     m = n + 2.0 * sigma
     return _sphere_integral(
         c0, q, n, n_nodes,
-        lambda D, w: w * (2.0 * sigma * (D - t2) - n * t2) * D ** (-(m + 2.0) / 2.0),
+        lambda D, w, t2: w * (2.0 * sigma * (D - t2) - n * t2) * D ** (-(m + 2.0) / 2.0),
+        t2,
     )
 
 
 def log_zone_nodes(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in log radius; weights include the d(rho) Jacobian."""
+    """Gauss-Legendre nodes in log radius; weights include the d(rho) Jacobian.
+
+    ``r_lo`` and ``r_hi`` may be (zones, 1) columns, giving one zone per row.
+    """
     xg, wg = gauss_legendre(n_nodes)
-    ya, yb = math.log(r_lo), math.log(r_hi)
+    ya, yb = np.log(r_lo), np.log(r_hi)
     y = 0.5 * (ya + yb) + 0.5 * (yb - ya) * xg
     rho = np.exp(y)
     return rho, 0.5 * (yb - ya) * wg * rho

@@ -78,6 +78,8 @@ class TestNeumannFlux:
     def test_exact_trace_reference(self):
         flux = neumann_flux(exact_trace(P352), 1.0, P352)
         assert flux.value == pytest.approx((2.0 / math.pi) ** 2, rel=1e-4)
+        # the quadrature's own value; the t -> 0 fit amplifies kernel rounding
+        assert flux.value == pytest.approx(0.4052847863465031, rel=1e-10)
 
     def test_constant_trace_has_no_flux(self):
         flux = neumann_flux(constant_profile(1.0), 1.0, P352)
@@ -141,6 +143,32 @@ class TestSphereProfile:
     def test_boundary_value_matches_amplitude(self, profile):
         C = singular_constant(P352)
         assert profile.boundary_value == pytest.approx(C, rel=1e-4)
+
+    def test_regression_values(self, profile):
+        assert profile.boundary_value == pytest.approx(0.6366191373661476, rel=1e-13)
+        want = {1: 0.6364643944204206, 32: 0.5168042071219443, 64: 0.4052847345693513}
+        for j, phi in want.items():
+            assert profile.phi[j] == pytest.approx(phi, rel=1e-13), j
+
+    @pytest.mark.parametrize("sigma", (0.25, 0.5, 0.75))
+    def test_batch_matches_one_point_extension(self, sigma):
+        m = 3.0 - 2.0 * sigma
+        params = validate_params(3, sigma, 0.0, 0.5 * (3.0 / m + (3.0 + 2.0 * sigma) / m))
+        psi = psi_nodes(CylinderGrid(n_psi=17))
+        phi = exact_sphere_profile(params, psi).phi
+        trace = exact_trace(params)
+        for j in np.flatnonzero(psi > 0.0):
+            one = poisson_extend_radial(trace, (1.0, psi[j]), params.n, sigma)
+            assert abs(phi[j] - one) <= 1e-15 * abs(one), (sigma, psi[j])
+
+    def test_every_boundary_angle_takes_the_boundary_value(self):
+        prof = exact_sphere_profile(P352, np.array([0.3, 0.0, 0.6]))
+        assert prof.phi[1] == prof.boundary_value
+
+    def test_angles_outside_the_half_sphere_rejected(self):
+        for psi in (1.7, -0.1):
+            with pytest.raises(ValueError, match="angle"):
+                exact_sphere_profile(P352, np.array([0.3, psi]))
 
     def test_positive_and_bounded(self, profile):
         assert profile.phi.min() > 0.0

@@ -2,15 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hardyhenon.quadrature import angular_flux_kernel, angular_kernel
+from hardyhenon.quadrature import _BLOCK_ROWS, angular_flux_kernel, angular_kernel
 from hardyhenon.specialfn import unit_sphere_area
 
 N_NODES = 64  # the default angular node count of QuadratureConfig
 RATIOS = (1e-8, 1e-4, 0.1, 0.3, 2.0)  # c0/q on both sides of the spike switch
-CASES = [(n, sigma) for n in (2, 3, 5) for sigma in (0.25, 0.5, 0.75)]
+# n = 4, 6, 10 take the exponent 1, 2, 4 paths of the spike weight (4 s2 (1 - s2))^{(n-2)/2}
+CASES = [(n, sigma) for n in (2, 3, 4, 5, 6, 10) for sigma in (0.25, 0.5, 0.75)]
 
 
 def sphere_reference(c0, q, n, f):
@@ -54,3 +56,31 @@ def test_angular_flux_kernel(n, sigma):
             c0, q, n, lambda D: (2.0 * sigma * (D - t2) - n * t2) * D ** (-(m + 2.0) / 2.0)
         )
         assert got == pytest.approx(want, rel=1e-12), (c0, q)
+
+
+def mixed_rows(count, seed=5):
+    """Offsets across the spike switch, flat rows and q = 0 rows, shuffled."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 3.0, count)
+    c0 = q * 10.0 ** rng.uniform(-10.0, 1.0, count)
+    q[rng.random(count) < 0.05] = 0.0
+    return c0, q, c0 * rng.uniform(0.0, 1.0, count)
+
+
+class TestBatchInvariance:
+    """A batch gives each row the value it has alone, across block edges."""
+
+    COUNT = 2 * _BLOCK_ROWS + 452
+
+    def test_angular_kernel(self):
+        c0, q, _ = mixed_rows(self.COUNT)
+        batch = angular_kernel(c0, q, 5, 5.5, N_NODES)
+        rows = np.array([angular_kernel(a, b, 5, 5.5, N_NODES) for a, b in zip(c0, q)])
+        assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
+
+    def test_angular_flux_kernel(self):
+        c0, q, t2 = mixed_rows(self.COUNT)
+        batch = angular_flux_kernel(c0, q, t2, 4, 0.75, N_NODES)
+        rows = np.array([angular_flux_kernel(a, b, c, 4, 0.75, N_NODES)
+                         for a, b, c in zip(c0, q, t2)])
+        assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
