@@ -77,7 +77,7 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     is the polar weight of the sphere; the caller multiplies it in first,
     which fixes the rounding of integrands that cancel near the spike.  c0, q
     and the per-row ``row_args`` broadcast together; each arg reaches the
-    integrand as a column that broadcasts against D.  Offsets with c0/q below
+    integrand shaped to broadcast against D.  Offsets with c0/q below
     the switch use the sinh-stretched rule; q = 0 entries are exact, since D
     is then constant over the sphere.  Rows are evaluated in blocks of
     ``_BLOCK_ROWS``, so the temporaries do not grow with the batch.
