@@ -22,7 +22,7 @@ import numpy as np
 from . import suite as acceptance
 from .cylinder import CylinderGrid, SolverDivergence, psi_nodes, solve_end_perturbed
 from .energy import derivative_identity_check, energy_trace, monotonicity_verdict
-from .extension import exact_extension_field, fowler_map, neumann_flux, verify_barrier_identity
+from .extension import _barrier_ladder, exact_extension_field, fowler_map, neumann_flux
 from .fraclap import QuadratureConfig, power_profile, verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
 from .params import ParamError, classify_regime, derive_exponents, validate_params
@@ -291,17 +291,10 @@ def _cmd_barrier(args) -> int:
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
     rep = _new_report("barrier", params)
     point = (math.cos(args.psi), math.sin(args.psi))
-    levels = []
-    for k in range(args.levels):
-        f = 0.5 ** k
-        res = verify_barrier_identity(
-            args.mu, args.delta, point, params,
-            h=args.h * f, t0=args.t0 * f, fd_ratio=args.fd_ratio * f,
-        )
-        levels.append((res.interior, res.neumann))
-    rows = [[k, levels[k][0], levels[k][1]] for k in range(args.levels)]
-    ratios_i = [levels[k][0] / levels[k + 1][0] for k in range(args.levels - 1)]
-    ratios_n = [levels[k][1] / levels[k + 1][1] for k in range(args.levels - 1)]
+    interior, neumann, ratios_i, ratios_n = _barrier_ladder(
+        args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
+    )
+    rows = [[k, interior[k], neumann[k]] for k in range(args.levels)]
     rep["results"] = {
         "columns": ["level", "interior_residual", "neumann_residual"],
         "rows": rows,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .extension import FowlerField, exact_sphere_profile
+from .extension import FowlerField, _half_sphere_operator, exact_sphere_profile
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma
 
@@ -38,13 +38,12 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class CylinderGrid:
-    """Axial range and node counts; ``grading`` clusters psi nodes at the boundary."""
+    """Axial range and node counts of the (s, psi) grid."""
 
     s_min: float = -4.0
     s_max: float = 4.0
     n_s: int = 161
     n_psi: int = 65
-    grading: float = 2.0
 
     def __post_init__(self) -> None:
         if self.s_max <= self.s_min:
@@ -57,8 +56,9 @@ class CylinderGrid:
 
 
 def psi_nodes(grid: CylinderGrid) -> np.ndarray:
+    """Elevation nodes (pi/2) xi^2 on uniform xi, clustered at the boundary psi = 0."""
     xi = np.linspace(0.0, 1.0, grid.n_psi)
-    return (math.pi / 2.0) * xi ** grid.grading
+    return (math.pi / 2.0) * xi ** 2.0
 
 
 @dataclass
@@ -92,29 +92,10 @@ def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray)
         shape=(ns, ns),
     )
 
-    L_psi = np.zeros((npsi, npsi))
-    # weighted flux row (linear part): 2s * c(V0, V1, V2)
-    q = np.sin(psi) ** 2
-    w = np.sin(psi) ** (2.0 * sigma)
-    W = w[1] * q[2] - w[2] * q[1]
-    L_psi[0, :3] = 2.0 * sigma * np.array([q[1] - q[2], q[2], -q[1]]) / W
-    # nonuniform three-point stencil of V_psipsi + P(psi) V_psi
-    j = np.arange(1, npsi - 1)
-    hm = psi[1:-1] - psi[:-2]
-    hp = psi[2:] - psi[1:-1]
-    tan = np.array([math.tan(x) for x in psi[1:-1]])  # libm; numpy's tan may differ by an ulp
-    P = (1.0 - 2.0 * sigma) / tan - (n - 1) * tan
-    L_psi[j, j - 1] = 2.0 / (hm * (hm + hp)) - P * hp / (hm * (hm + hp))
-    L_psi[j, j] = -2.0 / (hm * hp) + P * (hp - hm) / (hm * hp)
-    L_psi[j, j + 1] = 2.0 / (hp * (hm + hp)) + P * hm / (hp * (hm + hp))
-    # pole: n * V_chichi with even reflection across psi = pi/2
-    chi = math.pi / 2.0 - psi[-2]
-    L_psi[-1, -2:] = [2.0 * n / chi ** 2, -2.0 * n / chi ** 2]
-
     E = sp.diags(np.r_[0.0, np.ones(npsi - 1)])  # no axial part on the flux rows
     A = (
         sp.kron(T_s, E)
-        + sp.kron(D_int, sp.csr_matrix(L_psi))
+        + sp.kron(D_int, sp.csr_matrix(_half_sphere_operator(psi, n, sigma)))
         + sp.kron(sp.identity(ns) - D_int, sp.identity(npsi))
     ).tocsr()
     # normalize rows by their diagonal so the residual is measured in solution
@@ -135,7 +116,6 @@ def solve_cylinder_pde(
     *,
     newton_tol: float = 1e-8,
     max_iterations: int = 40,
-    damping: float = 0.5,
 ) -> CylinderSolveResult:
     """Solve the discrete cylinder problem with Dirichlet data at both axial ends.
 
@@ -222,7 +202,7 @@ def solve_cylinder_pde(
             if nt < norm or lam < 1e-3:
                 V, F, norm = trial, Ft, nt
                 break
-            lam *= damping
+            lam *= 0.5
         history.append(norm)
         it += 1
 

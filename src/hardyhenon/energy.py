@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import ExtensionField, FowlerField, fowler_map
+from .extension import ExtensionField, FowlerField, _edge_model, _three_point_weights, fowler_map
 from .params import ProblemParams, derive_exponents
 from .quadrature import gauss_legendre
 from .specialfn import kappa_sigma, unit_sphere_area
@@ -42,32 +42,27 @@ def _cell_quad_weights(psi: np.ndarray, n: int, sigma: float, start_cell: int = 
     x01 = (xg + 1.0) / 2.0
     w01 = wg / 2.0
     nn = len(psi)
+    c = np.arange(start_cell, nn - 1)
+    c = c[psi[c + 1] > psi[c]]
+    lo, hi = psi[c, None], psi[c + 1, None]
+    # (cells, 12) Gauss nodes and Jacobians; cells at psi = 0 are power-substituted
+    pp = lo + (hi - lo) * x01
+    jac = np.broadcast_to(hi - lo, pp.shape).copy()
+    first = lo[:, 0] == 0.0
+    e = 1.0 / (2.0 - 2.0 * sigma)
+    pp[first] = hi[first] * x01 ** e
+    jac[first] = hi[first] * e * x01 ** (e - 1.0)
+    cellw = w01 * jac * (np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1))
+    stencil = np.minimum(np.maximum(c - 1, 0), nn - 4)[:, None] + np.arange(4)
+    nodes = psi[stencil]
     out = np.zeros(nn)
-
-    def weight(pp):
-        return np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
-
-    for c in range(start_cell, nn - 1):
-        lo, hi = psi[c], psi[c + 1]
-        if hi <= lo:
-            continue
-        if lo == 0.0:
-            e = 1.0 / (2.0 - 2.0 * sigma)
-            v = x01
-            pp = hi * v ** e
-            jac = hi * e * v ** (e - 1.0)
-            cellw = w01 * jac * weight(pp)
-        else:
-            pp = lo + (hi - lo) * x01
-            cellw = w01 * (hi - lo) * weight(pp)
-        i0 = min(max(c - 1, 0), nn - 4)
-        stencil = psi[i0 : i0 + 4]
-        for k in range(4):
-            lag = np.ones_like(pp)
-            for l in range(4):
-                if l != k:
-                    lag *= (pp - stencil[l]) / (stencil[k] - stencil[l])
-            out[i0 + k] += float(np.sum(cellw * lag))
+    # positions in reverse, so each node collects its cells in ascending order
+    for k in range(3, -1, -1):
+        lag = np.ones_like(pp)
+        for l in range(4):
+            if l != k:
+                lag *= (pp - nodes[:, l, None]) / (nodes[:, k, None] - nodes[:, l, None])
+        np.add.at(out, stencil[:, k], np.sum(cellw * lag, axis=1))
     return out
 
 
@@ -85,13 +80,8 @@ def _axial_derivative(values: np.ndarray, ds: float) -> np.ndarray:
 def _psi_derivative(values: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Second-order d/dpsi along the last axis on a nonuniform grid; one-sided at both ends."""
     out = np.empty_like(values)
-    hm = psi[1:-1] - psi[:-2]
-    hp = psi[2:] - psi[1:-1]
-    out[..., 1:-1] = (
-        -hp / (hm * (hm + hp)) * values[..., :-2]
-        + (hp - hm) / (hm * hp) * values[..., 1:-1]
-        + hm / (hp * (hm + hp)) * values[..., 2:]
-    )
+    w = _three_point_weights(psi)[0]
+    out[..., 1:-1] = w[:, 0] * values[..., :-2] + w[:, 1] * values[..., 1:-1] + w[:, 2] * values[..., 2:]
     out[..., 0] = (values[..., 1] - values[..., 0]) / (psi[1] - psi[0])
     out[..., -1] = (values[..., -1] - values[..., -2]) / (psi[-1] - psi[-2])
     return out
@@ -103,27 +93,24 @@ def _gradient_integral(values: np.ndarray, psi: np.ndarray, n: int, sigma: float
 
     Near psi = 0 the field carries a sin^{2 sigma} component whose derivative
     is not resolvable by difference quotients, so the contribution of
-    [0, psi_2] is integrated from the fitted local model
-    V = V0 + c sin^{2s} psi + e sin^2 psi instead.
+    [0, psi_2] is integrated from the local model
+    V = V0 + c sin^{2s} psi + e sin^2 psi through the first three nodes.
     """
     f = _psi_derivative(values, psi) ** 2
     if psi[0] != 0.0:
         return np.sum(weights * f, axis=-1)
-    # difference quotients cannot see the sin^{2s} edge component: replace the
-    # first two cells by the fitted local model
     cut = psi[2]
     total = np.sum(_cell_quad_weights(psi, n, sigma, start_cell=2) * f, axis=-1)
-    M = np.stack([np.sin(psi[1:3]) ** (2.0 * sigma), np.sin(psi[1:3]) ** 2], axis=1)
-    rhs = values[..., 1:3] - values[..., :1]
-    c, e = np.linalg.solve(M, rhs.reshape(-1, 2).T).reshape((2,) + rhs.shape[:-1])
+    ce = values[..., :3] @ _edge_model(psi, sigma).T
+    c, e = ce[..., 0, None], ce[..., 1, None]
     xg, wg = gauss_legendre(16)
     v = (xg + 1.0) / 2.0
     ex = 1.0 / (2.0 * sigma)
     pp = cut * v ** ex
     jac = cut * ex * v ** (ex - 1.0)
     dv_model = (
-        2.0 * sigma * c[..., None] * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp)
-        + 2.0 * e[..., None] * np.sin(pp) * np.cos(pp)
+        2.0 * sigma * c * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp)
+        + 2.0 * e * np.sin(pp) * np.cos(pp)
     )
     wfun = np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
     return total + np.sum(wg / 2.0 * jac * dv_model ** 2 * wfun, axis=-1)

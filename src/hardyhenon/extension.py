@@ -347,6 +347,52 @@ def exact_extension_field(
     )
 
 
+def _three_point_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of d/dpsi and d^2/dpsi^2 at the interior nodes of a nonuniform grid.
+
+    Each is a (len(psi) - 2, 3) array acting on (f[j-1], f[j], f[j+1]); both
+    are exact on 1, psi and psi^2.
+    """
+    hm = psi[1:-1] - psi[:-2]
+    hp = psi[2:] - psi[1:-1]
+    d1 = np.stack([-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))], axis=1)
+    d2 = np.stack([2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))], axis=1)
+    return d1, d2
+
+
+def _edge_model(psi: np.ndarray, sigma: float) -> np.ndarray:
+    """The 2x3 matrix taking (V0, V1, V2) on psi[:3], psi[0] = 0, to (c, e).
+
+    (c, e) are the coefficients of the local model
+    V = V0 + c sin^{2 sigma} psi + e sin^2 psi through the three samples.
+    """
+    q = np.sin(psi[1:3]) ** 2
+    w = np.sin(psi[1:3]) ** (2.0 * sigma)
+    W = w[0] * q[1] - w[1] * q[0]
+    return np.array([[q[0] - q[1], q[1], -q[0]], [w[1] - w[0], -w[1], w[0]]]) / W
+
+
+def _half_sphere_operator(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """Dense psi operator on a grid running from psi = 0 to the pole pi/2.
+
+    Row 0 is the linear part 2 sigma c of the weighted flux (c from the edge
+    model); interior rows are the three-point stencil of
+    V'' + ((1-2s) cot psi - (n-1) tan psi) V'; the last row is n V_chichi at
+    the pole with even reflection across psi = pi/2.
+    """
+    npsi = len(psi)
+    L = np.zeros((npsi, npsi))
+    L[0, :3] = 2.0 * sigma * _edge_model(psi, sigma)[0]
+    d1, d2 = _three_point_weights(psi)
+    tan = np.array([math.tan(x) for x in psi[1:-1]])  # libm; numpy's tan may differ by an ulp
+    P = (1.0 - 2.0 * sigma) / tan - (n - 1) * tan
+    j = np.arange(1, npsi - 1)[:, None]
+    L[j, j + np.arange(-1, 2)] = d2 + P[:, None] * d1
+    chi = math.pi / 2.0 - psi[-2]
+    L[-1, -2:] = [2.0 * n / chi ** 2, -2.0 * n / chi ** 2]
+    return L
+
+
 @dataclass(frozen=True)
 class SphereOdeResiduals:
     """Residual norms of the homogeneous-profile equation on the half-sphere."""
@@ -374,22 +420,10 @@ def verify_sphere_ode(
     J2 = derive_exponents(params).J2
     psi = profile.psi_grid
     phi = profile.phi
-    interior = 0.0
-    for j in range(1, len(psi) - 1):
-        if not interior_band[0] <= psi[j] <= interior_band[1]:
-            continue
-        hm = psi[j] - psi[j - 1]
-        hp = psi[j + 1] - psi[j]
-        d2 = 2.0 * (
-            phi[j - 1] / (hm * (hm + hp)) - phi[j] / (hm * hp) + phi[j + 1] / (hp * (hm + hp))
-        )
-        d1 = (
-            -hp / (hm * (hm + hp)) * phi[j - 1]
-            + (hp - hm) / (hm * hp) * phi[j]
-            + hm / (hp * (hm + hp)) * phi[j + 1]
-        )
-        P = (1.0 - 2.0 * sigma) / math.tan(psi[j]) - (n - 1) * math.tan(psi[j])
-        interior = max(interior, abs(-(d2 + P * d1) + J2 * phi[j]))
+    # the interior rows of the cylinder solver's psi operator
+    rows = -(_half_sphere_operator(psi, n, sigma) @ phi)[1:-1] + J2 * phi[1:-1]
+    band = (interior_band[0] <= psi[1:-1]) & (psi[1:-1] <= interior_band[1])
+    interior = float(np.max(np.abs(rows[band]), initial=0.0))
 
     # boundary: extract the sin^{2s} coefficient from a small-angle window
     # fit; the window must reach past the tiniest nodes or quadrature noise
@@ -484,3 +518,16 @@ def verify_barrier_identity(
     target = 2.0 * sigma * delta * q ** (-2.0 * sigma) * _barrier(mu, delta, sigma, q, 0.0)
     neumann = abs(_extrapolate_t0(tk, g, sigma)[0] - target)
     return BarrierResiduals(interior=interior, neumann=neumann)
+
+
+def _barrier_ladder(mu, delta, point, params, levels, h, t0, fd_ratio):
+    """``verify_barrier_identity`` with h, t0 and fd_ratio scaled by 0.5^k, k < levels.
+
+    Returns the interior and the Neumann residuals per level, then the ratios
+    of successive levels of each (about 4 at second order).
+    """
+    res = [verify_barrier_identity(mu, delta, point, params, h=h * f, t0=t0 * f, fd_ratio=fd_ratio * f)
+           for f in (0.5 ** k for k in range(levels))]
+    interior, neumann = [r.interior for r in res], [r.neumann for r in res]
+    ratios_i, ratios_n = ([a / b for a, b in zip(seq, seq[1:])] for seq in (interior, neumann))
+    return interior, neumann, ratios_i, ratios_n

@@ -112,30 +112,31 @@ def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> Radi
     )
 
 
+# zone geometry in multiples of the evaluation radius: the symmetric zone
+# spans 1 -+ _PV_HALF_WIDTH, and a log zone joins it to _OUTER_SPLIT
+_PV_HALF_WIDTH = 0.5
+_OUTER_SPLIT = 2.0
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and zone geometry for the radial principal-value quadrature.
+    """Node counts and cutoffs for the radial principal-value quadrature.
 
-    ``split_radius_factors`` (inner, outer) bracket the singularity:
-    the symmetric zone spans radii r*(1 -+ h) with h = min(1-inner, outer-1).
     ``tail_cutoff`` is the multiple of the evaluation radius beyond which the
     asserted power-law tail is integrated in closed form; ``inner_cutoff``
-    plays the same role at the origin, as a fraction of the inner split.
+    plays the same role at the origin, as a fraction of the inner edge
+    r (1 - _PV_HALF_WIDTH) of the symmetric zone.
     """
 
     nodes_radial: int = 256
     nodes_angular: int = 64
-    split_radius_factors: tuple[float, float] = (0.5, 2.0)
     tail_cutoff: float = 1e3
     inner_cutoff: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.nodes_radial < 8 or self.nodes_angular < 8:
             raise ValueError("node counts must be at least 8")
-        inner, outer = self.split_radius_factors
-        if not 0.0 < inner < 1.0 < outer:
-            raise ValueError(f"split factors must satisfy 0 < inner < 1 < outer, got {inner}, {outer}")
-        if self.tail_cutoff <= self.split_radius_factors[1]:
+        if self.tail_cutoff <= _OUTER_SPLIT:
             raise ValueError("tail cutoff must lie beyond the outer split")
 
     def halved(self) -> "QuadratureConfig":
@@ -237,17 +238,15 @@ def _endpoint_corrections(profile, ur, r, rho0, R, n, sigma) -> float:
 def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:
     u = profile.evaluate
     ur = float(u(np.array([r]))[0])
-    th1, th2 = cfg.split_radius_factors
-    h = min(1.0 - th1, th2 - 1.0)
+    h = _PV_HALF_WIDTH
 
     total = _pv_symmetric_zone(u, ur, r, h, n, sigma, cfg)
-    total += _log_zone(u, ur, r, th1 * r, (1.0 - h) * r, n, sigma, cfg)
-    total += _log_zone(u, ur, r, (1.0 + h) * r, th2 * r, n, sigma, cfg)
+    total += _log_zone(u, ur, r, (1.0 + h) * r, _OUTER_SPLIT * r, n, sigma, cfg)
 
-    rho0 = cfg.inner_cutoff * th1 * r
+    rho0 = cfg.inner_cutoff * (1.0 - h) * r
     R = cfg.tail_cutoff * r
-    total += _log_zone(u, ur, r, rho0, th1 * r, n, sigma, cfg)
-    total += _log_zone(u, ur, r, th2 * r, R, n, sigma, cfg)
+    total += _log_zone(u, ur, r, rho0, (1.0 - h) * r, n, sigma, cfg)
+    total += _log_zone(u, ur, r, _OUTER_SPLIT * r, R, n, sigma, cfg)
     total += _endpoint_corrections(profile, ur, r, rho0, R, n, sigma)
     return total
 

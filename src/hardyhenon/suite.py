@@ -23,9 +23,9 @@ from .energy import (
 )
 from .extension import (
     FowlerField,
+    _barrier_ladder,
     exact_extension_field,
     exact_sphere_profile,
-    verify_barrier_identity,
 )
 from .fraclap import verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
@@ -327,22 +327,14 @@ def criterion_9_barrier() -> CriterionResult:
     point = (math.cos(0.5), math.sin(0.5))
     for n, sigma in ((3, 0.5), (3, 0.3)):
         params = validate_params(n, sigma, 0.0, 2.0)
-        seq_i, seq_n = [], []
-        for k in range(3):
-            f = 0.5 ** k
-            res = verify_barrier_identity(
-                0.8, 0.3, point, params, h=1e-2 * f, t0=0.05 * f, fd_ratio=0.05 * f
-            )
-            seq_i.append(res.interior)
-            seq_n.append(res.neumann)
-        ratios_i = [seq_i[k] / seq_i[k + 1] for k in range(2)]
-        ratios_n = [seq_n[k] / seq_n[k + 1] for k in range(2)]
-        case_ok = all(r >= 3.2 for r in ratios_i) and all(r >= 3.2 for r in ratios_n)
+        seq_i, seq_n, ratios_i, ratios_n = _barrier_ladder(
+            0.8, 0.3, point, params, 3, h=1e-2, t0=0.05, fd_ratio=0.05
+        )
         details[f"(n={n},sigma={sigma})"] = {
             "interior": seq_i, "neumann": seq_n,
             "interior_ratios": ratios_i, "neumann_ratios": ratios_n,
         }
-        ok = ok and case_ok
+        ok = ok and all(r >= 3.2 for r in ratios_i + ratios_n)
     return CriterionResult(9, "barrier identities", ok, details)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from hardyhenon.cylinder import (
     CylinderGrid,
@@ -14,6 +15,7 @@ from hardyhenon.cylinder import (
 )
 from hardyhenon.energy import (
     MonotonicityVerdict,
+    _cell_quad_weights,
     derivative_identity_check,
     energy_cylinder,
     energy_halfsphere,
@@ -202,6 +204,46 @@ class TestPerturbedEnergy:
     def test_window_too_small_rejected(self, perturbed_solution):
         with pytest.raises(ValueError, match="window"):
             energy_trace(perturbed_solution.field, (0.0, 0.05), SUB)
+
+
+def loop_cell_weights(psi, n, sigma, start_cell):
+    """Cell-by-cell reference for _cell_quad_weights, in the same arithmetic order."""
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    x01, w01 = (xg + 1.0) / 2.0, wg / 2.0
+    out = np.zeros(len(psi))
+    for c in range(start_cell, len(psi) - 1):
+        lo, hi = psi[c], psi[c + 1]
+        if lo == 0.0:
+            e = 1.0 / (2.0 - 2.0 * sigma)
+            pp, jac = hi * x01 ** e, hi * e * x01 ** (e - 1.0)
+        else:
+            pp, jac = lo + (hi - lo) * x01, hi - lo
+        cellw = w01 * jac * (np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1))
+        i0 = min(max(c - 1, 0), len(psi) - 4)
+        for k in range(4):
+            lag = np.ones_like(pp)
+            for l in range(4):
+                if l != k:
+                    lag *= (pp - psi[i0 + l]) / (psi[i0 + k] - psi[i0 + l])
+            out[i0 + k] += np.sum(cellw * lag)
+    return out
+
+
+class TestCellWeights:
+    @pytest.mark.parametrize("n_psi", (17, 65))
+    @pytest.mark.parametrize("start_cell", (0, 2))
+    def test_matches_cell_loop(self, n_psi, start_cell):
+        psi = psi_nodes(CylinderGrid(n_psi=n_psi))
+        for n, sigma in ((2, 0.3), (3, 0.5), (5, 0.75)):
+            want = loop_cell_weights(psi, n, sigma, start_cell)
+            np.testing.assert_array_equal(_cell_quad_weights(psi, n, sigma, start_cell), want)
+
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    @pytest.mark.parametrize("sigma", (0.3, 0.5, 0.75))
+    def test_weights_integrate_the_measure(self, n, sigma):
+        # int_0^{pi/2} sin^{1-2s} psi cos^{n-1} psi d psi = B(1 - s, n/2) / 2
+        w = _cell_quad_weights(psi_nodes(CylinderGrid()), n, sigma)
+        assert w.sum() == pytest.approx(0.5 * beta_fn(1.0 - sigma, n / 2.0), rel=1e-13)
 
 
 # E and dE_formula at s = -3, -2, 0, 2, 3 on the default grid, recorded from the

@@ -9,6 +9,8 @@ from hardyhenon.cylinder import CylinderGrid, psi_nodes
 from hardyhenon.extension import (
     ExtensionField,
     FowlerField,
+    _edge_model,
+    _three_point_weights,
     exact_extension_field,
     exact_sphere_profile,
     fowler_map,
@@ -196,6 +198,48 @@ class TestSphereProfile:
         J2 = derive_exponents(P352).J2
         res = verify_sphere_ode(prof, P352)
         assert res.interior_max == pytest.approx(J2 * 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("quad,interior,boundary", [
+        ((3, 0.5, 0.0, 2.0), 0.00017406310340190023, 0.0008867894103639641),
+        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056770795062, 0.003979217759499183),
+    ])
+    def test_regression_residuals(self, quad, interior, boundary):
+        # recorded from the per-node residual loop on the default grid
+        params = validate_params(*quad)
+        res = verify_sphere_ode(exact_sphere_profile(params, psi_nodes(CylinderGrid())), params)
+        assert res.interior_max == pytest.approx(interior, rel=1e-6)
+        assert res.boundary_rel == pytest.approx(boundary, rel=1e-6)
+
+
+class TestPsiGrid:
+    """The shared psi-grid pieces of the solver, the energy and the sphere-ODE check."""
+
+    @pytest.mark.parametrize("n_psi", (65, 129))
+    def test_three_point_weights_exact_on_quadratics(self, n_psi):
+        psi = psi_nodes(CylinderGrid(n_psi=n_psi))
+        d1, d2 = _three_point_weights(psi)
+        x = psi[1:-1]
+        stencil = np.stack([psi[:-2], x, psi[2:]], axis=1)
+        for f, df, d2f in ((np.ones_like, np.zeros_like, np.zeros_like),
+                           (lambda v: v, np.ones_like, np.zeros_like),
+                           (lambda v: v * v, lambda v: 2.0 * v, lambda v: np.full_like(v, 2.0))):
+            for w, exact in ((d1, df(x)), (d2, d2f(x))):
+                terms = w * f(stencil)
+                # the weights grow like 1/h^2 at the graded edge, so exactness is
+                # measured against the size of the summed terms
+                err = np.abs(terms.sum(axis=1) - exact) / np.abs(terms).sum(axis=1)
+                assert err.max() < 1e-12
+
+    @pytest.mark.parametrize("sigma", (0.3, 0.5, 0.75))
+    def test_edge_model_recovers_coefficients(self, sigma):
+        # 17 nodes: the e coefficient is conditioned by 1/sin^2 psi_1, which on
+        # finer graded grids amplifies the rounding of the samples past 1e-12
+        psi = psi_nodes(CylinderGrid(n_psi=17))
+        v0, c, e = 0.7, -0.3, 1.1
+        s = np.sin(psi[:3])
+        got = _edge_model(psi, sigma) @ (v0 + c * s ** (2.0 * sigma) + e * s ** 2)
+        assert got[0] == pytest.approx(c, rel=1e-12)
+        assert got[1] == pytest.approx(e, rel=1e-12)
 
 
 class TestBarrier:

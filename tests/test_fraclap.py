@@ -120,10 +120,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(nodes_radial=4)
 
-    def test_split_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(split_radius_factors=(1.2, 2.0))
-
 
 class TestFallIdentity:
     def test_reference_tuple(self):
