@@ -12,7 +12,12 @@ resolves it uniformly down to machine-scale offsets.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -22,9 +27,39 @@ from .specialfn import unit_sphere_area
 
 #: Below this value of c0/q the sinh-stretched angular rule is used.
 _ANGULAR_SWITCH = 0.25
-#: Rows per block of the sphere integral: its (rows, nodes) temporaries stay
-#: near 0.5 MB at 64 angular nodes, whatever the batch size.
-_BLOCK_ROWS = 1024
+#: Rows per block of the sphere integral.  A block's (rows, nodes) temporaries
+#: stay near 128 KB each at 64 angular nodes, whatever the batch size.  Larger
+#: blocks are slower, not faster: malloc returns their temporaries to the
+#: system and the next block faults fresh pages in (one extension_flux round on
+#: one thread: 853k minor faults and 1.8 s of system time at 1024 rows, 212k
+#: and 0.4 s at 256).  128-row blocks fault less still but ran slower on two
+#: threads.  fraclap's 256-row calls fit in one block and so run inline.
+_BLOCK_ROWS = 256
+#: Threads that evaluate sphere-integral blocks: one per CPU this process may
+#: run on.  With one, every call runs inline.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The block pool, created on the first call that has blocks to share."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="hardyhenon-sphere")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the parent's threads: a new pool is made on demand
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @lru_cache(maxsize=64)
@@ -70,6 +105,36 @@ def _blocks(rows: np.ndarray):
         yield rows[start:start + _BLOCK_ROWS]
 
 
+def _run_blocks(tasks) -> None:
+    """Call ``block(rows)`` for each (block, rows) task.
+
+    Tasks whose rows fit in one block, and every task when one CPU is usable,
+    run inline.  Otherwise up to ``_WORKERS`` pool threads take tasks in turn
+    until none is left, each thread in a copy of the caller's context; the
+    caller waits for all of them, then raises the first error, if any.
+    """
+    if _WORKERS == 1 or sum(len(rows) for _, rows in tasks) <= _BLOCK_ROWS:
+        for block, rows in tasks:
+            block(rows)
+        return
+    todo = deque(tasks)
+
+    def drain():
+        while True:
+            try:
+                block, rows = todo.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            block(rows)
+
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(min(_WORKERS, len(tasks)))]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
 
@@ -79,8 +144,15 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     and the per-row ``row_args`` broadcast together; each arg reaches the
     integrand shaped to broadcast against D.  Offsets with c0/q below
     the switch use the sinh-stretched rule; q = 0 entries are exact, since D
-    is then constant over the sphere.  Rows are evaluated in blocks of
-    ``_BLOCK_ROWS``, so the temporaries do not grow with the batch.
+    is then constant over the sphere.
+
+    Rows are evaluated in blocks of ``_BLOCK_ROWS``, so the temporaries do not
+    grow with the batch, and the blocks of a large call run on the pool
+    threads (``_run_blocks``), where numpy's ``errstate`` is the caller's.
+    Each block writes its own rows and sums each row by itself, so a row's
+    value depends neither on the thread that ran it nor on the block size.
+    ``integrand`` is called from several threads at once and must keep no
+    state.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c0, q, *row_args)))
     flat_c0, flat_q, *flat_args = (a.reshape(-1) for a in arrays)
@@ -90,13 +162,13 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     zero_q = flat_q == 0.0
     spike = flat_c0 < _ANGULAR_SWITCH * flat_q
 
-    for rows in _blocks(np.flatnonzero(~(spike | zero_q))):
+    def flat_block(rows):
         D = flat_c0[rows, None] + 4.0 * flat_q[rows, None] * rule.flat_s2
         f = integrand(D, rule.flat_w, *(a[rows, None] for a in flat_args))
         # a per-row sum, not f @ w01: BLAS rounds a row by how many rows share the call
         out[rows] = math.pi * (f * rule.w01).sum(axis=1) * rule.ring
 
-    for rows in _blocks(np.flatnonzero(spike)):
+    def spike_block(rows):
         c0s, qs = flat_c0[rows, None], flat_q[rows, None]
         delta = np.sqrt(c0s / qs)
         xi_max = np.arcsinh(math.pi / delta)
@@ -108,6 +180,9 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
         w = (4.0 * s2 * (1.0 - s2)) ** ((n - 2) / 2.0)
         f = integrand(c0s + 4.0 * qs * s2, w, *(a[rows, None] for a in flat_args)) * jac
         out[rows] = (f * rule.w01).sum(axis=1) * rule.ring
+
+    _run_blocks([(flat_block, rows) for rows in _blocks(np.flatnonzero(~(spike | zero_q)))]
+                + [(spike_block, rows) for rows in _blocks(np.flatnonzero(spike))])
 
     if zero_q.any():
         out[zero_q] = rule.area * integrand(flat_c0[zero_q], 1.0, *(a[zero_q] for a in flat_args))
