@@ -12,12 +12,7 @@ resolves it uniformly down to machine-scale offsets.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,39 +22,15 @@ from .specialfn import unit_sphere_area
 
 #: Below this value of c0/q the sinh-stretched angular rule is used.
 _ANGULAR_SWITCH = 0.25
-#: Rows per block of the sphere integral.  A block's (rows, nodes) temporaries
-#: stay near 128 KB each at 64 angular nodes, whatever the batch size.  Larger
-#: blocks are slower, not faster: malloc returns their temporaries to the
-#: system and the next block faults fresh pages in (one extension_flux round on
-#: one thread: 853k minor faults and 1.8 s of system time at 1024 rows, 212k
-#: and 0.4 s at 256).  128-row blocks fault less still but ran slower on two
-#: threads.  fraclap's 256-row calls fit in one block and so run inline.
-_BLOCK_ROWS = 256
-#: Threads that evaluate sphere-integral blocks: one per CPU this process may
-#: run on.  With one, every call runs inline.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The block pool, created on the first call that has blocks to share."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="hardyhenon-sphere")
-        return _pool
-
-
-def _drop_pool() -> None:
-    # a forked child has none of the parent's threads: a new pool is made on demand
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+#: Rows per block of the sphere integral.  Each call makes its (rows, nodes)
+#: scratch arrays once, 256 KB each at 64 angular nodes, and every block
+#: is evaluated in them, so the memory does not grow with the batch and no
+#: block allocates.  Blocks that made their own temporaries had malloc hand
+#: them back to the system and fault fresh pages in for the next block, and
+#: how often depended on the process's allocation history: with 256-row
+#: blocks, one extension_flux round took 212k minor faults and 2.9 s in one
+#: process, 25k and 2.2 s in another running the same code.
+_BLOCK_ROWS = 512
 
 
 @lru_cache(maxsize=64)
@@ -105,54 +76,22 @@ def _blocks(rows: np.ndarray):
         yield rows[start:start + _BLOCK_ROWS]
 
 
-def _run_blocks(tasks) -> None:
-    """Call ``block(rows)`` for each (block, rows) task.
-
-    Tasks whose rows fit in one block, and every task when one CPU is usable,
-    run inline.  Otherwise up to ``_WORKERS`` pool threads take tasks in turn
-    until none is left, each thread in a copy of the caller's context; the
-    caller waits for all of them, then raises the first error, if any.
-    """
-    if _WORKERS == 1 or sum(len(rows) for _, rows in tasks) <= _BLOCK_ROWS:
-        for block, rows in tasks:
-            block(rows)
-        return
-    todo = deque(tasks)
-
-    def drain():
-        while True:
-            try:
-                block, rows = todo.popleft()  # deque pops are thread-safe
-            except IndexError:
-                return
-            block(rows)
-
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(min(_WORKERS, len(tasks)))]
-    wait(futures)
-    for future in futures:
-        future.result()
-
-
 def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
 
-    ``integrand(D, w, *args)`` returns w f(D) elementwise, where w = sin^{n-2} g
-    is the polar weight of the sphere; the caller multiplies it in first,
-    which fixes the rounding of integrands that cancel near the spike.  c0, q
-    and the per-row ``row_args`` broadcast together; each arg reaches the
-    integrand shaped to broadcast against D.  Offsets with c0/q below
+    ``integrand(D, w, spare, *args)`` overwrites D with w f(D) elementwise and
+    returns it, where w = sin^{n-2} g is the polar weight of the sphere and
+    ``spare`` is a scratch array of D's shape; the caller multiplies w in
+    first, which fixes the rounding of integrands that cancel near the spike.
+    c0, q and the per-row ``row_args`` broadcast together; each arg reaches
+    the integrand shaped to broadcast against D.  Offsets with c0/q below
     the switch use the sinh-stretched rule; q = 0 entries are exact, since D
     is then constant over the sphere.
 
-    Rows are evaluated in blocks of ``_BLOCK_ROWS``, so the temporaries do not
-    grow with the batch, and the blocks of a large call run on the pool
-    threads (``_run_blocks``), where numpy's ``errstate`` is the caller's.
-    Each block writes its own rows and sums each row by itself, so a row's
-    value depends neither on the thread that ran it nor on the block size.
-    ``integrand`` is called from several threads at once and must keep no
-    state.
+    Rows are evaluated in blocks of ``_BLOCK_ROWS`` in scratch arrays made
+    once per call, in place, by the same operations in the same order as
+    fresh arrays would take.  Each row is summed by itself, so its value does
+    not depend on the block size.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c0, q, *row_args)))
     flat_c0, flat_q, *flat_args = (a.reshape(-1) for a in arrays)
@@ -162,36 +101,60 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, *row_args):
     zero_q = flat_q == 0.0
     spike = flat_c0 < _ANGULAR_SWITCH * flat_q
 
-    def flat_block(rows):
-        D = flat_c0[rows, None] + 4.0 * flat_q[rows, None] * rule.flat_s2
-        f = integrand(D, rule.flat_w, *(a[rows, None] for a in flat_args))
+    flat_rows = np.flatnonzero(~(spike | zero_q))
+    scratch = np.empty((2, min(_BLOCK_ROWS, flat_rows.size), n_nodes))
+    for rows in _blocks(flat_rows):
+        D, spare = scratch[:, :rows.size]
+        np.multiply(4.0 * flat_q[rows, None], rule.flat_s2, out=D)
+        D += flat_c0[rows, None]
+        f = integrand(D, rule.flat_w, spare, *(a[rows, None] for a in flat_args))
         # a per-row sum, not f @ w01: BLAS rounds a row by how many rows share the call
-        out[rows] = math.pi * (f * rule.w01).sum(axis=1) * rule.ring
+        f *= rule.w01
+        out[rows] = math.pi * f.sum(axis=1) * rule.ring
 
-    def spike_block(rows):
+    spike_rows = np.flatnonzero(spike)
+    scratch = np.empty((5, min(_BLOCK_ROWS, spike_rows.size), n_nodes))
+    for rows in _blocks(spike_rows):
+        xi, gam, jac, D, spare = scratch[:, :rows.size]
         c0s, qs = flat_c0[rows, None], flat_q[rows, None]
         delta = np.sqrt(c0s / qs)
         xi_max = np.arcsinh(math.pi / delta)
-        xi = xi_max * rule.x01
-        gam = delta * np.sinh(xi)
-        jac = delta * np.cosh(xi) * xi_max
-        s2 = np.sin(gam / 2.0) ** 2
+        np.multiply(xi_max, rule.x01, out=xi)
+        np.sinh(xi, out=gam)
+        gam *= delta
+        np.cosh(xi, out=jac)
+        jac *= delta
+        jac *= xi_max
+        s2 = gam  # gam is not needed again
+        s2 /= 2.0
+        np.sin(s2, out=s2)
+        s2 **= 2
         # sin^2 g = 4 sin^2(g/2) cos^2(g/2): one sine per node
-        w = (4.0 * s2 * (1.0 - s2)) ** ((n - 2) / 2.0)
-        f = integrand(c0s + 4.0 * qs * s2, w, *(a[rows, None] for a in flat_args)) * jac
-        out[rows] = (f * rule.w01).sum(axis=1) * rule.ring
-
-    _run_blocks([(flat_block, rows) for rows in _blocks(np.flatnonzero(~(spike | zero_q)))]
-                + [(spike_block, rows) for rows in _blocks(np.flatnonzero(spike))])
+        w = np.multiply(4.0, s2, out=xi)
+        w *= np.subtract(1.0, s2, out=D)
+        w **= (n - 2) / 2.0
+        np.multiply(4.0 * qs, s2, out=D)
+        D += c0s
+        f = integrand(D, w, spare, *(a[rows, None] for a in flat_args))
+        f *= jac
+        f *= rule.w01
+        out[rows] = f.sum(axis=1) * rule.ring
 
     if zero_q.any():
-        out[zero_q] = rule.area * integrand(flat_c0[zero_q], 1.0, *(a[zero_q] for a in flat_args))
+        D = flat_c0[zero_q]
+        out[zero_q] = rule.area * integrand(D, 1.0, np.empty_like(D), *(a[zero_q] for a in flat_args))
     return out.reshape(arrays[0].shape)
 
 
 def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
     """Vectorized Phi(c0, q) for exponent m; c0 and q broadcast together."""
-    return _sphere_integral(c0, q, n, n_nodes, lambda D, w: w * D ** (-m / 2.0))
+
+    def integrand(D, w, spare):
+        D **= -m / 2.0
+        D *= w
+        return D
+
+    return _sphere_integral(c0, q, n, n_nodes, integrand)
 
 
 def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
@@ -203,11 +166,18 @@ def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
     pointwise instead of between two large quadrature results.
     """
     m = n + 2.0 * sigma
-    return _sphere_integral(
-        c0, q, n, n_nodes,
-        lambda D, w, t2: w * (2.0 * sigma * (D - t2) - n * t2) * D ** (-(m + 2.0) / 2.0),
-        t2,
-    )
+
+    def integrand(D, w, spare, t2):
+        # w (2 sigma (D - t2) - n t2) D^{-(m+2)/2}, one product at a time
+        np.subtract(D, t2, out=spare)
+        spare *= 2.0 * sigma
+        spare -= n * t2
+        spare *= w
+        D **= -(m + 2.0) / 2.0
+        D *= spare
+        return D
+
+    return _sphere_integral(c0, q, n, n_nodes, integrand, t2)
 
 
 def log_zone_nodes(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,6 @@
 """Angular sphere integrals against adaptive quadrature in the polar angle."""
 
 import math
-import multiprocessing
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -72,16 +68,6 @@ def mixed_rows(count, seed=5):
     return c0, q, c0 * rng.uniform(0.0, 1.0, count)
 
 
-@pytest.fixture
-def pooled(monkeypatch):
-    """A fresh block pool of three threads, whatever the CPU count."""
-    monkeypatch.setattr(quadrature, "_WORKERS", 3)
-    monkeypatch.setattr(quadrature, "_pool", None)
-    yield
-    if quadrature._pool is not None:
-        quadrature._pool.shutdown()
-
-
 def kernel_call(kind, n, c0, q, t2):
     sigma = 0.75
     if kind == "angular":
@@ -93,47 +79,22 @@ class TestBatchInvariance:
     """A batch gives each row the value it has alone, across block edges."""
 
     COUNT = 2 * _BLOCK_ROWS + 452
-    POOLED_COUNT = 6 * _BLOCK_ROWS + 77
+    LONG_COUNT = 3 * _BLOCK_ROWS + 77
 
     @pytest.mark.parametrize("kind", ["angular", "flux"])
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
-    def test_pool_matches_inline_exactly(self, pooled, monkeypatch, kind, n):
-        c0, q, t2 = mixed_rows(self.POOLED_COUNT, seed=n)
+    def test_block_size_changes_no_bit(self, monkeypatch, kind, n):
+        c0, q, t2 = mixed_rows(self.LONG_COUNT, seed=n)
         batch = kernel_call(kind, n, c0, q, t2)
-        assert quadrature._pool is not None  # the call went through the pool
-        monkeypatch.setattr(quadrature, "_WORKERS", 1)
-        assert np.array_equal(batch, kernel_call(kind, n, c0, q, t2))
+        for rows in (1, 37, 4 * _BLOCK_ROWS):
+            monkeypatch.setattr(quadrature, "_BLOCK_ROWS", rows)
+            assert np.array_equal(batch, kernel_call(kind, n, c0, q, t2)), rows
 
-    def test_many_threads_fast_switching(self, pooled, monkeypatch):
-        # more threads than cores, small blocks, a switch every microsecond: a
-        # block taken twice or skipped leaves rows wrong or uninitialized
-        monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 16)
-        batches = [mixed_rows(self.POOLED_COUNT, seed) for seed in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            monkeypatch.setattr(quadrature, "_WORKERS", 8)
-            got = [angular_flux_kernel(*rows, 3, 0.5, N_NODES) for rows in batches]
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(quadrature, "_WORKERS", 1)
-        for rows, value in zip(batches, got):
-            assert np.array_equal(value, angular_flux_kernel(*rows, 3, 0.5, N_NODES))
-
-    def test_errstate_reaches_pool_threads(self, pooled):
-        c0, q, _ = mixed_rows(self.POOLED_COUNT)
+    def test_errstate_holds_in_multi_block_call(self):
+        c0, q, _ = mixed_rows(self.LONG_COUNT)
         c0[np.flatnonzero(c0 < quadrature._ANGULAR_SWITCH * q)[-1]] = 0.0  # a spike row, delta = 0
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             angular_kernel(c0, q, 3, 4.0, N_NODES)
-        assert quadrature._pool is not None
-
-    def test_small_call_runs_inline(self, pooled):
-        c0, q, _ = mixed_rows(_BLOCK_ROWS)
-        q[q == 0.0] = 1.0  # every row evaluated, as in fraclap's calls
-        before = threading.active_count()
-        angular_kernel(c0, q, 3, 4.0, N_NODES)
-        assert quadrature._pool is None
-        assert threading.active_count() == before
 
     def test_angular_kernel(self):
         c0, q, _ = mixed_rows(self.COUNT)
@@ -147,11 +108,3 @@ class TestBatchInvariance:
         rows = np.array([angular_flux_kernel(a, b, c, 4, 0.75, N_NODES)
                          for a, b, c in zip(c0, q, t2)])
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
-
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-    def test_forked_child_makes_its_own_pool(self, pooled):
-        c0, q, _ = mixed_rows(self.POOLED_COUNT)
-        want = angular_kernel(c0, q, 3, 4.0, N_NODES)  # the parent's pool threads are running
-        with multiprocessing.get_context("fork").Pool(1) as child:
-            got = child.apply_async(angular_kernel, (c0, q, 3, 4.0, N_NODES)).get(timeout=30)
-        assert np.array_equal(got, want)
