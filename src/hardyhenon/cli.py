@@ -222,14 +222,36 @@ def _cmd_extend(args) -> int:
     return _emit(rep, args, violations)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _spec_pair(spec: dict, key: str, default: list, kind, what: str) -> list:
+    value = spec.get(key, default)
+    if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v, kind) for v in value)):
+        raise ValueError(f'spec "{key}" must be a list of two {what}, got {value!r}')
+    return value
+
+
 def _cmd_solve_cylinder(args) -> int:
     with open(args.spec) as f:
         spec = json.load(f)
-    params = validate_params(**spec["params"])
+    if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
+        raise ValueError('spec must be a JSON object with a "params" object')
+    unknown = sorted(set(spec) - {"params", "s_range", "grid", "perturbation"})
+    if unknown:
+        # a misspelled key would otherwise fall back to its default unseen
+        raise ValueError(f"spec has unknown keys {unknown}")
+    raw = spec["params"]
+    if set(raw) != {"n", "sigma", "alpha", "p"} or not all(_is_number(v) for v in raw.values()):
+        raise ValueError(f'spec "params" must give the numbers n, sigma, alpha and p, got {raw!r}')
+    params = validate_params(**raw)
     rep = _new_report("solve-cylinder", params)
-    s_range = spec.get("s_range", [-4.0, 4.0])
-    n_s, n_psi = spec.get("grid", [161, 65])
+    s_range = _spec_pair(spec, "s_range", [-4.0, 4.0], (int, float), "numbers")
+    n_s, n_psi = _spec_pair(spec, "grid", [161, 65], int, "integers")
     eps = spec.get("perturbation", 0.0)
+    if not _is_number(eps):
+        raise ValueError(f'spec "perturbation" must be a number, got {eps!r}')
     grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
     try:
         result = solve_end_perturbed(params, eps, grid)
@@ -288,6 +310,9 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_barrier(args) -> int:
+    if args.levels < 2:
+        # one level gives no ratio, and an empty ratio list would pass the check
+        raise ValueError(f"--levels must be at least 2, got {args.levels}")
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
     rep = _new_report("barrier", params)
     point = (math.cos(args.psi), math.sin(args.psi))
@@ -421,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, default=1e-2)
     sp.add_argument("--t0", type=float, default=0.05)
     sp.add_argument("--fd-ratio", type=float, default=0.05)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=int, default=3, help="refinement levels (at least 2)")
     sp.add_argument("--tol-order", type=float, default=3.2)
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_barrier)

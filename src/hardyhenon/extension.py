@@ -18,11 +18,14 @@ from .fraclap import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     RadialProfile,
+    _INNER_CUTOFF,
     _halving_checked,
     check_Lsigma_membership,
+    power_profile,
 )
 from .params import ProblemParams, derive_exponents
 from .quadrature import (
+    _power_tail,
     angular_kernel,
     angular_flux_kernel,
     gauss_legendre,
@@ -108,7 +111,7 @@ def _poisson_radial_integral(trace, x, t, n, cfg, kernel):
     h = 0.5
     spike = x > 0.05 * L
     inner_hi = np.where(spike, x * (1.0 - h), 0.3 * L)
-    rho0 = cfg.inner_cutoff * inner_hi
+    rho0 = _INNER_CUTOFF * inner_hi
 
     # zones as (points, rho, weight, jacobian), each of shape (points, nodes)
     xs = x[spike, None]
@@ -186,11 +189,7 @@ def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
     b = trace.outer_exponent
     ub = trace.evaluate(R) * R ** b
     A = tail_moment_coefficient(n, sigma, x * x, t * t)
-    area = unit_sphere_area(n)
-    total += area * ub * (
-        R ** (-2.0 * sigma - b) / (2.0 * sigma + b)
-        + A * R ** (-2.0 * sigma - b - 2.0) / (2.0 * sigma + b + 2.0)
-    )
+    total += unit_sphere_area(n) * ub * _power_tail(R, b, sigma, 1.0, A)
     return poisson_normalizer(n, sigma) * t ** (2.0 * sigma) * total
 
 
@@ -206,11 +205,7 @@ def _weighted_t_derivatives(trace, x, t, n, sigma, cfg) -> np.ndarray:
     ub = trace.evaluate(R) * R ** b
     m = n + 2.0 * sigma
     A = tail_moment_coefficient(n, sigma, x * x, t2)
-    area = unit_sphere_area(n)
-    total += area * ub * (
-        2.0 * sigma * R ** (-2.0 * sigma - b) / (2.0 * sigma + b)
-        + (2.0 * sigma * A - m * t2) * R ** (-2.0 * sigma - b - 2.0) / (2.0 * sigma + b + 2.0)
-    )
+    total += unit_sphere_area(n) * ub * _power_tail(R, b, sigma, 2.0 * sigma, 2.0 * sigma * A - m * t2)
     return -poisson_normalizer(n, sigma) * total
 
 
@@ -310,13 +305,7 @@ def exact_sphere_profile(
     [0, pi/2] raise ValueError.
     """
     n, sigma = params.n, params.sigma
-    beta = derive_exponents(params).beta
-    amplitude = singular_constant(params)
-    trace = RadialProfile(
-        evaluate=lambda rr: amplitude * np.asarray(rr, float) ** (-beta),
-        inner_exponent=beta,
-        outer_exponent=beta,
-    )
+    trace = power_profile(derive_exponents(params).beta, singular_constant(params))
     psi_grid = np.asarray(psi_grid, dtype=float)
     if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
         raise ValueError("profile angles must lie in [0, pi/2]")

@@ -1,29 +1,30 @@
 """Principal-value quadrature of the fractional Laplacian on radial profiles.
 
 The operator on a radial function reduces to a 1-D radial integral against
-the sphere-averaged kernel.  The radial axis is split into an inner zone,
-a symmetric principal-value zone around the evaluation radius, an outer
-zone, and a closed-form power-law tail.  On the symmetric zone the odd part
-of the integrand cancels exactly; the remaining even part has an
-|s|^{1-2 sigma} edge and is integrated with a Gauss-Jacobi rule carrying
-that weight.
+the sphere-averaged kernel.  The radial axis is split into closed-form
+power-law pieces at the origin and at infinity, log-spaced zones, and a
+symmetric principal-value zone around the evaluation radius; one kernel call
+serves every zone.  On the symmetric zone the odd part of the integrand
+cancels exactly; the remaining even part has an |s|^{1-2 sigma} edge and is
+integrated with a Gauss-Jacobi rule carrying that weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .params import ProblemParams
+from .params import ProblemParams, derive_exponents
 from .quadrature import (
+    _power_tail,
     angular_kernel,
     gauss_jacobi_01,
     log_zone_nodes,
     tail_moment_coefficient,
 )
-from .specialfn import hypersingular_normalizer, unit_sphere_area
+from .specialfn import hypersingular_normalizer, singular_constant, unit_sphere_area
 
 __all__ = [
     "RadialProfile",
@@ -116,22 +117,24 @@ def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> Radi
 # spans 1 -+ _PV_HALF_WIDTH, and a log zone joins it to _OUTER_SPLIT
 _PV_HALF_WIDTH = 0.5
 _OUTER_SPLIT = 2.0
+#: [0, rho0] is taken in closed form, with rho0 this fraction of the inner
+#: log zone's upper edge (the PV operator's and the extension's alike)
+_INNER_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and cutoffs for the radial principal-value quadrature.
+    """Node counts and the far cutoff for the radial quadratures.
 
-    ``tail_cutoff`` is the multiple of the evaluation radius beyond which the
-    asserted power-law tail is integrated in closed form; ``inner_cutoff``
-    plays the same role at the origin, as a fraction of the inner edge
-    r (1 - _PV_HALF_WIDTH) of the symmetric zone.
+    ``nodes_radial`` and ``nodes_angular`` are the node counts of each radial
+    zone and of the angular rule.  ``tail_cutoff`` is the multiple of the
+    evaluation radius beyond which the asserted power-law tail is integrated
+    in closed form, by the PV operator and the extension alike.
     """
 
     nodes_radial: int = 256
     nodes_angular: int = 64
     tail_cutoff: float = 1e3
-    inner_cutoff: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.nodes_radial < 8 or self.nodes_angular < 8:
@@ -178,77 +181,50 @@ def reduced_kernel(
     return float(phi) * rho ** (n - 1)
 
 
-def _pv_symmetric_zone(u, ur, r, h, n, sigma, cfg) -> float:
-    """Integral over [r(1-h), r(1+h)] of (u(r)-u(rho)) K(r, rho) d rho.
-
-    Folded onto s in (0, h] with rho = r(1 -+ s); the paired integrand is
-    s^{1-2 sigma} times a smooth even function, matching the Gauss-Jacobi
-    weight exactly.
-    """
-    m = n + 2.0 * sigma
-    s, w = gauss_jacobi_01(cfg.nodes_radial, 1.0 - 2.0 * sigma)
-    s = s * h
-    w = w * h ** (2.0 - 2.0 * sigma)
-    rho_p = r * (1.0 + s)
-    rho_m = r * (1.0 - s)
-    k_p = rho_p ** (n - 1) * angular_kernel((r - rho_p) ** 2, r * rho_p, n, m, cfg.nodes_angular)
-    k_m = rho_m ** (n - 1) * angular_kernel((r - rho_m) ** 2, r * rho_m, n, m, cfg.nodes_angular)
-    paired = r * ((ur - u(rho_p)) * k_p + (ur - u(rho_m)) * k_m)
-    return float(np.sum(w * paired / s ** (1.0 - 2.0 * sigma)))
-
-
-def _log_zone(u, ur, r, lo, hi, n, sigma, cfg) -> float:
-    if hi <= lo:
-        return 0.0
-    m = n + 2.0 * sigma
-    rho, w = log_zone_nodes(lo, hi, cfg.nodes_radial)
-    k = rho ** (n - 1) * angular_kernel((r - rho) ** 2, r * rho, n, m, cfg.nodes_angular)
-    return float(np.sum(w * (ur - u(rho)) * k))
-
-
-def _endpoint_corrections(profile, ur, r, rho0, R, n, sigma) -> float:
-    """Closed-form [0, rho0] and [R, inf) pieces from the asserted power laws."""
-    m = n + 2.0 * sigma
-    area = unit_sphere_area(n)
-    a = profile.inner_exponent
-    b = profile.outer_exponent
-    c2 = tail_moment_coefficient(n, sigma, r * r, 0.0)
-
-    # near-origin: kernel ~ area * r^{-m} (1 + c2' (rho/r)^2), c2' symmetric in r<->rho
-    c2_in = tail_moment_coefficient(n, sigma, 1.0, 0.0)  # coefficient of (rho/r)^2
-    ua = float(profile.evaluate(np.array([rho0]))[0]) * rho0 ** a
-    inner = area * r ** (-m) * (
-        ur * rho0 ** n / n
-        - ua * rho0 ** (n - a) / (n - a)
-        + c2_in / r ** 2 * (ur * rho0 ** (n + 2) / (n + 2) - ua * rho0 ** (n + 2 - a) / (n + 2 - a))
-    )
-
-    ub = float(profile.evaluate(np.array([R]))[0]) * R ** b
-    tail = area * (
-        ur * (R ** (-2.0 * sigma) / (2.0 * sigma) + c2 * R ** (-2.0 * sigma - 2.0) / (2.0 * sigma + 2.0))
-        - ub
-        * (
-            R ** (-2.0 * sigma - b) / (2.0 * sigma + b)
-            + c2 * R ** (-2.0 * sigma - b - 2.0) / (2.0 * sigma + b + 2.0)
-        )
-    )
-    return inner + tail
-
-
 def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:
+    """int_0^inf (u(r) - u(rho)) K(r, rho) d rho, with every zone's kernel from one call.
+
+    The symmetric zone [r(1-h), r(1+h)] is folded onto s in (0, h] with
+    rho = r(1 -+ s); the paired integrand is s^{1-2 sigma} times a smooth even
+    function, matching the Gauss-Jacobi weight exactly.  Log zones join it to
+    _OUTER_SPLIT r, reach in to rho0 and out to R.  The last kernel row is
+    rho = 0, which gives [0, rho0] with the asserted inner power law, since
+    the kernel is constant there to O((rho0/r)^2); [R, inf) uses the asserted
+    outer power law.  The zones are summed in that order.
+    """
     u = profile.evaluate
     ur = float(u(np.array([r]))[0])
     h = _PV_HALF_WIDTH
-
-    total = _pv_symmetric_zone(u, ur, r, h, n, sigma, cfg)
-    total += _log_zone(u, ur, r, (1.0 + h) * r, _OUTER_SPLIT * r, n, sigma, cfg)
-
-    rho0 = cfg.inner_cutoff * (1.0 - h) * r
+    rho0 = _INNER_CUTOFF * (1.0 - h) * r
     R = cfg.tail_cutoff * r
-    total += _log_zone(u, ur, r, rho0, (1.0 - h) * r, n, sigma, cfg)
-    total += _log_zone(u, ur, r, _OUTER_SPLIT * r, R, n, sigma, cfg)
-    total += _endpoint_corrections(profile, ur, r, rho0, R, n, sigma)
-    return total
+
+    s, w = gauss_jacobi_01(cfg.nodes_radial, 1.0 - 2.0 * sigma)
+    s = s * h
+    w = w * h ** (2.0 - 2.0 * sigma)
+    # log zones in summation order: the outer gap, the inner zone, the far zone
+    lo = np.array([[(1.0 + h) * r], [rho0], [_OUTER_SPLIT * r]])
+    hi = np.array([[_OUTER_SPLIT * r], [(1.0 - h) * r], [R]])
+    rho_z, w_z = log_zone_nodes(lo, hi, cfg.nodes_radial)
+
+    # one kernel call: the pair rho = r(1 -+ s), the log zones, then rho = 0
+    rho = np.vstack([r * (1.0 + s), r * (1.0 - s), rho_z])
+    rho_all = np.append(rho, 0.0)
+    k = angular_kernel((r - rho_all) ** 2, r * rho_all, n, n + 2.0 * sigma, cfg.nodes_angular)
+    k0 = float(k[-1])
+    (dp, dm, *d_z), (kp, km, *k_z) = ur - u(rho), rho ** (n - 1) * k[:-1].reshape(rho.shape)
+    total = float(np.sum(w * (r * (dp * kp + dm * km)) / s ** (1.0 - 2.0 * sigma)))
+    for wz, dz, kz in zip(w_z, d_z, k_z):
+        total += float(np.sum(wz * dz * kz))
+
+    a, b = profile.inner_exponent, profile.outer_exponent
+    ua = float(u(np.array([rho0]))[0]) * rho0 ** a
+    inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
+    ub = float(u(np.array([R]))[0]) * R ** b
+    A = tail_moment_coefficient(n, sigma, r * r, 0.0)
+    tail = unit_sphere_area(n) * (
+        ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
+    )
+    return total + (inner + tail)
 
 
 def frac_laplacian_radial(
@@ -290,7 +266,6 @@ class FallIdentityReport:
     per_radius_errors: tuple[float, ...]
     max_rel_error: float
     multiplier_ratio_drift: float = 0.0
-    per_radius_ratios: tuple[float, ...] = field(default=())
 
 
 def verify_fall_identity(
@@ -303,16 +278,14 @@ def verify_fall_identity(
     For each radius the quadrature value of the operator is compared against
     C^{p-1} r^{alpha} u(r)^p; both sides are homogeneous of the same degree,
     so the relative error is radius-independent up to quadrature noise.  The
-    report also carries the per-radius quadrature/closed-form multiplier
-    ratios: a common offset in those ratios would indicate a normalization
-    mismatch rather than quadrature error.
+    report also carries the spread of the per-radius quadrature/closed-form
+    multiplier ratios: a common offset in those ratios would indicate a
+    normalization mismatch rather than quadrature error.
     """
-    from .specialfn import singular_constant  # deferred: keeps module deps one-way
-
-    n, sigma, alpha, p = params.n, params.sigma, params.alpha, params.p
+    sigma, alpha, p = params.sigma, params.alpha, params.p
     if not -2.0 * sigma < alpha < 2.0 * sigma:
         raise ValueError(f"requires -2*sigma < alpha < 2*sigma, got alpha={alpha}")
-    beta = (2.0 * sigma + alpha) / (p - 1.0)
+    beta = derive_exponents(params).beta
     cpm1 = singular_constant(params) ** (p - 1.0)
 
     profile = power_profile(beta)
@@ -330,5 +303,4 @@ def verify_fall_identity(
         per_radius_errors=tuple(errors),
         max_rel_error=max(errors),
         multiplier_ratio_drift=drift,
-        per_radius_ratios=tuple(ratios),
     )

@@ -200,3 +200,13 @@ def tail_moment_coefficient(n: int, sigma: float, x2: float, t2: float) -> float
     """
     m = n + 2.0 * sigma
     return m * (m + 2.0) * x2 / (2.0 * n) - m * (x2 + t2) / 2.0
+
+
+def _power_tail(R, decay: float, sigma: float, c0, c2):
+    """int_R^inf rho^{-decay} (c0 rho^{-1-2 sigma} + c2 rho^{-3-2 sigma}) d rho in closed form.
+
+    The far-field piece of a trace decaying like rho^{-decay} against the
+    kernel expansion above; R, c0 and c2 broadcast together.
+    """
+    e = 2.0 * sigma + decay
+    return c0 * R ** (-e) / e + c2 * R ** (-e - 2.0) / (e + 2.0)

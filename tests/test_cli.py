@@ -97,6 +97,31 @@ class TestUsageErrors:
         assert code == 2
         assert "sigma out of range" in captured.err
 
+    @pytest.mark.parametrize("spec", [
+        {},
+        {"params": {"n": 3}},
+        [],
+        {"params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8}, "s_range": [-1]},
+        {"params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8}, "srange": [-1, 1]},
+    ], ids=["empty", "partial-params", "array", "short-s-range", "misspelled-key"])
+    def test_malformed_cylinder_spec_exits_two(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = run(["solve-cylinder", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: spec")
+
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_barrier_needs_two_levels(self, capsys, levels):
+        code = run(["barrier", "--levels", levels])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --levels must be at least 2, got {levels}\n"
+
 
 class TestDeterminism:
     def test_reports_identical_up_to_elapsed(self, capsys):

@@ -1,4 +1,5 @@
-"""Angular sphere integrals against adaptive quadrature in the polar angle."""
+"""Angular sphere integrals against adaptive quadrature in the polar angle,
+and the closed-form far-field tail of the radial quadratures."""
 
 import math
 
@@ -7,8 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from hardyhenon import quadrature
+from hardyhenon.extension import neumann_flux, poisson_extend_radial
+from hardyhenon.fraclap import QuadratureConfig, frac_laplacian_radial, power_profile
+from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.quadrature import _BLOCK_ROWS, angular_flux_kernel, angular_kernel
-from hardyhenon.specialfn import unit_sphere_area
+from hardyhenon.specialfn import singular_constant, unit_sphere_area
+from hardyhenon.suite import FALL_TUPLES
 
 N_NODES = 64  # the default angular node count of QuadratureConfig
 RATIOS = (1e-8, 1e-4, 0.1, 0.3, 2.0)  # c0/q on both sides of the spike switch
@@ -108,3 +113,37 @@ class TestBatchInvariance:
         rows = np.array([angular_flux_kernel(a, b, c, 4, 0.75, N_NODES)
                          for a, b, c in zip(c0, q, t2)])
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
+
+
+class TestTailCutoff:
+    """The closed-form [R, inf) piece makes the result independent of R.
+
+    Moving R from 1e3 to 1e5 radii hands four decades of the far field from
+    the closed form to the far log zone; every closed-form tail goes through
+    ``quadrature._power_tail``.  Worst measured: 1.7e-14 (PV), 2.6e-15
+    (extension value), 1.4e-14 (flux).
+    """
+
+    NEAR, FAR = QuadratureConfig(tail_cutoff=1e3), QuadratureConfig(tail_cutoff=1e5)
+    TOL = 1e-11
+
+    @pytest.fixture(params=FALL_TUPLES + [(10, 0.05, 0.0, 1.3)], ids=str)
+    def case(self, request):
+        params = validate_params(*request.param)
+        return params, power_profile(derive_exponents(params).beta, singular_constant(params))
+
+    def agree(self, evaluate):
+        near, far = evaluate(self.NEAR), evaluate(self.FAR)
+        assert abs(near - far) <= self.TOL * abs(far)
+
+    def test_pv_operator(self, case):
+        params, trace = case
+        self.agree(lambda cfg: frac_laplacian_radial(trace, 1.3, params, cfg))
+
+    def test_extension_value(self, case):
+        params, trace = case
+        self.agree(lambda cfg: poisson_extend_radial(trace, (1.3, 0.4), params.n, params.sigma, cfg))
+
+    def test_neumann_flux(self, case):
+        params, trace = case
+        self.agree(lambda cfg: neumann_flux(trace, 1.3, params, cfg=cfg).value)
