@@ -269,6 +269,8 @@ def _cmd_solve_cylinder(args) -> int:
         "iterations": result.iterations,
         "residual_history": result.residual_history,
         "projected_negative": result.projected_negative,
+        "linear_solver": result.linear_solver,
+        "line_search": result.line_search,
     }
     rep["tolerances"] = {"tol_residual": args.tol_residual}
     violations = [] if result.residual_norm <= args.tol_residual else ["solver_residual"]
@@ -281,11 +283,14 @@ def _cmd_energy(args) -> int:
     s_lo, s_hi = (float(t) for t in args.s_range.split(","))
     n_s, n_psi = _parse_grid(args.grid)
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
+    solver = {}
     if args.perturbation != 0.0:
         try:
-            field = solve_end_perturbed(params, args.perturbation, grid).field
+            solved = solve_end_perturbed(params, args.perturbation, grid)
         except SolverDivergence as exc:
             return _emit_divergence(rep, args, exc, {"tol_drift": args.tol_drift})
+        field = solved.field
+        solver = {"linear_solver": solved.linear_solver, "line_search": solved.line_search}
     else:
         r_grid = np.exp(np.linspace(s_lo, s_hi, n_s))
         field = fowler_map(exact_extension_field(params, r_grid, psi_nodes(grid)))
@@ -303,6 +308,7 @@ def _cmd_energy(args) -> int:
         "J1": trace.J1,
         "verdict": verdict.value,
         "derivative_identity_mismatch": mismatch,
+        **solver,
     }
     rep["tolerances"] = {"tol_drift": args.tol_drift}
     violations = [] if verdict.value != "Violated" else ["monotonicity_direction"]

@@ -191,6 +191,40 @@ class TestElapsed:
         assert rep["elapsed"] >= 0.5 * wall
 
 
+class TestSolverReport:
+    @pytest.mark.parametrize("s_range, grid, solver", [
+        ([-4, 4], [41, 17], "separable"),
+        # |J1| L / 2 = 10 on this window at J1 = 2: past the separable step's bound
+        ([-5, 5], [101, 33], "sparse_lu"),
+    ])
+    def test_solve_cylinder_names_its_linear_solver(self, tmp_path, capsys, s_range, grid, solver):
+        params = ({"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8} if solver == "separable"
+                  else {"n": 4, "sigma": 0.75, "alpha": 0.0, "p": 5.0 / 3.0})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"params": params, "s_range": s_range, "grid": grid, "perturbation": 0.05}
+        ))
+        code, rep = run_json(capsys, ["solve-cylinder", "--spec", str(spec)])
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0
+        res = rep["results"]
+        assert res["linear_solver"] == solver
+        assert len(res["line_search"]) == res["iterations"]
+
+    def test_energy_names_its_linear_solver(self, capsys):
+        argv = ["energy", "--n", "3", "--sigma", "0.5", "--alpha", "0", "--p", "1.8",
+                "--s-range=-4,4"]
+        code, rep = run_json(capsys, argv + ["--perturbation", "0.05"])
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0
+        assert rep["results"]["linear_solver"] == "separable"
+        assert rep["results"]["line_search"] and all(
+            0.0 < lam <= 1.0 for lam in rep["results"]["line_search"])
+        # the unperturbed field is the exact extension: no solve, no solver keys
+        code, rep = run_json(capsys, argv + ["--grid", "41x17"])
+        assert "linear_solver" not in rep["results"]
+
+
 class TestSolverDivergence:
     def test_resonant_window_reports_named_violation(self, tmp_path, capsys):
         # a length-3.5 window is Dirichlet-resonant for this configuration:

@@ -1,0 +1,130 @@
+"""Newton steps of the cylinder solver: the separable step against sparse LU,
+and the choice between them."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hardyhenon.cylinder import (
+    _MAX_SIMILARITY_GROWTH,
+    CylinderGrid,
+    _assemble_linear,
+    _separable_step,
+    psi_nodes,
+    solve_end_perturbed,
+)
+from hardyhenon.extension import exact_sphere_profile
+from hardyhenon.params import derive_exponents, validate_params
+from hardyhenon.specialfn import kappa_sigma
+
+# (n, sigma, alpha, p) with J1 < 0, J1 = 0 and J1 > 0 at each sigma
+TUPLES = [
+    (3, 0.3, 0.0, 1.6), (3, 0.3, 0.0, 1.5), (3, 0.3, 0.5, 1.8),
+    (3, 0.5, -0.5, 1.6), (3, 0.5, 0.0, 2.0), (3, 0.5, 0.0, 1.8),
+    (3, 0.75, 0.0, 4.0), (3, 0.75, 0.0, 3.0), (4, 0.75, 0.0, 5.0 / 3.0),
+]
+GRIDS = {"default": CylinderGrid(), "71x33": CylinderGrid(-1.75, 1.75, 71, 33)}
+# the refined grid costs about 0.45 s a case: one tuple per sign of J1, and
+# the J1 = 0 tuple at sigma = .75, where sparse LU and the separable step
+# differ most
+REFINED = [TUPLES[0], TUPLES[4], TUPLES[7], TUPLES[8]]
+COR11 = validate_params(4, 0.75, 0.0, 5.0 / 3.0)  # J1 = 2
+
+
+def first_newton_system(params, grid, eps=0.05):
+    """Scaled matrix, row scales, residual and flux derivative kappa p V0^(p-1)
+    at the start of the end-perturbed solve."""
+    psi = psi_nodes(grid)
+    A, scale = _assemble_linear(params, grid, psi)
+    phi = exact_sphere_profile(params, psi).phi
+    ns, npsi = grid.n_s, grid.n_psi
+    V = np.tile(phi, ns)
+    b = np.zeros(ns * npsi)
+    b[:npsi] = (1.0 + eps) * phi
+    b[-npsi:] = phi
+    flux = np.arange(1, ns - 1) * npsi
+    kap, p = kappa_sigma(params.sigma), params.p
+    F = A @ V - b * scale
+    F[flux] += scale[flux] * kap * V[flux] ** p
+    return psi, A, scale, F, kap * p * V[flux] ** (p - 1.0)
+
+
+class TestSeparableStep:
+    @pytest.mark.parametrize(
+        "quad, grid",
+        [(q, g) for g in GRIDS.values() for q in TUPLES]
+        + [(q, CylinderGrid().refined()) for q in REFINED],
+        ids=[f"{q}-{name}" for name in GRIDS for q in TUPLES] + [f"{q}-refined" for q in REFINED],
+    )
+    def test_matches_sparse_lu(self, quad, grid):
+        params = validate_params(*quad)
+        psi, A, scale, F, d = first_newton_system(params, grid)
+        step = _separable_step(params, grid, psi, A, scale)
+        assert step is not None
+        flux = np.arange(1, grid.n_s - 1) * grid.n_psi
+        dvec = np.zeros(A.shape[0])
+        dvec[flux] = scale[flux] * d
+        J = (A + sp.diags(dvec)).tocsc()
+        # the Jacobian's condition number is about 1e7, so a plain sparse-LU
+        # step is itself only good to about 2e-9 on the refined grid; one
+        # pass of iterative refinement, as the separable step makes, puts
+        # the reference below 1e-9
+        lu = spla.splu(J)
+        want = lu.solve(-F)
+        want += lu.solve(-F - J @ want)
+        got = step(F, d)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_result_names_solver_and_line_search(self):
+        # |J1| L / 2 = 8 on the default window: inside the similarity bound
+        res = solve_end_perturbed(validate_params(3, 0.5, 0.0, 1.8), 0.05, CylinderGrid())
+        assert res.linear_solver == "separable"
+        assert len(res.line_search) == res.iterations == len(res.residual_history) - 1
+        assert all(0.0 < lam <= 1.0 for lam in res.line_search)
+
+
+# Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
+# Newton solver as it stood before the separable step existed: the residual
+# history and a SHA-256 digest of the field's bytes.
+FALLBACK = {
+    # |J1| L / 2 = 10 > log(1e4) = 9.2
+    "long_window": (
+        CylinderGrid(-5.0, 5.0, 101, 33),
+        [0.013326973630417016, 8.624560053332958e-08, 6.5333714725316155e-09],
+        "bae51cebb6121ddf210b93ffce1be6febd7d4332e8b429a9f4f8406e8eaa6f97",
+    ),
+    # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
+    "coarse_axis": (
+        CylinderGrid(-3.0, 3.0, 5, 33),
+        [0.013326973630417016, 4.638843486319716e-08, 7.556525120921037e-10],
+        "f9c93d091a90947dc3b739f110138a563f8840f357c3a574600044e610aa0f7b",
+    ),
+}
+
+
+class TestPathChoice:
+    def test_cases_sit_outside_the_separable_range(self):
+        J1 = derive_exponents(COR11).J1
+        grid = FALLBACK["long_window"][0]
+        assert 0.5 * abs(J1) * (grid.s_max - grid.s_min) > math.log(_MAX_SIMILARITY_GROWTH)
+        grid = FALLBACK["coarse_axis"][0]
+        assert 0.5 * J1 * (grid.s_max - grid.s_min) / (grid.n_s - 1) > 1.0
+
+    @pytest.mark.parametrize("case", FALLBACK.keys())
+    def test_fallback_is_the_sparse_lu_solve(self, case):
+        grid, history, digest = FALLBACK[case]
+        psi = psi_nodes(grid)
+        assert _separable_step(COR11, grid, psi, *_assemble_linear(COR11, grid, psi)) is None
+        res = solve_end_perturbed(COR11, 0.05, grid)
+        assert res.linear_solver == "sparse_lu"
+        assert res.residual_history == history
+        assert hashlib.sha256(res.field.values.tobytes()).hexdigest() == digest
+
+    def test_window_inside_the_bound_is_separable(self):
+        # |J1| L / 2 = 8 on the default window
+        res = solve_end_perturbed(COR11, 0.05, CylinderGrid())
+        assert res.linear_solver == "separable"

@@ -257,11 +257,11 @@ PINNED_ENERGY = {
         (-0.22764310770980012, 0.004848170158794061),
     ],
     (4, 0.75, 0.0, 5.0 / 3.0): [
-        (-0.15041509669028583, 0.0002314830710935611),
-        (-0.14994117040457472, 0.00035518951725187724),
-        (-0.1482732439500862, 0.0008109423274105152),
-        (-0.14544354567062875, 0.0006931880080061882),
-        (-0.1449517990038418, 0.0028701502453054102),
+        (-0.1504150966903003, 0.00023148307108738022),
+        (-0.1499411704046248, 0.0003551895172080703),
+        (-0.1482732439502139, 0.0008109423273713974),
+        (-0.1454435456709342, 0.000693188007934932),
+        (-0.14495179900418012, 0.0028701502451870826),
     ],
 }
 
@@ -280,7 +280,9 @@ class TestEnergyRegression:
 
     def test_three_quarter_order_solution(self):
         # sigma != 1/2 exercises the power-substituted first cell and the
-        # truncated weights of the gradient integral
+        # truncated weights of the gradient integral.  Newton stops here after
+        # one iteration at a residual of 5.3e-9, so the field carries the
+        # rounding of the linear solve; the pins come from the separable step
         params = validate_params(4, 0.75, 0.0, 5.0 / 3.0)
         field = solve_end_perturbed(params, 0.05, CylinderGrid()).field
         assert_pinned(field, params, PINNED_ENERGY[(4, 0.75, 0.0, 5.0 / 3.0)])
