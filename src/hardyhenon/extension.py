@@ -219,6 +219,18 @@ class FluxResult:
     fit_residual: float
 
 
+def _power_fit(x: np.ndarray, exponents) -> np.ndarray:
+    """Weights W for which W @ f(x) are the coefficients a_j of f ~ sum_j a_j x^{e_j}.
+
+    ``x`` holds the k sample abscissae on its last axis, and leading axes
+    batch independent fits; W has shape (..., len(exponents), k).  The fit
+    interpolates when k equals the number of exponents and is least squares
+    when k is larger.  The columns x^{e_j} are not rescaled.
+    """
+    M = np.asarray(x, dtype=float)[..., None] ** np.asarray(exponents, dtype=float)
+    return np.linalg.inv(M) if M.shape[-2] == M.shape[-1] else np.linalg.pinv(M)
+
+
 def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[float, float]:
     """Richardson limit t -> 0 of samples carrying t^{2-2 sigma} and t^2 corrections.
 
@@ -226,12 +238,9 @@ def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[f
     two exponents nearly coincide); returns the constant and the max residual.
     """
     e1 = 2.0 - 2.0 * sigma
-    cols = [np.ones_like(t), t ** e1]
-    if abs(e1 - 2.0) > 0.1:
-        cols.append(t ** 2.0)
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, samples, rcond=None)
-    return float(coef[0]), float(np.max(np.abs(M @ coef - samples)))
+    exponents = (0.0, e1, 2.0) if abs(e1 - 2.0) > 0.1 else (0.0, e1)
+    coef = _power_fit(t, exponents) @ samples
+    return float(coef[0]), float(np.max(np.abs(np.power.outer(t, exponents) @ coef - samples)))
 
 
 def neumann_flux(
@@ -284,13 +293,6 @@ def fowler_unmap(field: FowlerField, tag: str = "cylinder_solved") -> ExtensionF
     )
 
 
-def _boundary_extrapolate(values_by_psi: list[tuple[float, float]], sigma: float) -> float:
-    """Limit at psi -> 0 from two small-angle samples, removing the sin^{2s} term."""
-    (p1, f1), (p2, f2) = values_by_psi
-    w1, w2 = math.sin(p1) ** (2.0 * sigma), math.sin(p2) ** (2.0 * sigma)
-    return (f1 * w2 - f2 * w1) / (w2 - w1)
-
-
 def exact_sphere_profile(
     params: ProblemParams,
     psi_grid: np.ndarray,
@@ -310,12 +312,12 @@ def exact_sphere_profile(
     if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
         raise ValueError("profile angles must lie in [0, pi/2]")
     inside = psi_grid > 0.0
-    pa, pb = 1e-3, 2e-3
-    psi = np.concatenate([psi_grid[inside], [pa, pb]])
+    edge = np.array([1e-3, 2e-3])
+    psi = np.concatenate([psi_grid[inside], edge])
     values = _poisson_values(trace, np.ones_like(psi), psi, n, sigma, cfg)
-    boundary = _boundary_extrapolate([(pa, float(values[-2])), (pb, float(values[-1]))], sigma)
+    boundary = float(_power_fit(np.sin(edge), (0.0, 2.0 * sigma))[0] @ values[-len(edge):])
     phi = np.full_like(psi_grid, boundary)
-    phi[inside] = values[:-2]
+    phi[inside] = values[:-len(edge)]
     return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=boundary)
 
 
@@ -342,11 +344,8 @@ def _three_point_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each is a (len(psi) - 2, 3) array acting on (f[j-1], f[j], f[j+1]); both
     are exact on 1, psi and psi^2.
     """
-    hm = psi[1:-1] - psi[:-2]
-    hp = psi[2:] - psi[1:-1]
-    d1 = np.stack([-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))], axis=1)
-    d2 = np.stack([2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))], axis=1)
-    return d1, d2
+    W = _power_fit(np.stack([psi[:-2], psi[1:-1], psi[2:]], axis=1) - psi[1:-1, None], (0, 1, 2))
+    return W[:, 1], 2.0 * W[:, 2]
 
 
 def _edge_model(psi: np.ndarray, sigma: float) -> np.ndarray:
@@ -355,10 +354,8 @@ def _edge_model(psi: np.ndarray, sigma: float) -> np.ndarray:
     (c, e) are the coefficients of the local model
     V = V0 + c sin^{2 sigma} psi + e sin^2 psi through the three samples.
     """
-    q = np.sin(psi[1:3]) ** 2
-    w = np.sin(psi[1:3]) ** (2.0 * sigma)
-    W = w[0] * q[1] - w[1] * q[0]
-    return np.array([[q[0] - q[1], q[1], -q[0]], [w[1] - w[0], -w[1], w[0]]]) / W
+    W = _power_fit(np.sin(psi[1:3]), (2.0 * sigma, 2.0))  # acts on (V1 - V0, V2 - V0)
+    return np.column_stack([-W.sum(axis=1), W])
 
 
 def _half_sphere_operator(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
@@ -419,13 +416,9 @@ def verify_sphere_ode(
     # in phi swamps the degenerate-term amplitude
     phi0 = profile.boundary_value
     mask = (psi > 0.0) & (psi <= 0.5)
-    s = np.sin(psi[mask])
-    bases = [np.ones_like(s), s ** (2.0 * sigma), s ** 2,
-             s ** (2.0 + 2.0 * sigma), s ** 4]
-    n_b = min(len(bases), max(2, mask.sum() - 1))
-    M = np.stack(bases[:n_b], axis=1)
-    coef, *_ = np.linalg.lstsq(M, phi[mask] - phi0, rcond=None)
-    flux = -2.0 * sigma * coef[1]
+    exponents = (0.0, 2.0 * sigma, 2.0, 2.0 + 2.0 * sigma, 4.0)
+    n_b = min(len(exponents), max(2, mask.sum() - 1))
+    flux = -2.0 * sigma * (_power_fit(np.sin(psi[mask]), exponents[:n_b])[1] @ (phi[mask] - phi0))
     target = kappa_sigma(sigma) * phi0 ** p
     boundary = abs(flux - target) / abs(target)
     return SphereOdeResiduals(

@@ -88,20 +88,21 @@ class TestSeparableStep:
 
 
 # Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
-# Newton solver as it stood before the separable step existed: the residual
-# history and a SHA-256 digest of the field's bytes.
+# Newton solver: the residual history and a SHA-256 digest of the field's
+# bytes.  Both also record the rounding of the psi operator's fitted weights
+# and of the exact profile, so a change to either re-records them.
 FALLBACK = {
     # |J1| L / 2 = 10 > log(1e4) = 9.2
     "long_window": (
         CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326973630417016, 8.624560053332958e-08, 6.5333714725316155e-09],
-        "bae51cebb6121ddf210b93ffce1be6febd7d4332e8b429a9f4f8406e8eaa6f97",
+        [0.013326973630417016, 8.624560051416715e-08, 6.533371492604602e-09],
+        "fb1f8a710e6b201541e515b929dfbfdf013b38a91c48941b12cd3f6ecc415296",
     ),
     # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
     "coarse_axis": (
         CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326973630417016, 4.638843486319716e-08, 7.556525120921037e-10],
-        "f9c93d091a90947dc3b739f110138a563f8840f357c3a574600044e610aa0f7b",
+        [0.013326973630417016, 4.638843484559412e-08, 7.556525523558149e-10],
+        "15907be002e5e34e3ae86a61af8daef1bf2e1144f909bd82efa544850003afa6",
     ),
 }
 

@@ -10,6 +10,7 @@ from hardyhenon.extension import (
     ExtensionField,
     FowlerField,
     _edge_model,
+    _power_fit,
     _three_point_weights,
     exact_extension_field,
     exact_sphere_profile,
@@ -211,8 +212,57 @@ class TestSphereProfile:
         assert res.boundary_rel == pytest.approx(boundary, rel=1e-6)
 
 
+class TestPowerFit:
+    """The one local fit f ~ sum_j a_j x^{e_j} behind every psi-grid and t -> 0 fit."""
+
+    EXPONENTS = (0.0, 0.6, 2.0)
+    COEF = np.array([0.7, -0.3, 1.1])
+
+    def samples(self, x):
+        return (np.asarray(x)[..., None] ** np.array(self.EXPONENTS)) @ self.COEF
+
+    def test_square_system_interpolates(self):
+        x = np.array([0.1, 0.3, 0.7])
+        W = _power_fit(x, self.EXPONENTS)
+        assert W.shape == (3, 3)
+        np.testing.assert_allclose(W @ self.samples(x), self.COEF, rtol=1e-12)
+
+    def test_tall_system_is_least_squares(self):
+        x = np.linspace(0.05, 0.9, 9)
+        W = _power_fit(x, self.EXPONENTS)
+        assert W.shape == (3, 9)
+        np.testing.assert_allclose(W @ self.samples(x), self.COEF, rtol=1e-12)
+        # on data off the model, the residual is orthogonal to every column
+        f = self.samples(x) + 1e-3 * np.cos(7.0 * x)
+        M = x[:, None] ** np.array(self.EXPONENTS)
+        resid = f - M @ (W @ f)
+        assert np.max(np.abs(M.T @ resid)) < 1e-14
+
+    def test_leading_axes_batch_independent_fits(self):
+        x = np.array([[0.1, 0.3, 0.7], [0.2, 0.25, 0.4], [1e-3, 2e-3, 4e-3]])
+        W = _power_fit(x, self.EXPONENTS)
+        assert W.shape == (3, 3, 3)
+        for row, Wrow in zip(x, W):
+            np.testing.assert_array_equal(Wrow, _power_fit(row, self.EXPONENTS))
+        coef = np.einsum("bjk,bk->bj", W, self.samples(x))
+        # the x^2 coefficient of the last fit is conditioned by 1/x^2 ~ 1e5
+        np.testing.assert_allclose(coef, np.broadcast_to(self.COEF, (3, 3)), rtol=1e-10)
+
+
 class TestPsiGrid:
     """The shared psi-grid pieces of the solver, the energy and the sphere-ODE check."""
+
+    @pytest.mark.parametrize("n_psi", (65, 129))
+    def test_three_point_weights_match_closed_forms(self, n_psi):
+        psi = psi_nodes(CylinderGrid(n_psi=n_psi))
+        hm = psi[1:-1] - psi[:-2]
+        hp = psi[2:] - psi[1:-1]
+        want1 = np.stack([-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))], axis=1)
+        want2 = np.stack([2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))], axis=1)
+        for got, want in zip(_three_point_weights(psi), (want1, want2)):
+            # measured against the summed term size, as in the exactness test below
+            err = np.abs(got - want).max(axis=1) / np.abs(want).sum(axis=1)
+            assert err.max() < 1e-12
 
     @pytest.mark.parametrize("n_psi", (65, 129))
     def test_three_point_weights_exact_on_quadratics(self, n_psi):
