@@ -301,10 +301,11 @@ def exact_sphere_profile(
     """Angular profile of the exact singular solution on the unit half-sphere.
 
     Interior angles are evaluated by extension quadrature of the exact trace,
-    all in one batch; the boundary value is extrapolated from two small
-    angles, so matching the closed-form amplitude is a genuine quadrature
-    check.  Every psi = 0 entry takes the boundary value; angles outside
-    [0, pi/2] raise ValueError.
+    all in one batch.  The boundary value is the constant V0 of the local
+    model V0 + c sin^{2 sigma} psi + e sin^2 psi through psi = 1, 2 and 4
+    milliradians, so matching the closed-form amplitude is a genuine
+    quadrature check.  Every psi = 0 entry takes the boundary value; angles
+    outside [0, pi/2] raise ValueError.
     """
     n, sigma = params.n, params.sigma
     trace = power_profile(derive_exponents(params).beta, singular_constant(params))
@@ -312,10 +313,10 @@ def exact_sphere_profile(
     if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
         raise ValueError("profile angles must lie in [0, pi/2]")
     inside = psi_grid > 0.0
-    edge = np.array([1e-3, 2e-3])
+    edge = np.array([1e-3, 2e-3, 4e-3])
     psi = np.concatenate([psi_grid[inside], edge])
     values = _poisson_values(trace, np.ones_like(psi), psi, n, sigma, cfg)
-    boundary = float(_power_fit(np.sin(edge), (0.0, 2.0 * sigma))[0] @ values[-len(edge):])
+    boundary = float(_power_fit(np.sin(edge), (0.0, 2.0 * sigma, 2.0))[0] @ values[-len(edge):])
     phi = np.full_like(psi_grid, boundary)
     phi[inside] = values[:-len(edge)]
     return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=boundary)

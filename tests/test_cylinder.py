@@ -95,14 +95,14 @@ FALLBACK = {
     # |J1| L / 2 = 10 > log(1e4) = 9.2
     "long_window": (
         CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326973630417016, 8.624560051416715e-08, 6.533371492604602e-09],
-        "fb1f8a710e6b201541e515b929dfbfdf013b38a91c48941b12cd3f6ecc415296",
+        [0.013326978430398373, 8.624550352708035e-08, 6.533305170018006e-09],
+        "9360cfa299668802542a270536addce7de171505097715c856032338e7631b30",
     ),
     # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
     "coarse_axis": (
         CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326973630417016, 4.638843484559412e-08, 7.556525523558149e-10],
-        "15907be002e5e34e3ae86a61af8daef1bf2e1144f909bd82efa544850003afa6",
+        [0.013326978430398373, 4.638825915992402e-08, 7.556422328737974e-10],
+        "c47806ec9dd55caf812090ec7fee40fd3341074c4cfbe65f001e79626ab6ed9d",
     ),
 }
 

@@ -252,18 +252,18 @@ class TestCellWeights:
 # of the solve, of the psi operator's fitted weights and of the exact profile
 PINNED_ENERGY = {
     (3, 0.5, 0.0, 1.8): [
-        (-0.30310754522723055, 0.0011123580684420386),
-        (-0.2987519831209478, 0.007641559633662057),
-        (-0.2895157330748557, 0.000688154649370462),
-        (-0.24058084406800925, 0.03631463804496543),
-        (-0.2276431077124024, 0.0048481701587534875),
+        (-0.30310754522725875, 0.001112358068442354),
+        (-0.29875198312094947, 0.007641559633653168),
+        (-0.2895157330748659, 0.000688154649390438),
+        (-0.24058084406884775, 0.036314638044449246),
+        (-0.22764310771339574, 0.0048481701587246755),
     ],
     (4, 0.75, 0.0, 5.0 / 3.0): [
-        (-0.15041509669041273, 0.00023148307096812254),
-        (-0.14994117040487742, 0.00035518951704215004),
-        (-0.14827324395111408, 0.0008109423268721132),
-        (-0.14544354567318787, 0.0006931880074498887),
-        (-0.1449517990066587, 0.0028701502446240924),
+        (-0.15041509609545492, 0.00023148369466764797),
+        (-0.1499411689552174, 0.00035519058268559364),
+        (-0.14827323858969063, 0.0008109452535889073),
+        (-0.1454435317518037, 0.000693191390690487),
+        (-0.144951783380074, 0.0028701541755518454),
     ],
 }
 

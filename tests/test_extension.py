@@ -148,7 +148,7 @@ class TestSphereProfile:
         assert profile.boundary_value == pytest.approx(C, rel=1e-4)
 
     def test_regression_values(self, profile):
-        assert profile.boundary_value == pytest.approx(0.6366191373661476, rel=1e-13)
+        assert profile.boundary_value == pytest.approx(0.6366197702193874, rel=1e-13)
         want = {1: 0.6364643944204206, 32: 0.5168042071219443, 64: 0.4052847345693513}
         for j, phi in want.items():
             assert profile.phi[j] == pytest.approx(phi, rel=1e-13), j
@@ -201,11 +201,11 @@ class TestSphereProfile:
         assert res.interior_max == pytest.approx(J2 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("quad,interior,boundary", [
-        ((3, 0.5, 0.0, 2.0), 0.00017406310340190023, 0.0008867894103639641),
-        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056770795062, 0.003979217759499183),
+        ((3, 0.5, 0.0, 2.0), 0.00017406310343376363, 0.0008887758133879871),
+        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056724285044, 0.003979815654545114),
     ])
     def test_regression_residuals(self, quad, interior, boundary):
-        # recorded from the per-node residual loop on the default grid
+        # recorded on the default grid, with the three-sample boundary limit
         params = validate_params(*quad)
         res = verify_sphere_ode(exact_sphere_profile(params, psi_nodes(CylinderGrid())), params)
         assert res.interior_max == pytest.approx(interior, rel=1e-6)
