@@ -400,8 +400,9 @@ def verify_sphere_ode(
     in max norm over grid nodes inside ``interior_band`` (the profile has a
     sin^{2s} edge at psi = 0, so nodes near the boundary are excluded from
     the second-difference check).  Boundary: the weighted normal limit
-    against kappa_sigma phi(0)^p, extracted from the small-angle model
-    phi = phi0 + c sin^{2s} + e sin^2.
+    -2 sigma c against kappa_sigma phi(0)^p, with c the sin^{2s} coefficient
+    of a least-squares fit of phi - phi0 on 1, sin^{2s}, sin^2, sin^{2+2s}
+    and sin^4 over the nodes with psi <= 0.5.
     """
     n, sigma, p = params.n, params.sigma, params.p
     J2 = derive_exponents(params).J2

@@ -1,5 +1,6 @@
 """Newton steps of the cylinder solver: the separable step against sparse LU,
-and the choice between them."""
+the choice between them, and the consistency of the discrete operator with
+the exact solution."""
 
 import hashlib
 import math
@@ -15,6 +16,7 @@ from hardyhenon.cylinder import (
     _assemble_linear,
     _separable_step,
     psi_nodes,
+    solve_cylinder_pde,
     solve_end_perturbed,
 )
 from hardyhenon.extension import exact_sphere_profile
@@ -129,3 +131,27 @@ class TestPathChoice:
         # |J1| L / 2 = 8 on the default window
         res = solve_end_perturbed(COR11, 0.05, CylinderGrid())
         assert res.linear_solver == "separable"
+
+
+class TestExactSolutionConsistency:
+    """With phi as the data at both ends, the exact profile phi solves the
+    continuous problem, so the discrete answer measures the psi operator's
+    consistency error: its stencil rows and its psi = 0 flux row."""
+
+    @staticmethod
+    def error(params, grid):
+        phi = exact_sphere_profile(params, psi_nodes(grid)).phi
+        res = solve_cylinder_pde(params, phi, phi, grid, initial=np.tile(phi, (grid.n_s, 1)),
+                                 newton_tol=1e-13)
+        return np.max(np.abs(res.field.values - phi)) / np.max(phi)
+
+    @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 1.8), (3, 0.5, 0.0, 2.0), (3, 0.5, -0.5, 1.6)])
+    def test_half_order_converges_to_phi(self, quad):
+        # measured: 6.0e-4 -> 1.5e-4, 7.7e-4 -> 1.9e-4 and 4.9e-4 -> 1.2e-4,
+        # second order in psi (the field is constant in s, where the axial
+        # stencil is exact)
+        params = validate_params(*quad)
+        coarse = self.error(params, CylinderGrid())
+        fine = self.error(params, CylinderGrid(n_psi=129))
+        assert coarse <= 1e-3
+        assert coarse / fine >= 3.0
