@@ -203,7 +203,7 @@ class TestSphereProfile:
     @pytest.mark.parametrize("quad,interior,boundary", [
         ((3, 0.5, 0.0, 2.0), 0.00017406310343376363, 0.0008887758133879871),
         ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056724285044, 0.003979815654545114),
-    ])
+    ], ids=["sigma_half", "sigma_three_quarters"])  # ids that survive a re-recording
     def test_regression_residuals(self, quad, interior, boundary):
         # recorded on the default grid, with the three-sample boundary limit
         params = validate_params(*quad)
