@@ -1,7 +1,11 @@
 """Command-line interface with deterministic, machine-readable reports.
 
 Every subcommand prints one JSON RunReport to stdout (numbers rounded to 12
-significant digits) and writes any tabular payload as CSV to ``--out``.
+significant digits).  ``--out`` receives the results as CSV: a table moves
+there from stdout, other results are written as key-value rows.  Each
+``_cmd_*`` returns ``(params, results, tolerances, violations)``; ``run``
+times it, argument validation included, and builds and emits the report.
+Defaults that the library or the acceptance suite also uses are read from them.
 Exit status: 0 when all checks pass their tolerances, 1 on a tolerance
 violation (the violated check is named), 2 on usage errors.
 """
@@ -22,10 +26,13 @@ import numpy as np
 from . import suite as acceptance
 from .cylinder import CylinderGrid, SolverDivergence, psi_nodes, solve_end_perturbed
 from .energy import derivative_identity_check, energy_trace, monotonicity_verdict
-from .extension import _barrier_ladder, exact_extension_field, fowler_map, neumann_flux
-from .fraclap import QuadratureConfig, power_profile, verify_fall_identity
+from .extension import (
+    BARRIER_DELTA, BARRIER_FD_RATIO, BARRIER_H, BARRIER_LEVELS, BARRIER_MU, BARRIER_PSI, BARRIER_T0,
+    _barrier_ladder, exact_extension_field, fowler_map, neumann_flux,
+)
+from .fraclap import DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
-from .params import ParamError, classify_regime, derive_exponents, validate_params
+from .params import THRESHOLD_TOL, ParamError, classify_regime, derive_exponents, validate_params
 from .specialfn import (
     classical_limit_constant,
     hypersingular_normalizer,
@@ -36,6 +43,8 @@ from .specialfn import (
 )
 
 __all__ = ["main", "run", "serialize_report"]
+
+_DEFAULT_GRID = CylinderGrid()
 
 
 def _round_sig(x: float) -> float:
@@ -84,20 +93,18 @@ def serialize_report(report: dict, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _emit(report: dict, args, violations: list[str]) -> int:
-    report["elapsed"] = time.perf_counter() - report.pop("_t0")
-    rows = report.get("results", {}).get("rows")
-    if getattr(args, "out", None):
-        with open(args.out, "wb") as f:
+def _emit(report: dict, out: str | None, violations: list[str]) -> int:
+    rows = report["results"].get("rows")
+    if out:
+        with open(out, "wb") as f:
             f.write(serialize_report(report, "csv"))
         if rows is not None:
             # keep stdout light: the table lives in the file
             report["results"] = {
                 k: v for k, v in report["results"].items() if k not in ("rows", "columns")
             }
-            report["results"]["csv_written_to"] = args.out
-    fmt = getattr(args, "format", "json") or "json"
-    sys.stdout.write(serialize_report(report, fmt).decode())
+            report["results"]["csv_written_to"] = out
+    sys.stdout.write(serialize_report(report).decode())
     if violations:
         sys.stderr.write("tolerance violations: " + ", ".join(violations) + "\n")
         return 1
@@ -108,47 +115,35 @@ def _params_from(args):
     return validate_params(args.n, args.sigma, args.alpha, args.p)
 
 
-def _new_report(command: str, params=None) -> dict:
-    rep = {"command": command, "_t0": time.perf_counter()}
-    if params is not None:
-        rep["params"] = {
-            "n": params.n, "sigma": params.sigma, "alpha": params.alpha, "p": params.p,
-        }
-    return rep
-
-
-def _emit_divergence(rep: dict, args, exc: SolverDivergence, tolerances: dict) -> int:
-    """Report a Newton solve that missed its tolerance as a named violation."""
-    rep["results"] = {
+def _divergence(params, exc: SolverDivergence, tolerances: dict):
+    """A Newton solve that missed its tolerance, as a named violation."""
+    results = {
         "residual_norm": exc.history[-1],
         "iterations": len(exc.history) - 1,
         "residual_history": exc.history,
         "message": str(exc),
     }
-    rep["tolerances"] = tolerances
-    return _emit(rep, args, ["solver_convergence"])
+    return params, results, tolerances, ["solver_convergence"]
 
 
-def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        nodes_radial=args.nodes_radial,
-        nodes_angular=args.nodes_angular,
-    )
+def _grid_rows(axis0, axis1, values) -> list:
+    """One [x0, x1, value] row per node of a field on a tensor grid."""
+    return [
+        [float(a), float(b), float(values[i, j])]
+        for i, a in enumerate(axis0)
+        for j, b in enumerate(axis1)
+    ]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     params = _params_from(args)
-    rep = _new_report("classify", params)
-    verdict = classify_regime(params)
-    rep["results"] = verdict.to_dict()
-    rep["results"]["derived"] = dataclasses.asdict(derive_exponents(params))
-    rep["tolerances"] = {"threshold_equality": 1e-12}
-    return _emit(rep, args, [])
+    results = classify_regime(params).to_dict()
+    results["derived"] = dataclasses.asdict(derive_exponents(params))
+    return params, results, {"threshold_equality": THRESHOLD_TOL}, []
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args):
     params = _params_from(args)
-    rep = _new_report("constants", params)
     d = derive_exponents(params)
     results = {
         "kappa_sigma": kappa_sigma(params.sigma),
@@ -166,26 +161,22 @@ def _cmd_constants(args) -> int:
         results["C0_classical"] = classical_limit_constant(params.n, params.alpha, params.p)
     except ValueError:
         results["C0_classical"] = None
-    rep["results"] = results
-    rep["tolerances"] = {}
-    return _emit(rep, args, [])
+    return params, results, {}, []
 
 
-def _cmd_verify_lemma(args) -> int:
+def _cmd_verify_lemma(args):
     params = _params_from(args)
-    rep = _new_report("verify-lemma", params)
     radii = [float(tok) for tok in args.radii.split(",")]
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(nodes_radial=args.nodes_radial, nodes_angular=args.nodes_angular)
     report = verify_fall_identity(params, radii, cfg)
-    rep["results"] = {
+    results = {
         "radii": list(report.radii),
         "per_radius_errors": list(report.per_radius_errors),
         "max_rel_error": report.max_rel_error,
         "multiplier_ratio_drift": report.multiplier_ratio_drift,
     }
-    rep["tolerances"] = {"tol_fall": args.tol_fall}
     violations = [] if report.max_rel_error < args.tol_fall else ["fall_identity_max_rel_error"]
-    return _emit(rep, args, violations)
+    return params, results, {"tol_fall": args.tol_fall}, violations
 
 
 def _parse_grid(token: str) -> tuple[int, int]:
@@ -193,33 +184,24 @@ def _parse_grid(token: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     params = _params_from(args)
-    rep = _new_report("extend", params)
     n_r, n_psi = _parse_grid(args.grid)
     r_lo, r_hi = (float(t) for t in args.r_range.split(","))
-    grid = CylinderGrid(n_s=n_r, n_psi=n_psi)
-    psi = psi_nodes(grid)
+    psi = psi_nodes(CylinderGrid(n_s=n_r, n_psi=n_psi))
     r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
     field = exact_extension_field(params, r_grid, psi)
-    rows = [
-        [float(r), float(ps), float(field.values[i, j])]
-        for i, r in enumerate(r_grid)
-        for j, ps in enumerate(psi)
-    ]
-    flux = neumann_flux(
-        power_profile(derive_exponents(params).beta, singular_constant(params)), 1.0, params
-    )
-    rep["results"] = {
+    beta = derive_exponents(params).beta
+    flux = neumann_flux(power_profile(beta, singular_constant(params)), 1.0, params)
+    results = {
         "columns": ["r", "psi", "value"],
-        "rows": rows,
-        "boundary_amplitude": field.values[0, 0] * r_grid[0] ** derive_exponents(params).beta,
+        "rows": _grid_rows(r_grid, psi, field.values),
+        "boundary_amplitude": field.values[0, 0] * r_grid[0] ** beta,
         "neumann_flux_at_r1": flux.value,
         "flux_fit_residual": flux.fit_residual,
     }
-    rep["tolerances"] = {"tol_flux_fit": args.tol_flux}
     violations = [] if flux.fit_residual < args.tol_flux else ["neumann_flux_fit_residual"]
-    return _emit(rep, args, violations)
+    return params, results, {"tol_flux_fit": args.tol_flux}, violations
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -233,7 +215,7 @@ def _spec_pair(spec: dict, key: str, default: list, kind, what: str) -> list:
     return value
 
 
-def _cmd_solve_cylinder(args) -> int:
+def _cmd_solve_cylinder(args):
     with open(args.spec) as f:
         spec = json.load(f)
     if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
@@ -246,25 +228,21 @@ def _cmd_solve_cylinder(args) -> int:
     if set(raw) != {"n", "sigma", "alpha", "p"} or not all(_is_number(v) for v in raw.values()):
         raise ValueError(f'spec "params" must give the numbers n, sigma, alpha and p, got {raw!r}')
     params = validate_params(**raw)
-    rep = _new_report("solve-cylinder", params)
-    s_range = _spec_pair(spec, "s_range", [-4.0, 4.0], (int, float), "numbers")
-    n_s, n_psi = _spec_pair(spec, "grid", [161, 65], int, "integers")
+    s_range = _spec_pair(spec, "s_range", [_DEFAULT_GRID.s_min, _DEFAULT_GRID.s_max], (int, float), "numbers")
+    n_s, n_psi = _spec_pair(spec, "grid", [_DEFAULT_GRID.n_s, _DEFAULT_GRID.n_psi], int, "integers")
     eps = spec.get("perturbation", 0.0)
     if not _is_number(eps):
         raise ValueError(f'spec "perturbation" must be a number, got {eps!r}')
     grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
+    tolerances = {"tol_residual": args.tol_residual}
     try:
         result = solve_end_perturbed(params, eps, grid)
     except SolverDivergence as exc:
-        return _emit_divergence(rep, args, exc, {"tol_residual": args.tol_residual})
-    rows = [
-        [float(s), float(ps), float(result.field.values[i, j])]
-        for i, s in enumerate(result.field.s_grid)
-        for j, ps in enumerate(result.field.psi_grid)
-    ]
-    rep["results"] = {
+        return _divergence(params, exc, tolerances)
+    field = result.field
+    results = {
         "columns": ["s", "psi", "value"],
-        "rows": rows,
+        "rows": _grid_rows(field.s_grid, field.psi_grid, field.values),
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "residual_history": result.residual_history,
@@ -272,23 +250,22 @@ def _cmd_solve_cylinder(args) -> int:
         "linear_solver": result.linear_solver,
         "line_search": result.line_search,
     }
-    rep["tolerances"] = {"tol_residual": args.tol_residual}
     violations = [] if result.residual_norm <= args.tol_residual else ["solver_residual"]
-    return _emit(rep, args, violations)
+    return params, results, tolerances, violations
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args):
     params = _params_from(args)
-    rep = _new_report("energy", params)
     s_lo, s_hi = (float(t) for t in args.s_range.split(","))
     n_s, n_psi = _parse_grid(args.grid)
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
+    tolerances = {"tol_drift": args.tol_drift}
     solver = {}
     if args.perturbation != 0.0:
         try:
             solved = solve_end_perturbed(params, args.perturbation, grid)
         except SolverDivergence as exc:
-            return _emit_divergence(rep, args, exc, {"tol_drift": args.tol_drift})
+            return _divergence(params, exc, tolerances)
         field = solved.field
         solver = {"linear_solver": solved.linear_solver, "line_search": solved.line_search}
     else:
@@ -297,62 +274,49 @@ def _cmd_energy(args) -> int:
     margin = 2.5 * (s_hi - s_lo) / (n_s - 1)
     trace = energy_trace(field, (s_lo + margin, s_hi - margin), params)
     verdict = monotonicity_verdict(trace, budget=args.tol_drift * float(np.max(np.abs(trace.E))))
-    mismatch = derivative_identity_check(trace)
-    rows = [
-        [float(s), float(e), float(df), float(dfd)]
-        for s, e, df, dfd in zip(trace.s_values, trace.E, trace.dE_formula, trace.dE_fd)
-    ]
-    rep["results"] = {
+    results = {
         "columns": ["s", "E", "dE_formula", "dE_fd"],
-        "rows": rows,
+        "rows": [[float(x) for x in row]
+                 for row in zip(trace.s_values, trace.E, trace.dE_formula, trace.dE_fd)],
         "J1": trace.J1,
         "verdict": verdict.value,
-        "derivative_identity_mismatch": mismatch,
+        "derivative_identity_mismatch": derivative_identity_check(trace),
         **solver,
     }
-    rep["tolerances"] = {"tol_drift": args.tol_drift}
     violations = [] if verdict.value != "Violated" else ["monotonicity_direction"]
-    return _emit(rep, args, violations)
+    return params, results, tolerances, violations
 
 
-def _cmd_barrier(args) -> int:
+def _cmd_barrier(args):
     if args.levels < 2:
         # one level gives no ratio, and an empty ratio list would pass the check
         raise ValueError(f"--levels must be at least 2, got {args.levels}")
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
-    rep = _new_report("barrier", params)
     point = (math.cos(args.psi), math.sin(args.psi))
     interior, neumann, ratios_i, ratios_n = _barrier_ladder(
         args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
     )
-    rows = [[k, interior[k], neumann[k]] for k in range(args.levels)]
-    rep["results"] = {
+    results = {
         "columns": ["level", "interior_residual", "neumann_residual"],
-        "rows": rows,
+        "rows": [[k, interior[k], neumann[k]] for k in range(args.levels)],
         "interior_ratios": ratios_i,
         "neumann_ratios": ratios_n,
         "mu": args.mu,
         "delta": args.delta,
     }
-    rep["tolerances"] = {"tol_order_ratio": args.tol_order}
     ok = all(r >= args.tol_order for r in ratios_i + ratios_n)
-    return _emit(rep, args, [] if ok else ["barrier_residual_decay_order"])
+    violations = [] if ok else ["barrier_residual_decay_order"]
+    return params, results, {"tol_order_ratio": args.tol_order}, violations
 
 
-def _cmd_kelvin(args) -> int:
+def _cmd_kelvin(args):
     params = _params_from(args)
-    rep = _new_report("kelvin", params)
     kmap = kelvin_exponent(params)
     checks = verify_equivalences(params)
     results = {
         "vartheta": kmap.vartheta,
-        "mapped_params": {
-            "n": kmap.mapped.n, "sigma": kmap.mapped.sigma,
-            "alpha": kmap.mapped.alpha, "p": kmap.mapped.p,
-        },
-        "equivalences": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "agree": c.agree} for c in checks
-        ],
+        "mapped_params": dataclasses.asdict(kmap.mapped),
+        "equivalences": [{**dataclasses.asdict(c), "agree": c.agree} for c in checks],
     }
     violations = [] if all(c.agree for c in checks) else ["exponent_equivalences"]
     try:
@@ -363,32 +327,27 @@ def _cmd_kelvin(args) -> int:
     except ValueError as exc:
         results["constant_invariance_rel"] = None
         results["invariance_note"] = str(exc)
-    rep["results"] = results
-    rep["tolerances"] = {"tol_invariance": args.tol_invariance}
-    return _emit(rep, args, violations)
+    return params, results, {"tol_invariance": args.tol_invariance}, violations
 
 
-def _cmd_suite(args) -> int:
-    rep = _new_report("suite")
-    results = acceptance.run_all(echo=lambda line: sys.stderr.write(line + "\n"))
-    rep["results"] = {
+def _cmd_suite(args):
+    criteria = acceptance.run_all(echo=lambda line: sys.stderr.write(line + "\n"))
+    results = {
         "criteria": [
             {"index": r.index, "name": r.name, "passed": r.passed, "details": r.details}
-            for r in results
+            for r in criteria
         ],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": all(r.passed for r in criteria),
     }
-    rep["tolerances"] = {"as_stated_per_criterion": True}
-    violations = [f"criterion_{r.index}" for r in results if not r.passed]
-    return _emit(rep, args, violations)
+    violations = [f"criterion_{r.index}" for r in criteria if not r.passed]
+    return None, results, {"as_stated_per_criterion": True}, violations
 
 
-def _add_params(sp, alpha_p=True):
+def _add_params(sp):
     sp.add_argument("--n", type=int, required=True, help="space dimension (>= 2)")
     sp.add_argument("--sigma", type=float, required=True, help="fractional order in (0,1)")
-    if alpha_p:
-        sp.add_argument("--alpha", type=float, required=True, help="weight exponent")
-        sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent (> 1)")
+    sp.add_argument("--alpha", type=float, required=True, help="weight exponent")
+    sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent (> 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical verification of singular solutions of fractional "
         "Hardy-Henon equations",
     )
-    ap.add_argument("--format", choices=["json", "csv"], default="json",
-                    help="stdout report format")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="exponent-regime classification")
@@ -412,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-lemma", help="singular-solution identity by quadrature")
     _add_params(sp)
     sp.add_argument("--radii", default="0.5,1,2", help="comma list of radii")
-    sp.add_argument("--tol-fall", type=float, default=1e-6)
-    sp.add_argument("--nodes-radial", type=int, default=256)
-    sp.add_argument("--nodes-angular", type=int, default=64)
+    sp.add_argument("--tol-fall", type=float, default=acceptance.FALL_TOL)
+    sp.add_argument("--nodes-radial", type=int, default=DEFAULT_CONFIG.nodes_radial)
+    sp.add_argument("--nodes-angular", type=int, default=DEFAULT_CONFIG.nodes_angular)
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_verify_lemma)
 
@@ -436,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", help="energy trace and monotonicity verdict")
     _add_params(sp)
-    sp.add_argument("--s-range", default="-4,4")
-    sp.add_argument("--grid", default="161x65", help="NSxNPSI")
+    sp.add_argument("--s-range", default=f"{_DEFAULT_GRID.s_min:g},{_DEFAULT_GRID.s_max:g}")
+    sp.add_argument("--grid", default=f"{_DEFAULT_GRID.n_s}x{_DEFAULT_GRID.n_psi}",
+                    help="NSxNPSI")
     sp.add_argument("--perturbation", type=float, default=0.0)
     sp.add_argument("--tol-drift", type=float, default=1e-4)
     sp.add_argument("--out", help="CSV output path")
@@ -446,20 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("barrier", help="barrier identity residual table")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--sigma", type=float, default=0.5)
-    sp.add_argument("--mu", type=float, default=0.8)
-    sp.add_argument("--delta", type=float, default=0.3)
-    sp.add_argument("--psi", type=float, default=0.5, help="elevation angle of the stencil")
-    sp.add_argument("--h", type=float, default=1e-2)
-    sp.add_argument("--t0", type=float, default=0.05)
-    sp.add_argument("--fd-ratio", type=float, default=0.05)
-    sp.add_argument("--levels", type=int, default=3, help="refinement levels (at least 2)")
-    sp.add_argument("--tol-order", type=float, default=3.2)
+    sp.add_argument("--mu", type=float, default=BARRIER_MU)
+    sp.add_argument("--delta", type=float, default=BARRIER_DELTA)
+    sp.add_argument("--psi", type=float, default=BARRIER_PSI,
+                    help="elevation angle of the stencil")
+    sp.add_argument("--h", type=float, default=BARRIER_H)
+    sp.add_argument("--t0", type=float, default=BARRIER_T0)
+    sp.add_argument("--fd-ratio", type=float, default=BARRIER_FD_RATIO)
+    sp.add_argument("--levels", type=int, default=BARRIER_LEVELS,
+                    help="refinement levels (at least 2)")
+    sp.add_argument("--tol-order", type=float, default=acceptance.BARRIER_ORDER)
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_barrier)
 
     sp = sub.add_parser("kelvin", help="inversion map, equivalences, amplitude invariance")
     _add_params(sp)
-    sp.add_argument("--tol-invariance", type=float, default=1e-12)
+    sp.add_argument("--tol-invariance", type=float, default=acceptance.INVARIANCE_TOL)
     sp.set_defaults(fn=_cmd_kelvin)
 
     sp = sub.add_parser("suite", help="run the full acceptance battery")
@@ -469,10 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        params, results, tolerances, violations = args.fn(args)
+        report = {"command": args.command}
+        if params is not None:
+            report["params"] = dataclasses.asdict(params)
+        report.update(results=results, tolerances=tolerances, elapsed=time.perf_counter() - t0)
+        return _emit(report, getattr(args, "out", None), violations)
     except ParamError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2

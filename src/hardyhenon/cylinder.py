@@ -223,9 +223,8 @@ def solve_cylinder_pde(
     history; negative iterates are projected back to a positive floor and
     reported on the result.
 
-    Each Newton step is a damped step (the line search halves its length
-    until the max-norm residual falls, down to 1/1024) along the exact
-    solution of the Jacobian system.  That system is solved by fast
+    Each Newton step is a damped step along the exact solution of the
+    Jacobian system.  That system is solved by fast
     diagonalization in s with a capacitance matrix for the flux rows plus
     one pass of iterative refinement (``_separable_step``; the result's
     ``linear_solver`` reads "separable").  Sparse LU (``spsolve``, "sparse_lu")
@@ -233,7 +232,10 @@ def solve_cylinder_pde(
     is when |J1| ds / 2 >= 1, or when the similarity's growth
     r^m ~ exp(|J1| L / 2) on a window of length L exceeds
     _MAX_SIMILARITY_GROWTH = 1e4; on those grids every step is the one
-    sparse LU has always taken.
+    sparse LU has always taken.  The line search halves the step length
+    until the max-norm residual falls and never takes a step that raises
+    it: when no length down to 1/1024 lowers the residual, the solve raises
+    SolverDivergence naming the stall.
 
     The linearization around the constant-in-s profile has oscillatory axial
     modes, so particular window lengths are Dirichlet-resonant and leave the
@@ -243,7 +245,9 @@ def solve_cylinder_pde(
     started from the exact profile with 5% end perturbation, the default
     [-4, 4] window diverges for (n, sigma, alpha, p) = (2, 0.3, 0.2, 3.0),
     (3, 0.3, 0, 1.6) and (4, 0.5, 0, 1.5), the first at every length from 5
-    to 12.
+    to 12.  (4, 0.5, 0, 1.5) stalls at a residual of 2.6e-4 in its third
+    iteration; taking a rising step there ends in a field 156% off phi that
+    passes the residual test.
     """
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
@@ -313,9 +317,15 @@ def solve_cylinder_pde(
                 projected = True
             Ft = residual(trial)
             nt = float(np.max(np.abs(Ft)))
-            if nt < norm or lam < 1e-3:
+            if nt < norm:
                 V, F, norm = trial, Ft, nt
                 break
+            if lam < 1e-3:
+                raise SolverDivergence(
+                    f"Newton stalled at iteration {it + 1}: no step length down to 1/1024 "
+                    f"lowers the residual {norm:.3e}",
+                    history,
+                )
             lam *= 0.5
         history.append(norm)
         line_search.append(lam)

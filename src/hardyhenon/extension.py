@@ -434,6 +434,13 @@ def _barrier(mu: float, delta: float, sigma: float, q, t):
     return X2 ** (-mu / 2.0) * (1.0 - delta * (t * t / X2) ** sigma)
 
 
+#: The barrier check of ``hardyhenon barrier`` and criterion 9: exponent mu,
+#: depth delta, stencil elevation psi, refinement levels, and the level-0
+#: scales h, t0 and fd_ratio
+BARRIER_MU, BARRIER_DELTA, BARRIER_PSI, BARRIER_LEVELS = 0.8, 0.3, 0.5, 3
+BARRIER_H, BARRIER_T0, BARRIER_FD_RATIO = 1e-2, 0.05, 0.05
+
+
 @dataclass(frozen=True)
 class BarrierResiduals:
     interior: float
@@ -446,9 +453,9 @@ def verify_barrier_identity(
     point: tuple[float, float],
     params: ProblemParams,
     *,
-    h: float = 1e-2,
-    t0: float = 0.05,
-    fd_ratio: float = 0.05,
+    h: float = BARRIER_H,
+    t0: float = BARRIER_T0,
+    fd_ratio: float = BARRIER_FD_RATIO,
 ) -> BarrierResiduals:
     """Finite-difference check of the two closed-form barrier identities.
 
@@ -504,7 +511,8 @@ def verify_barrier_identity(
     return BarrierResiduals(interior=interior, neumann=neumann)
 
 
-def _barrier_ladder(mu, delta, point, params, levels, h, t0, fd_ratio):
+def _barrier_ladder(mu, delta, point, params, levels, h=BARRIER_H, t0=BARRIER_T0,
+                    fd_ratio=BARRIER_FD_RATIO):
     """``verify_barrier_identity`` with h, t0 and fd_ratio scaled by 0.5^k, k < levels.
 
     Returns the interior and the Neumann residuals per level, then the ratios

@@ -75,6 +75,34 @@ class EquivalenceCheck:
         return self.lhs == self.rhs
 
 
+def _biconditionals(n, sigma, alpha, p, v):
+    """Name and both sides of each biconditional at weight ``v`` = vartheta.
+
+    Elementwise on numpy arrays, so the suite runs the same predicates on its
+    random draws.
+    """
+    m = n - 2.0 * sigma
+    return [
+        ("-2s < vartheta <=> serrin < p", -2.0 * sigma < v, (n + alpha) / m < p),
+        ("vartheta <= 0 <=> p <= (n+2s+alpha)/(n-2s)",
+         v <= 0.0, p <= (n + 2.0 * sigma + alpha) / m),
+        ("(n+vartheta)/(n-2s) < p <=> -2s < alpha", (n + v) / m < p, -2.0 * sigma < alpha),
+        ("p <= (n+2s+vartheta)/(n-2s) <=> alpha <= 0",
+         p <= (n + 2.0 * sigma + v) / m, alpha <= 0.0),
+        (
+            "p != (n+2s+2 vartheta)/(n-2s) <=> p != p_S(alpha)",
+            p != (n + 2.0 * sigma + 2.0 * v) / m,
+            p != (n + 2.0 * sigma + 2.0 * alpha) / m,
+        ),
+        ("p > (n+vartheta)/(n-2s) <=> alpha > -2s", p > (n + v) / m, alpha > -2.0 * sigma),
+        (
+            "p < (n+2s+2 vartheta)/(n-2s) <=> p > p_S(alpha)",
+            p < (n + 2.0 * sigma + 2.0 * v) / m,
+            p > (n + 2.0 * sigma + 2.0 * alpha) / m,
+        ),
+    ]
+
+
 def verify_equivalences(params: ProblemParams) -> list[EquivalenceCheck]:
     """Evaluate both sides of each exponent biconditional under the inversion.
 
@@ -82,37 +110,9 @@ def verify_equivalences(params: ProblemParams) -> list[EquivalenceCheck]:
     algebraically identical inequalities, so disagreement would indicate a
     formula error rather than roundoff (ties sit on a measure-zero set).
     """
-    n, sigma, alpha, p = params.n, params.sigma, params.alpha, params.p
-    m = n - 2.0 * sigma
     v = derive_exponents(params).vartheta
-    checks = [
-        EquivalenceCheck("-2s < vartheta <=> serrin < p", -2.0 * sigma < v, (n + alpha) / m < p),
-        EquivalenceCheck(
-            "vartheta <= 0 <=> p <= (n+2s+alpha)/(n-2s)", v <= 0.0, p <= (n + 2.0 * sigma + alpha) / m
-        ),
-        EquivalenceCheck(
-            "(n+vartheta)/(n-2s) < p <=> -2s < alpha", (n + v) / m < p, -2.0 * sigma < alpha
-        ),
-        EquivalenceCheck(
-            "p <= (n+2s+vartheta)/(n-2s) <=> alpha <= 0",
-            p <= (n + 2.0 * sigma + v) / m,
-            alpha <= 0.0,
-        ),
-        EquivalenceCheck(
-            "p != (n+2s+2 vartheta)/(n-2s) <=> p != p_S(alpha)",
-            p != (n + 2.0 * sigma + 2.0 * v) / m,
-            p != (n + 2.0 * sigma + 2.0 * alpha) / m,
-        ),
-        EquivalenceCheck(
-            "p > (n+vartheta)/(n-2s) <=> alpha > -2s", p > (n + v) / m, alpha > -2.0 * sigma
-        ),
-        EquivalenceCheck(
-            "p < (n+2s+2 vartheta)/(n-2s) <=> p > p_S(alpha)",
-            p < (n + 2.0 * sigma + 2.0 * v) / m,
-            p > (n + 2.0 * sigma + 2.0 * alpha) / m,
-        ),
-    ]
-    return checks
+    sides = _biconditionals(params.n, params.sigma, params.alpha, params.p, v)
+    return [EquivalenceCheck(name, lhs, rhs) for name, lhs, rhs in sides]
 
 
 def constant_invariance(params: ProblemParams) -> float:

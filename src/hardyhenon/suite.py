@@ -22,13 +22,17 @@ from .energy import (
     monotonicity_verdict,
 )
 from .extension import (
+    BARRIER_DELTA,
+    BARRIER_LEVELS,
+    BARRIER_MU,
+    BARRIER_PSI,
     FowlerField,
     _barrier_ladder,
     exact_extension_field,
     exact_sphere_profile,
 )
 from .fraclap import verify_fall_identity
-from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
+from .kelvin import _biconditionals, constant_invariance, kelvin_exponent
 from .params import classify_regime, derive_exponents, validate_params
 from .quadrature import gauss_jacobi_01, gauss_legendre
 from .specialfn import (
@@ -43,6 +47,12 @@ from .specialfn import (
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 SEED = 20240817
+
+#: Gates shared with the CLI's --tol-fall, --tol-invariance and --tol-order
+#: defaults: the singular-solution identity's relative error, the amplitude's
+#: relative change under the inversion, and the least barrier-residual decay
+#: ratio per halving (second order gives 4)
+FALL_TOL, INVARIANCE_TOL, BARRIER_ORDER = 1e-6, 1e-12, 3.2
 
 FALL_TUPLES = [
     (3, 0.50, 0.0, 2.0),
@@ -102,7 +112,7 @@ def criterion_2_fall_identity() -> CriterionResult:
         report = verify_fall_identity(params, radii)
         errors[str(tup)] = report.max_rel_error
     worst = max(errors.values())
-    return CriterionResult(2, "singular-solution identity", worst < 1e-6,
+    return CriterionResult(2, "singular-solution identity", worst < FALL_TOL,
                            {"per_tuple_max_rel_error": errors, "worst": worst})
 
 
@@ -272,14 +282,8 @@ def criterion_8_exponent_suite() -> CriterionResult:
     v = p * m - (n + 2.0 * sigma + alpha)
     beta = (2.0 * sigma + alpha) / (p - 1.0)
 
-    violations = 0
-    violations += int(np.sum((-2.0 * sigma < v) != ((n + alpha) / m < p)))
-    violations += int(np.sum((v <= 0.0) != (p <= (n + 2.0 * sigma + alpha) / m)))
-    violations += int(np.sum(((n + v) / m < p) != (-2.0 * sigma < alpha)))
-    violations += int(np.sum((p <= (n + 2.0 * sigma + v) / m) != (alpha <= 0.0)))
-    violations += int(
-        np.sum((p != (n + 2.0 * sigma + 2.0 * v) / m) != (p != (n + 2.0 * sigma + 2.0 * alpha) / m))
-    )
+    sides = _biconditionals(n, sigma, alpha, p, v)
+    violations = sum(int(np.sum(lhs != rhs)) for _, lhs, rhs in sides)
     violations += int(np.sum((beta > 0.0) != (alpha > -2.0 * sigma)))
     violations += int(np.sum((beta < m) != (p > (n + alpha) / m)))
 
@@ -306,10 +310,9 @@ def criterion_8_exponent_suite() -> CriterionResult:
         worst_invol = max(
             worst_invol, abs(twice.vartheta - params.alpha) / max(1.0, abs(params.alpha))
         )
-        checks = verify_equivalences(params)
-        violations += sum(0 if c.agree else 1 for c in checks)
 
-    passed = violations == 0 and worst_inv < 1e-12 and worst_invol < 1e-12 and tau_err < 1e-12
+    passed = (violations == 0 and worst_inv < INVARIANCE_TOL and worst_invol < 1e-12
+              and tau_err < 1e-12)
     return CriterionResult(8, "exponent equivalence suite", passed, {
         "violations": violations,
         "amplitude_invariance_worst": worst_inv,
@@ -324,17 +327,17 @@ def criterion_9_barrier() -> CriterionResult:
     """Second-order decay of both barrier residuals under refinement."""
     details = {}
     ok = True
-    point = (math.cos(0.5), math.sin(0.5))
+    point = (math.cos(BARRIER_PSI), math.sin(BARRIER_PSI))
     for n, sigma in ((3, 0.5), (3, 0.3)):
         params = validate_params(n, sigma, 0.0, 2.0)
         seq_i, seq_n, ratios_i, ratios_n = _barrier_ladder(
-            0.8, 0.3, point, params, 3, h=1e-2, t0=0.05, fd_ratio=0.05
+            BARRIER_MU, BARRIER_DELTA, point, params, BARRIER_LEVELS
         )
         details[f"(n={n},sigma={sigma})"] = {
             "interior": seq_i, "neumann": seq_n,
             "interior_ratios": ratios_i, "neumann_ratios": ratios_n,
         }
-        ok = ok and all(r >= 3.2 for r in ratios_i + ratios_n)
+        ok = ok and all(r >= BARRIER_ORDER for r in ratios_i + ratios_n)
     return CriterionResult(9, "barrier identities", ok, details)
 
 

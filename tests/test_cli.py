@@ -15,10 +15,29 @@ SCHEMA = json.loads(
 )
 
 
+# a length-3.5 window is Dirichlet-resonant for this configuration: Newton
+# stalls near a residual of 1e-5
+RESONANT_SPEC = {
+    "params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8},
+    "s_range": [-1.75, 1.75], "grid": [71, 33], "perturbation": 0.05,
+}
+CONVERGING_SPEC = {**RESONANT_SPEC, "s_range": [-4, 4], "grid": [41, 17]}
+QUAD = ["--n", "3", "--sigma", "0.5", "--alpha", "0", "--p"]
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def with_spec(tmp_path, argv):
+    """argv with each dict in it written to a JSON file and replaced by its path."""
+    path = tmp_path / "spec.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    return [str(path) if isinstance(arg, dict) else arg for arg in argv]
 
 
 class TestClassifyCommand:
@@ -45,6 +64,29 @@ class TestClassifyCommand:
         ):
             _, rep = run_json(capsys, argv)
             jsonschema.validate(rep, SCHEMA)
+
+
+class TestEveryReport:
+    CASES = {
+        "extend": ["extend", *QUAD, "2", "--grid", "9x9"],
+        "energy-exact": ["energy", *QUAD, "2", "--grid", "41x17"],
+        "energy-perturbed": ["energy", *QUAD, "1.8", "--grid", "41x17", "--perturbation", "0.05"],
+        "barrier": ["barrier"],
+        "solve-cylinder-converging": ["solve-cylinder", "--spec", CONVERGING_SPEC],
+        "solve-cylinder-diverging": ["solve-cylinder", "--spec", RESONANT_SPEC],
+    }
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_validates_against_shipped_schema(self, tmp_path, capsys, case, out):
+        path = tmp_path / "out.csv"
+        argv = with_spec(tmp_path, self.CASES[case]) + (["--out", str(path)] if out else [])
+        _, rep = run_json(capsys, argv)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["command"] == argv[0]
+        if out:
+            # the table, where there is one, goes to the file only
+            assert path.read_text() and "rows" not in rep["results"]
 
 
 class TestConstantsCommand:
@@ -181,13 +223,19 @@ class TestKelvinCommand:
 
 
 class TestElapsed:
-    def test_extend_elapsed_covers_the_computation(self, capsys):
+    @pytest.mark.parametrize("argv, code", [
+        (["extend", *QUAD, "2", "--grid", "9x17"], 0),
+        # a diverging solve reports no field, so serializing the report
+        # costs little against the solve
+        (["solve-cylinder", "--spec", RESONANT_SPEC], 1),
+    ], ids=["extend", "solve-cylinder"])
+    def test_elapsed_covers_the_computation(self, tmp_path, capsys, argv, code):
+        argv = with_spec(tmp_path, argv)
         t0 = time.perf_counter()
-        code = run(["extend", "--n", "3", "--sigma", "0.5", "--alpha", "0", "--p", "2",
-                    "--grid", "9x17"])
+        got = run(argv)
         wall = time.perf_counter() - t0
         rep = json.loads(capsys.readouterr().out)
-        assert code == 0
+        assert got == code
         assert rep["elapsed"] >= 0.5 * wall
 
 
@@ -227,14 +275,7 @@ class TestSolverReport:
 
 class TestSolverDivergence:
     def test_resonant_window_reports_named_violation(self, tmp_path, capsys):
-        # a length-3.5 window is Dirichlet-resonant for this configuration:
-        # Newton stalls near a residual of 1e-5
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8},
-            "s_range": [-1.75, 1.75], "grid": [71, 33], "perturbation": 0.05,
-        }))
-        code = run(["solve-cylinder", "--spec", str(spec)])
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", RESONANT_SPEC]))
         captured = capsys.readouterr()
         rep = json.loads(captured.out)
         jsonschema.validate(rep, SCHEMA)

@@ -1,6 +1,6 @@
 """Newton steps of the cylinder solver: the separable step against sparse LU,
-the choice between them, and the consistency of the discrete operator with
-the exact solution."""
+the choice between them, the line search, and the consistency of the
+discrete operator with the exact solution."""
 
 import hashlib
 import math
@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 from hardyhenon.cylinder import (
     _MAX_SIMILARITY_GROWTH,
     CylinderGrid,
+    SolverDivergence,
     _assemble_linear,
     _separable_step,
     psi_nodes,
@@ -87,6 +88,18 @@ class TestSeparableStep:
         assert res.linear_solver == "separable"
         assert len(res.line_search) == res.iterations == len(res.residual_history) - 1
         assert all(0.0 < lam <= 1.0 for lam in res.line_search)
+
+
+class TestLineSearch:
+    def test_stalled_solve_raises(self):
+        # the Newton matrix is near-singular on this window: no step lowers
+        # the residual below 2.6e-4, and taking one that raises it (to 0.46)
+        # ends in a field 156% off phi that passes the residual test
+        with pytest.raises(SolverDivergence, match="stalled") as err:
+            solve_end_perturbed(validate_params(4, 0.5, 0.0, 1.5), 0.05, CylinderGrid())
+        history = err.value.history
+        assert all(a > b for a, b in zip(history, history[1:]))
+        assert history[-1] > 1e-8
 
 
 # Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
