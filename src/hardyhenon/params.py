@@ -89,7 +89,9 @@ def derive_exponents(params: ProblemParams) -> DerivedExponents:
         thm11_upper=(n + 2.0 * sigma + alpha) / m,
         J1=m / (p - 1.0) * (hardy_sobolev - p),
         J2=beta * (m - beta),
-        vartheta=p * m - (n + 2.0 * sigma + alpha),
+        # p m - (n + 2s + alpha), grouped so that its rounding is not
+        # amplified by the 1/(p-1) in the mapped beta and tau
+        vartheta=(p - 1.0) * m - (4.0 * sigma + alpha),
         tau=m / 2.0 - beta,
     )
 

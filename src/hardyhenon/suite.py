@@ -279,7 +279,7 @@ def criterion_8_exponent_suite() -> CriterionResult:
     alpha = rng.uniform(-3.0, 3.0, size=N)
     p = rng.uniform(1.01, 6.0, size=N)
     m = n - 2.0 * sigma
-    v = p * m - (n + 2.0 * sigma + alpha)
+    v = (p - 1.0) * m - (4.0 * sigma + alpha)  # as in derive_exponents
     beta = (2.0 * sigma + alpha) / (p - 1.0)
 
     sides = _biconditionals(n, sigma, alpha, p, v)

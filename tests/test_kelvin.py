@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardyhenon.fraclap import power_profile
 from hardyhenon.kelvin import (
@@ -96,6 +96,10 @@ class TestExponentMap:
 
     @settings(max_examples=300, deadline=None)
     @given(params=valid_params)
+    # p near 1, where rounding in vartheta is amplified by 1/(p-1)
+    @example(params=validate_params(4, 0.1748456287916173, -0.33203125, 1.01))
+    @example(params=validate_params(5, 0.02, 0.02, 1.0234375))
+    @example(params=validate_params(3, 0.7965598661920834, -1.578125, 1.015625))
     def test_multiplier_argument_negates(self, params):
         d = derive_exponents(params)
         d_mapped = derive_exponents(kelvin_exponent(params).mapped)
