@@ -1,6 +1,6 @@
 """Closed-form constants of the fractional Hardy-Henon problem.
 
-Everything here is a Gamma-function expression evaluated in log space:
+Everything here is a log-space expression in the C library's Gamma:
 the power-law multiplier ``lambda_multiplier``, the singular-solution
 amplitude ``singular_constant``, the extension flux constant
 ``kappa_sigma``, the Poisson and hypersingular kernel normalizers, and
@@ -10,6 +10,7 @@ the classical second-order limit constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .params import ProblemParams, derive_exponents
@@ -27,28 +28,6 @@ __all__ = [
     "classical_limit_constant",
     "unit_sphere_area",
 ]
-
-# Lanczos rational approximation with g = 607/128.  Good for ~1e-15
-# relative accuracy of Gamma itself on the positive axis in doubles.
-_LANCZOS_G_PLUS_HALF = 5.24218750000000000
-_LANCZOS_SER0 = 0.999999999999997092
-_LANCZOS_COEF = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-_SQRT_TWO_PI = 2.5066282746310005
 
 
 @dataclass(frozen=True)
@@ -69,79 +48,25 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_abs)
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    # Dekker split; no fma in pure Python
-    p = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _log_refined(s: float) -> tuple[float, float]:
-    """log(s) as a (hi, lo) pair; one exp-based Newton correction removes the
-    rounding of the library log, which otherwise scales with the argument of
-    the Lanczos shift term."""
-    hi = math.log(s)
-    lo = math.log1p(s / math.exp(hi) - 1.0)
-    return hi, lo
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    # valid for x >= 0.5; the (x+1/2) log(x+g+1/2) - (x+g+1/2) combination
-    # cancels, so it is accumulated in compensated arithmetic to keep the
-    # reconstructed Gamma within 1e-13 relative up to the overflow edge
-    shift = x + _LANCZOS_G_PLUS_HALF
-    log_hi, log_lo = _log_refined(shift)
-    prod, prod_err = _two_prod(x + 0.5, log_hi)
-    prod_err += (x + 0.5) * log_lo
-    lead, lead_err = _two_sum(prod, -shift)
-    ser = _LANCZOS_SER0
-    y = x
-    for c in _LANCZOS_COEF:
-        y += 1.0
-        ser += c / y
-    rest = math.log(_SQRT_TWO_PI * ser / x)
-    return lead + (lead_err + prod_err + rest)
-
-
-def _log_abs_sin_pi(x: float) -> tuple[float, int]:
-    """log|sin(pi x)| and its sign, with argument reduction at integers."""
-    m = round(x)
-    f = x - m
-    s = math.sin(math.pi * f)  # exact zero only when x is an integer
-    sign = 1 if s > 0 else -1
-    if m % 2 != 0:
-        sign = -sign
-    return math.log(abs(s)), sign
-
-
 def log_gamma_signed(x: float) -> SignedLogValue:
     """Gamma(x) as a signed log value, defined for every real x.
 
-    Arguments below 1/2 go through the reflection identity
-    Gamma(x) Gamma(1-x) = pi / sin(pi x), which also produces the sign on
-    the negative axis.  Nonpositive integers return a pole marker.
+    log|math.gamma(x)| and its sign where Gamma(x) is a normal double;
+    elsewhere (x > 171.62, x < -171, next to a pole) math.lgamma(x), with
+    the sign from the parity of floor(x).  Nonpositive integers are poles.
     """
     if math.isnan(x):
         raise ValueError("log_gamma_signed: argument is NaN")
     if x <= 0.0 and x == math.floor(x):
         return SignedLogValue(log_abs=math.inf, sign=1, pole=True)
-    if x >= 0.5:
-        return SignedLogValue(log_abs=_lanczos_log_gamma(x), sign=1)
-    log_sin, sin_sign = _log_abs_sin_pi(x)
-    log_abs = math.log(math.pi) - log_sin - _lanczos_log_gamma(1.0 - x)
-    return SignedLogValue(log_abs=log_abs, sign=sin_sign)
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        g = math.inf
+    if sys.float_info.min <= abs(g) < math.inf:
+        return SignedLogValue(log_abs=math.log(abs(g)), sign=1 if g > 0.0 else -1)
+    sign = -1 if x < 0.0 and math.floor(x) % 2 else 1
+    return SignedLogValue(log_abs=math.lgamma(x), sign=sign)
 
 
 @dataclass(frozen=True)
@@ -199,7 +124,8 @@ def singular_constant(params: ProblemParams) -> float:
 
     Requires alpha > -2 sigma and p above the Serrin-type exponent, so that
     the singular rate beta lies in (0, n-2 sigma) and the multiplier at
-    tau = (n-2 sigma)/2 - beta is strictly positive.
+    tau = (n-2 sigma)/2 - beta is strictly positive.  A C that is not a
+    normal double raises ValueError naming the overflow or underflow.
     """
     d = derive_exponents(params)
     if not params.alpha > -2.0 * params.sigma:
@@ -213,6 +139,13 @@ def singular_constant(params: ProblemParams) -> float:
             f"threshold={d.serrin}"
         )
     lam = lambda_multiplier_detailed(d.tau, params.n, params.sigma)
+    log_c = lam.log_abs / (params.p - 1.0)
+    if not math.log(sys.float_info.min) <= log_c < math.log(sys.float_info.max):
+        flow = "overflows" if log_c > 0.0 else "underflows"
+        raise ValueError(
+            f"singular_constant {flow}: log C = log(Lambda)/(p-1) = {log_c:.6g} is outside "
+            "the logs of the normal doubles"
+        )
     return lam.value ** (1.0 / (params.p - 1.0))
 
 

@@ -222,6 +222,30 @@ class TestKelvinCommand:
         assert res["constant_invariance_rel"] < 1e-12
 
 
+# C = Lambda^{1/(p-1)} leaves the doubles when p is near 1: log C = 1264 at the
+# first point and -1170 at the second
+AMPLITUDE_OUT_OF_RANGE = {
+    "overflow": ["--n", "7", "--sigma", "0.9171138422611018", "--alpha", "-1.8299003669778384",
+                 "--p", "1.0012244109248665"],
+    "underflow": ["--n", "3", "--sigma", "0.5446343189057535", "--alpha", "-1.0889930466790765",
+                  "--p", "1.0008979929178867"],
+}
+
+
+class TestAmplitudeOutOfRange:
+    @pytest.mark.parametrize("flow", AMPLITUDE_OUT_OF_RANGE)
+    @pytest.mark.parametrize("command, key, note", [
+        ("constants", "C_p_sigma_alpha", "C_note"),
+        ("kelvin", "constant_invariance_rel", "invariance_note"),
+    ])
+    def test_named_in_a_valid_report(self, capsys, flow, command, key, note):
+        code, rep = run_json(capsys, [command, *AMPLITUDE_OUT_OF_RANGE[flow]])
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0
+        assert rep["results"][key] is None
+        assert rep["results"][note].startswith(f"singular_constant {flow}s")
+
+
 class TestElapsed:
     @pytest.mark.parametrize("argv, code", [
         (["extend", *QUAD, "2", "--grid", "9x17"], 0),

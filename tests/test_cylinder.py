@@ -110,14 +110,14 @@ FALLBACK = {
     # |J1| L / 2 = 10 > log(1e4) = 9.2
     "long_window": (
         CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326978430398373, 8.624550352708035e-08, 6.533305170018006e-09],
-        "9360cfa299668802542a270536addce7de171505097715c856032338e7631b30",
+        [0.013326978430398373, 8.624550359050702e-08, 6.533305160100944e-09],
+        "0906abe4904d08c4a3ee2df4f285a85ee91b05d723a66113859b71971166db57",
     ),
     # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
     "coarse_axis": (
         CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326978430398373, 4.638825915992402e-08, 7.556422328737974e-10],
-        "c47806ec9dd55caf812090ec7fee40fd3341074c4cfbe65f001e79626ab6ed9d",
+        [0.013326978430398373, 4.638825914101147e-08, 7.556422989279677e-10],
+        "70044defc7e7f887f8c7a0a87a718e968a0ff86da248a0e42512a5a62f912811",
     ),
 }
 

@@ -252,18 +252,18 @@ class TestCellWeights:
 # of the solve, of the psi operator's fitted weights and of the exact profile
 PINNED_ENERGY = {
     (3, 0.5, 0.0, 1.8): [
-        (-0.30310754522725875, 0.001112358068442354),
-        (-0.29875198312094947, 0.007641559633653168),
-        (-0.2895157330748659, 0.000688154649390438),
-        (-0.24058084406884775, 0.036314638044449246),
-        (-0.22764310771339574, 0.0048481701587246755),
+        (-0.3031075452272754, 0.0011123580684536292),
+        (-0.2987519831209647, 0.007641559633629287),
+        (-0.28951573307496353, 0.0006881546493953279),
+        (-0.24058084406872973, 0.03631463804443251),
+        (-0.22764310771333862, 0.004848170158753106),
     ],
     (4, 0.75, 0.0, 5.0 / 3.0): [
-        (-0.15041509609545492, 0.00023148369466764797),
-        (-0.1499411689552174, 0.00035519058268559364),
-        (-0.14827323858969063, 0.0008109452535889073),
-        (-0.1454435317518037, 0.000693191390690487),
-        (-0.144951783380074, 0.0028701541755518454),
+        (-0.15041509609575796, 0.00023148369435806214),
+        (-0.1499411689558994, 0.00035519058222559675),
+        (-0.14827323859188005, 0.0008109452526016774),
+        (-0.14544353175660066, 0.0006931913899092885),
+        (-0.14495178338535802, 0.002870154174066249),
     ],
 }
 

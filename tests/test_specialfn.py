@@ -1,7 +1,8 @@
-"""Closed-form constants against independent oracles (stdlib gamma, algebra)."""
+"""Closed-form constants against independent oracles (40-digit mpmath, algebra)."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,13 @@ from hardyhenon.specialfn import (
 from hardyhenon.params import validate_params
 
 
+def ref_gamma(x):
+    """Gamma(x), log|Gamma(x)| and the sign of Gamma(x) from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        g = mpmath.gamma(mpmath.mpf(float(x)))
+        return float(g), float(mpmath.log(abs(g))), (1 if g > 0 else -1)
+
+
 class TestLogGamma:
     def test_factorials(self):
         for k, want in [(1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0), (8, 5040.0)]:
@@ -31,31 +39,44 @@ class TestLogGamma:
         assert log_gamma_signed(1.5).value() == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
 
     def test_reflection_negative_half(self):
-        # oracle: Gamma(x) Gamma(1-x) = pi / sin(pi x) at x = -1/2
-        want = math.pi / (math.sin(-0.5 * math.pi) * math.gamma(1.5))
+        want = -2.0 * math.sqrt(math.pi)  # Gamma(-1/2)
         got = log_gamma_signed(-0.5)
         assert got.sign == -1
         assert got.value() == pytest.approx(want, rel=1e-13)
 
-    def test_accuracy_against_stdlib(self):
-        # independent oracle: math.gamma / math.lgamma
+    def test_accuracy_against_mpmath(self):
         xs = np.concatenate([
             np.geomspace(1e-3, 0.4, 60),
             np.linspace(0.5, 170.0, 400),
         ])
         for x in xs:
             mine = log_gamma_signed(float(x))
-            assert mine.sign == 1
-            assert mine.log_abs == pytest.approx(math.lgamma(x), abs=1e-13 * max(1.0, abs(math.lgamma(x))))
+            value, want, sign = ref_gamma(x)
+            assert mine.sign == sign == 1
+            assert mine.log_abs == pytest.approx(want, abs=1e-13 * max(1.0, abs(want)))
             if x <= 170.0:
-                assert mine.value() == pytest.approx(math.gamma(x), rel=1e-13)
+                assert mine.value() == pytest.approx(value, rel=1e-13)
 
     def test_negative_axis_signs(self):
         for x in (-0.25, -1.3, -2.7, -5.5):
             got = log_gamma_signed(x)
-            want = math.gamma(x)
+            want = ref_gamma(x)[0]
             assert got.sign == (1 if want > 0 else -1)
             assert got.value() == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("xs", [
+        # past the overflow of Gamma at 171.62
+        np.concatenate([np.linspace(171.62, 1e4, 60), np.geomspace(171.62, 1e4, 40)]),
+        # below -171, where Gamma underflows: the sign alternates with floor(x)
+        np.concatenate([np.arange(-171.5, -190.0, -1.0) + 0.25, np.linspace(-9999.5, -171.3, 61)]),
+    ], ids=["large", "negative-underflow"])
+    def test_outside_the_double_range_of_gamma(self, xs):
+        # math.gamma cannot represent Gamma here; log|Gamma| holds to 3 ulp
+        for x in xs:
+            mine = log_gamma_signed(float(x))
+            _, want, sign = ref_gamma(x)
+            assert mine.sign == sign
+            assert abs(mine.log_abs - want) <= 3 * math.ulp(want)
 
     def test_poles_flagged(self):
         for x in (0.0, -1.0, -2.0, -17.0):
@@ -144,6 +165,15 @@ class TestSingularConstant:
             singular_constant(validate_params(3, 0.5, -1.2, 2.0))
         with pytest.raises(ValueError, match="p > "):
             singular_constant(validate_params(3, 0.5, 0.0, 1.2))
+
+    @pytest.mark.parametrize("n, sigma, alpha, p, flow", [
+        (7, 0.9171138422611018, -1.8299003669778384, 1.0012244109248665, "overflows"),
+        (3, 0.5446343189057535, -1.0889930466790765, 1.0008979929178867, "underflows"),
+    ])
+    def test_out_of_range_amplitude_is_named(self, n, sigma, alpha, p, flow):
+        # log C = log(Lambda)/(p-1) is 1264 and -1170: beyond the normal doubles
+        with pytest.raises(ValueError, match=f"singular_constant {flow}"):
+            singular_constant(validate_params(n, sigma, alpha, p))
 
     def test_positive_whenever_rate_is_admissible(self):
         rng = np.random.default_rng(7)
