@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -350,7 +351,14 @@ def _add_params(sp):
     sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent (> 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+
+    Each call returns the same parser, shared by every ``run`` in the
+    process: callers must not mutate it.  Its ``fn`` defaults, the
+    ``_cmd_*`` handlers, are bound when it is first built.
+    """
     ap = argparse.ArgumentParser(
         prog="hardyhenon",
         description="Numerical verification of singular solutions of fractional "

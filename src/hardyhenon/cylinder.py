@@ -16,22 +16,27 @@ solved exactly by fast diagonalization in s (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964) with the flux rows folded back through a capacitance matrix
 (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); sparse LU
 takes the steps of grids where that diagonalization is unstable.
+
+scipy (``scipy.sparse``, ``scipy.sparse.linalg``, ``scipy.linalg`` and its
+``lapack``) is imported inside ``_assemble_linear``, ``_separable_step`` and
+``solve_cylinder_pde``, so ``import hardyhenon`` does not load it: only a
+cylinder solve pays for it, at its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .extension import FowlerField, _half_sphere_operator, exact_sphere_profile
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes",
            "solve_cylinder_pde", "solve_end_perturbed"]
@@ -104,6 +109,8 @@ def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray)
     (E), the psi operator on every interior axial row (D_int), and the
     Dirichlet end rows are identity rows.
     """
+    import scipy.sparse as sp
+
     n, sigma = params.n, params.sigma
     ns, npsi = grid.n_s, grid.n_psi
 
@@ -128,7 +135,7 @@ def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray)
 
 
 def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
-                    A: sp.csr_matrix, row_scale: np.ndarray):
+                    A: scipy.sparse.csr_matrix, row_scale: np.ndarray):
     """Exact Newton-step solver for the Jacobian A + diag(d), or None where it is unstable.
 
     With the Dirichlet rows moved to the right-hand side, the m = n_s - 2
@@ -149,6 +156,9 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
     (lo up <= 0), its growth r^m exceeds _MAX_SIMILARITY_GROWTH, or some
     M_j is singular.
     """
+    import scipy.linalg as sla
+    import scipy.linalg.lapack as lapack
+
     lo, diag, up = _axial_stencil(params, grid)
     ns, npsi = grid.n_s, grid.n_psi
     m = ns - 2
@@ -249,6 +259,9 @@ def solve_cylinder_pde(
     iteration; taking a rising step there ends in a field 156% off phi that
     passes the residual test.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
     boundary_left = np.asarray(boundary_left, dtype=float)

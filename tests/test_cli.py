@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -10,9 +13,8 @@ import pytest
 
 from hardyhenon.cli import build_parser, run, serialize_report
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 
 
 # a length-3.5 window is Dirichlet-resonant for this configuration: Newton
@@ -308,3 +310,42 @@ class TestSolverDivergence:
         history = rep["results"]["residual_history"]
         assert len(history) == rep["results"]["iterations"] + 1
         assert history[-1] == rep["results"]["residual_norm"] > 1e-8
+
+
+def without_elapsed(stdout: str) -> list[str]:
+    """The lines of a printed report but its "elapsed" one."""
+    return [line for line in stdout.splitlines() if not line.startswith('  "elapsed":')]
+
+
+class TestStartUp:
+    def test_import_loads_no_sparse_or_dense_solver(self):
+        # only a cylinder solve needs scipy.sparse and scipy.linalg, and it
+        # imports them itself
+        code = ("import json, sys, hardyhenon, hardyhenon.cli; print(json.dumps(sorted("
+                "m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg')))))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_one_parser_serves_every_run(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        classify = ["classify", *QUAD, "2"]
+        assert run(classify) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--n", "3", "--sigma", "abc", "--alpha", "0", "--p", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        path = tmp_path / "field.csv"
+        assert run(["extend", *QUAD, "2", "--grid", "9x9", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text().startswith("r,psi,value\n")
+        assert run(classify) == 0
+        again = capsys.readouterr()
+        assert again.err == first.err == ""
+        assert without_elapsed(again.out) == without_elapsed(first.out)
+        assert len(without_elapsed(first.out)) == len(first.out.splitlines()) - 1
