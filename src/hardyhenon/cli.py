@@ -379,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radii", default="0.5,1,2", help="comma list of radii")
     sp.add_argument("--tol-fall", type=float, default=acceptance.FALL_TOL)
     sp.add_argument("--nodes-radial", type=int, default=DEFAULT_CONFIG.nodes_radial)
-    sp.add_argument("--nodes-angular", type=int, default=DEFAULT_CONFIG.nodes_angular)
+    sp.add_argument(
+        "--nodes-angular", type=int, default=DEFAULT_CONFIG.nodes_angular,
+        help="nodes of the angular rules, which serve sphere-integral rows with "
+        "c0 < 6q; farther rows are summed by their 2F1 series, whatever the count",
+    )
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_verify_lemma)
 

@@ -127,7 +127,10 @@ class QuadratureConfig:
     """Node counts and the far cutoff for the radial quadratures.
 
     ``nodes_radial`` and ``nodes_angular`` are the node counts of each radial
-    zone and of the angular rule.  ``tail_cutoff`` is the multiple of the
+    zone and of the angular rules.  The angular node count governs only
+    sphere-integral rows with c0 < 6 q; rows at and beyond that offset are
+    summed by their 2F1 series (see ``quadrature``), so halving the nodes
+    leaves them as they are.  ``tail_cutoff`` is the multiple of the
     evaluation radius beyond which the asserted power-law tail is integrated
     in closed form, by the PV operator and the extension alike.
     """

@@ -105,19 +105,20 @@ class TestLineSearch:
 # Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
 # Newton solver: the residual history and a SHA-256 digest of the field's
 # bytes.  Both also record the rounding of the psi operator's fitted weights
-# and of the exact profile, so a change to either re-records them.
+# and of the exact profile (hence of the angular sphere integral), so a
+# change to any of them re-records them.
 FALLBACK = {
     # |J1| L / 2 = 10 > log(1e4) = 9.2
     "long_window": (
         CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326978430398373, 8.624550359050702e-08, 6.533305160100944e-09],
-        "0906abe4904d08c4a3ee2df4f285a85ee91b05d723a66113859b71971166db57",
+        [0.013326978430398373, 8.624550348062737e-08, 6.533305156718742e-09],
+        "c9eb28e831095a0ef1df675d4a4c4675bf30d38effd14f6286be23d51eec6105",
     ),
     # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
     "coarse_axis": (
         CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326978430398373, 4.638825914101147e-08, 7.556422989279677e-10],
-        "70044defc7e7f887f8c7a0a87a718e968a0ff86da248a0e42512a5a62f912811",
+        [0.013326978430398373, 4.638825919783891e-08, 7.556422837033975e-10],
+        "8a52f9aeced53fca47e6958175413b9b454bf3ba40ac01fc57cc355c06e4275f",
     ),
 }
 

@@ -1,8 +1,10 @@
 """Angular sphere integrals against adaptive quadrature in the polar angle,
-and the closed-form far-field tail of the radial quadratures."""
+their 2F1 series against mpmath, and the closed-form far-field tail of the
+radial quadratures."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,12 +13,13 @@ from hardyhenon import quadrature
 from hardyhenon.extension import neumann_flux, poisson_extend_radial
 from hardyhenon.fraclap import QuadratureConfig, frac_laplacian_radial, power_profile
 from hardyhenon.params import derive_exponents, validate_params
-from hardyhenon.quadrature import _BLOCK_ROWS, angular_flux_kernel, angular_kernel
+from hardyhenon.quadrature import _BLOCK_ROWS, _hyp2f1_series, angular_flux_kernel, angular_kernel
 from hardyhenon.specialfn import singular_constant, unit_sphere_area
 from hardyhenon.suite import FALL_TUPLES
 
 N_NODES = 64  # the default angular node count of QuadratureConfig
-RATIOS = (1e-8, 1e-4, 0.1, 0.3, 2.0)  # c0/q on both sides of the spike switch
+# c0/q on both sides of the spike switch (0.25) and of the series switch (6)
+RATIOS = (1e-8, 1e-4, 0.1, 0.3, 2.0, 6.0 * (1.0 - 1e-12), 6.0, 50.0, 1e4, 1e8)
 # n = 4, 6, 10 take the exponent 1, 2, 4 paths of the spike weight (4 s2 (1 - s2))^{(n-2)/2}
 CASES = [(n, sigma) for n in (2, 3, 4, 5, 6, 10) for sigma in (0.25, 0.5, 0.75)]
 
@@ -64,11 +67,26 @@ def test_angular_flux_kernel(n, sigma):
         assert got == pytest.approx(want, rel=1e-12), (c0, q)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("sigma", [0.05, 0.5, 0.95])
+def test_hyp2f1_series_against_mpmath(n, sigma):
+    """The series rows' 2F1(mu/2, mu/2 + 1/2; n/2; z) up to the switch's z = 1/16,
+    at the exponents the two kernels use: m/2, m/2 + 1, and m/2 + 2 with n + 2
+    (the flux's cos g moment)."""
+    m = n + 2.0 * sigma
+    z = np.array([0.0, 1.0 / 32.0, 1.0 / 16.0])
+    for dim, mu in ((n, m / 2.0), (n, m / 2.0 + 1.0), (n + 2, m / 2.0 + 2.0)):
+        got = _hyp2f1_series(dim, mu, z)
+        with mpmath.workdps(40):
+            want = [float(mpmath.hyp2f1(mu / 2.0, mu / 2.0 + 0.5, dim / 2.0, x)) for x in z]
+        assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (dim, mu)
+
+
 def mixed_rows(count, seed=5):
-    """Offsets across the spike switch, flat rows and q = 0 rows, shuffled."""
+    """Offsets across the spike switch, flat rows, series rows and q = 0 rows, shuffled."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.1, 3.0, count)
-    c0 = q * 10.0 ** rng.uniform(-10.0, 1.0, count)
+    c0 = q * 10.0 ** rng.uniform(-10.0, 3.0, count)
     q[rng.random(count) < 0.05] = 0.0
     return c0, q, c0 * rng.uniform(0.0, 1.0, count)
 
