@@ -25,6 +25,7 @@ from .fraclap import (
 )
 from .params import ProblemParams, derive_exponents
 from .quadrature import (
+    _hyp2f1_series,
     _power_tail,
     angular_kernel,
     angular_flux_kernel,
@@ -32,7 +33,13 @@ from .quadrature import (
     log_zone_nodes,
     tail_moment_coefficient,
 )
-from .specialfn import kappa_sigma, poisson_normalizer, singular_constant, unit_sphere_area
+from .specialfn import (
+    kappa_sigma,
+    log_gamma_signed,
+    poisson_normalizer,
+    singular_constant,
+    unit_sphere_area,
+)
 
 __all__ = [
     "ExtensionField",
@@ -293,43 +300,55 @@ def fowler_unmap(field: FowlerField, tag: str = "cylinder_solved") -> ExtensionF
     )
 
 
-def exact_sphere_profile(
-    params: ProblemParams,
-    psi_grid: np.ndarray,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> SphereProfile:
-    """Angular profile of the exact singular solution on the unit half-sphere.
+def _profile_connection(params: ProblemParams) -> tuple[float, float, float, float]:
+    """a, b, A and B/A of the profile's connection formula (DLMF 15.10.21).
 
-    Interior angles are evaluated by extension quadrature of the exact trace,
-    all in one batch.  The boundary value is the constant V0 of the local
-    model V0 + c sin^{2 sigma} psi + e sin^2 psi through psi = 1, 2 and 4
-    milliradians, so matching the closed-form amplitude is a genuine
-    quadrature check.  Every psi = 0 entry takes the boundary value; angles
-    outside [0, pi/2] raise ValueError.
+    With a = beta/2, b = (m - beta)/2 and m = n - 2 sigma,
+    F(a, b; n/2; 1 - x) = A F(a, b; 1 - sigma; x) + B x^sigma F(a + sigma, b + sigma; 1 + sigma; x),
+    where A = G(sigma) G(n/2) / (G(a + sigma) G(b + sigma)) > 0 and
+    B = G(-sigma) G(n/2) / (G(a) G(b)) < 0.
     """
     n, sigma = params.n, params.sigma
-    trace = power_profile(derive_exponents(params).beta, singular_constant(params))
+    beta = derive_exponents(params).beta
+    a, b = beta / 2.0, (n - 2.0 * sigma - beta) / 2.0
+    g = [log_gamma_signed(x).log_abs for x in (sigma, -sigma, a, b, a + sigma, b + sigma, n / 2.0)]
+    A = math.exp(g[0] + g[6] - g[4] - g[5])
+    return a, b, A, -math.exp(g[1] + g[4] + g[5] - g[0] - g[2] - g[3])
+
+
+def exact_sphere_profile(params: ProblemParams, psi_grid: np.ndarray) -> SphereProfile:
+    """Angular profile of the exact singular solution on the unit half-sphere.
+
+    In x = sin^2 psi the profile equation is hypergeometric, and the
+    solution regular at the pole with phi(0) = C is (C/A) F(a, b; n/2; cos^2 psi)
+    (``_profile_connection``).  For x <= 1/2 it is summed in the connection
+    form C [F(a, b; 1 - sigma; x) + (B/A) x^sigma F(a + sigma, b + sigma; 1 + sigma; x)],
+    beyond that directly; every series has positive terms and an argument of
+    at most 1/2.  The boundary value and every psi = 0 entry are C.  Angles
+    outside [0, pi/2] raise ValueError.
+    """
     psi_grid = np.asarray(psi_grid, dtype=float)
     if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
         raise ValueError("profile angles must lie in [0, pi/2]")
-    inside = psi_grid > 0.0
-    edge = np.array([1e-3, 2e-3, 4e-3])
-    psi = np.concatenate([psi_grid[inside], edge])
-    values = _poisson_values(trace, np.ones_like(psi), psi, n, sigma, cfg)
-    boundary = float(_power_fit(np.sin(edge), (0.0, 2.0 * sigma, 2.0))[0] @ values[-len(edge):])
-    phi = np.full_like(psi_grid, boundary)
-    phi[inside] = values[:-len(edge)]
-    return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=boundary)
+    sigma, C = params.sigma, singular_constant(params)
+    a, b, A, B_over_A = _profile_connection(params)
+    x = np.sin(psi_grid) ** 2
+    edge = x <= 0.5
+    xe = x[edge]
+    phi = np.empty_like(psi_grid)
+    phi[edge] = C * (_hyp2f1_series(a, b, 1.0 - sigma, xe, 0.5) + B_over_A * xe ** sigma
+                     * _hyp2f1_series(a + sigma, b + sigma, 1.0 + sigma, xe, 0.5))
+    phi[~edge] = C / A * _hyp2f1_series(a, b, params.n / 2.0, np.cos(psi_grid[~edge]) ** 2, 0.5)
+    return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=C)
 
 
 def exact_extension_field(
     params: ProblemParams,
     r_grid: np.ndarray,
     psi_grid: np.ndarray,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ExtensionField:
     """Extension of the exact singular solution, built from its homogeneity."""
-    profile = exact_sphere_profile(params, psi_grid, cfg)
+    profile = exact_sphere_profile(params, psi_grid)
     beta = derive_exponents(params).beta
     r_grid = np.asarray(r_grid, dtype=float)
     values = r_grid[:, None] ** (-beta) * profile.phi[None, :]
@@ -337,6 +356,14 @@ def exact_extension_field(
         r_grid=r_grid, psi_grid=np.asarray(psi_grid, float), values=values,
         params=params, representation_tag="exact_homogeneous",
     )
+
+
+def _profile_quadrature(params: ProblemParams, psi: np.ndarray,
+                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The exact solution's extension at (1, psi), psi > 0, by Poisson quadrature
+    of its trace: the independent check of ``exact_sphere_profile``."""
+    trace = power_profile(derive_exponents(params).beta, singular_constant(params))
+    return _poisson_values(trace, np.ones_like(psi), psi, params.n, params.sigma, cfg)
 
 
 def _three_point_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

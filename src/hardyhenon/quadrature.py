@@ -16,7 +16,10 @@ z = (2 q / a)^2 <= 1/16,
     int_{S^{n-1}} (a - 2 q cos g)^{-mu} dw
         = |S^{n-1}| a^{-mu} 2F1(mu/2, mu/2 + 1/2; n/2; z),
 
-whose Taylor series in z is cut where its terms fall below 2^-54.
+whose Taylor series in z is cut where its terms fall below 2^-54.  The
+same cached Horner series ``_hyp2f1_series`` sums the closed-form sphere
+profile of the exact solution (``extension.exact_sphere_profile``), with
+arguments up to 1/2.
 """
 
 from __future__ import annotations
@@ -84,31 +87,38 @@ def _angular_rule(n: int, n_nodes: int) -> _AngularRule:
     return _AngularRule(*tables, unit_sphere_area(n - 1), unit_sphere_area(n))
 
 
-@lru_cache(maxsize=64)
-def _hyp2f1_coefficients(n: int, mu: float) -> tuple[float, ...]:
-    """Taylor coefficients of 2F1(mu/2, mu/2 + 1/2; n/2; z), every one whose
-    term at z = _SERIES_Z_MAX is at least 2^-54 (the rest sum to below
-    1.1 * 2^-54, as their ratio is about z)."""
-    a, b, c = mu / 2.0, mu / 2.0 + 0.5, n / 2.0
+@lru_cache(maxsize=256)
+def _hyp2f1_coefficients(a: float, b: float, c: float, z_max: float) -> tuple[float, ...]:
+    """Taylor coefficients of 2F1(a, b; c; z), every one whose term at
+    z = z_max is at least 2^-54.  With a, b, c > 0 the terms are positive
+    and their ratio tends to z, so the rest sum to below about
+    2^-54 / (1 - z_max)."""
     coefs = [1.0]
     k = 0
     while True:
         coef = coefs[-1] * (a + k) * (b + k) / ((c + k) * (k + 1))
         k += 1
-        if coef * _SERIES_Z_MAX ** k < 2.0 ** -54:
+        if coef * z_max ** k < 2.0 ** -54:
             return tuple(coefs)
         coefs.append(coef)
 
 
-def _hyp2f1_series(n: int, mu: float, z: np.ndarray) -> np.ndarray:
-    """2F1(mu/2, mu/2 + 1/2; n/2; z) for 0 <= z <= _SERIES_Z_MAX, by Horner's
+def _hyp2f1_series(a: float, b: float, c: float, z: np.ndarray,
+                   z_max: float = _SERIES_Z_MAX) -> np.ndarray:
+    """2F1(a, b; c; z) for 0 <= z <= z_max < 1 and a, b, c > 0, by Horner's
     rule; every term is positive, so the sum keeps its relative accuracy."""
-    coefs = _hyp2f1_coefficients(n, mu)
+    coefs = _hyp2f1_coefficients(a, b, c, z_max)
     f = np.full(z.shape, coefs[-1])
     for coef in coefs[-2::-1]:
         f *= z
         f += coef
     return f
+
+
+def _sphere_mean_series(n: int, mu: float, z: np.ndarray) -> np.ndarray:
+    """2F1(mu/2, mu/2 + 1/2; n/2; z) for z <= _SERIES_Z_MAX: the sphere mean
+    of a series row, (a - 2 q cos g)^{-mu} = a^{-mu} (1 - x cos g)^{-mu}."""
+    return _hyp2f1_series(mu / 2.0, mu / 2.0 + 0.5, n / 2.0, z)
 
 
 def _blocks(rows: np.ndarray):
@@ -208,7 +218,7 @@ def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
         return D
 
     def series(a, z):
-        return a ** (-m / 2.0) * _hyp2f1_series(n, m / 2.0, z)
+        return a ** (-m / 2.0) * _sphere_mean_series(n, m / 2.0, z)
 
     return _sphere_integral(c0, q, n, n_nodes, integrand, series)
 
@@ -252,8 +262,8 @@ def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
     def series(a, z, t2):
         mean = 2.0 * sigma * (a - t2) - n * t2
         mean /= a
-        mean *= _hyp2f1_series(n, nu, z)
-        mean -= 2.0 * sigma * nu / n * z * _hyp2f1_series(n + 2, nu + 1.0, z)
+        mean *= _sphere_mean_series(n, nu, z)
+        mean -= 2.0 * sigma * nu / n * z * _sphere_mean_series(n + 2, nu + 1.0, z)
         mean *= a ** (-m / 2.0)
         return mean
 

@@ -28,6 +28,7 @@ from .extension import (
     BARRIER_PSI,
     FowlerField,
     _barrier_ladder,
+    _profile_quadrature,
     exact_extension_field,
     exact_sphere_profile,
 )
@@ -172,7 +173,8 @@ def criterion_4_classical_limit() -> CriterionResult:
 
 @_timed
 def criterion_5_exact_energy() -> CriterionResult:
-    """Constancy and closed-form value of the energy on the exact solution."""
+    """Constancy and closed-form value of the energy on the exact solution, and
+    its closed-form profile against the Poisson quadrature of its trace."""
     params = validate_params(3, 0.5, 0.0, 2.0)
     C = singular_constant(params)
     target = kappa_sigma(0.5) * (1.0 / 3.0 - 0.5) * C ** 3 * unit_sphere_area(3)
@@ -184,9 +186,13 @@ def criterion_5_exact_energy() -> CriterionResult:
     energies = np.array([energy_halfsphere(fld, r, params) for r in sample[:: len(sample) // 16]])
     drift = float((energies.max() - energies.min()) / abs(target))
     value_err = float(np.max(np.abs(energies - target)) / abs(target))
-    passed = drift < 1e-3 and value_err < 1e-3
+    inside = psi[psi > 0.0]
+    phi = exact_sphere_profile(params, inside).phi
+    miss = float(np.max(np.abs(_profile_quadrature(params, inside) / phi - 1.0)))
+    passed = drift < 1e-3 and value_err < 1e-3 and miss < 1e-6
     return CriterionResult(5, "exact-solution energy", passed,
-                           {"target": target, "relative_drift": drift, "value_rel_error": value_err})
+                           {"target": target, "relative_drift": drift, "value_rel_error": value_err,
+                            "profile_quadrature_miss": miss})
 
 
 def _fd_budget(trace_coarse, trace_fine) -> float:

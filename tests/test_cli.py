@@ -331,6 +331,23 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
+    def test_extend_and_unperturbed_energy_load_no_scipy(self):
+        # the exact profile is a closed form, and neither command solves on
+        # the cylinder or evaluates the PV operator
+        code = ("import contextlib, io, json, sys\n"
+                "from hardyhenon.cli import run\n"
+                "q = ['--n', '3', '--sigma', '0.5', '--alpha', '0', '--p', '1.8']\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [run(['extend', *q, '--grid', '9x9']), run(['energy', *q])]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0], []]
+
     def test_one_parser_serves_every_run(self, tmp_path, capsys):
         assert build_parser() is build_parser()
         classify = ["classify", *QUAD, "2"]

@@ -105,20 +105,20 @@ class TestLineSearch:
 # Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
 # Newton solver: the residual history and a SHA-256 digest of the field's
 # bytes.  Both also record the rounding of the psi operator's fitted weights
-# and of the exact profile (hence of the angular sphere integral), so a
-# change to any of them re-records them.
+# and of the exact profile's closed form, so a change to either re-records
+# them.
 FALLBACK = {
     # |J1| L / 2 = 10 > log(1e4) = 9.2
     "long_window": (
         CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326978430398373, 8.624550348062737e-08, 6.533305156718742e-09],
-        "c9eb28e831095a0ef1df675d4a4c4675bf30d38effd14f6286be23d51eec6105",
+        [0.013326978432773695, 8.624550355000868e-08, 6.533305042552253e-09],
+        "f87f30df1fb06bd7976a22570cbc75a72d2a6a317f3b109e27531d072b9291d2",
     ),
     # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
     "coarse_axis": (
         CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326978430398373, 4.638825919783891e-08, 7.556422837033975e-10],
-        "8a52f9aeced53fca47e6958175413b9b454bf3ba40ac01fc57cc355c06e4275f",
+        [0.013326978432773695, 4.638825908315827e-08, 7.556421457429062e-10],
+        "1cffa7f299e4c5ce667b0c5bfffe04e10043753666fee4fd87e3fef79d3c63db",
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,8 @@ from hardyhenon.extension import (
     FowlerField,
     _edge_model,
     _power_fit,
+    _profile_connection,
+    _profile_quadrature,
     _three_point_weights,
     exact_extension_field,
     exact_sphere_profile,
@@ -23,7 +26,7 @@ from hardyhenon.extension import (
 )
 from hardyhenon.fraclap import RadialProfile, constant_profile, power_profile
 from hardyhenon.params import derive_exponents, validate_params
-from hardyhenon.specialfn import singular_constant
+from hardyhenon.specialfn import kappa_sigma, singular_constant
 
 P352 = validate_params(3, 0.5, 0.0, 2.0)
 
@@ -148,8 +151,8 @@ class TestSphereProfile:
         assert profile.boundary_value == pytest.approx(C, rel=1e-4)
 
     def test_regression_values(self, profile):
-        assert profile.boundary_value == pytest.approx(0.6366197702193874, rel=1e-13)
-        want = {1: 0.6364643944204206, 32: 0.5168042071219443, 64: 0.4052847345693513}
+        assert profile.boundary_value == pytest.approx(2.0 / math.pi, rel=1e-13)
+        want = {1: 0.6364643944204207, 32: 0.5168042071219421, 64: 0.4052847345693512}
         for j, phi in want.items():
             assert profile.phi[j] == pytest.approx(phi, rel=1e-13), j
 
@@ -157,12 +160,12 @@ class TestSphereProfile:
     def test_batch_matches_one_point_extension(self, sigma):
         m = 3.0 - 2.0 * sigma
         params = validate_params(3, sigma, 0.0, 0.5 * (3.0 / m + (3.0 + 2.0 * sigma) / m))
-        psi = psi_nodes(CylinderGrid(n_psi=17))
-        phi = exact_sphere_profile(params, psi).phi
+        psi = psi_nodes(CylinderGrid(n_psi=17))[1:]
+        batch = _profile_quadrature(params, psi)
         trace = exact_trace(params)
-        for j in np.flatnonzero(psi > 0.0):
-            one = poisson_extend_radial(trace, (1.0, psi[j]), params.n, sigma)
-            assert abs(phi[j] - one) <= 1e-15 * abs(one), (sigma, psi[j])
+        for j, angle in enumerate(psi):
+            one = poisson_extend_radial(trace, (1.0, angle), params.n, sigma)
+            assert abs(batch[j] - one) <= 1e-15 * abs(one), (sigma, angle)
 
     def test_every_boundary_angle_takes_the_boundary_value(self):
         prof = exact_sphere_profile(P352, np.array([0.3, 0.0, 0.6]))
@@ -201,15 +204,76 @@ class TestSphereProfile:
         assert res.interior_max == pytest.approx(J2 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("quad,interior,boundary", [
-        ((3, 0.5, 0.0, 2.0), 0.00017406310343376363, 0.0008887758133879871),
-        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056724285044, 0.003979815654545114),
+        ((3, 0.5, 0.0, 2.0), 0.00017406310354722843, 0.0008887825561042972),
+        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056815195656, 0.003979815950423537),
     ], ids=["sigma_half", "sigma_three_quarters"])  # ids that survive a re-recording
     def test_regression_residuals(self, quad, interior, boundary):
-        # recorded on the default grid, with the three-sample boundary limit
+        # recorded on the default grid, with the closed-form profile
         params = validate_params(*quad)
         res = verify_sphere_ode(exact_sphere_profile(params, psi_nodes(CylinderGrid())), params)
         assert res.interior_max == pytest.approx(interior, rel=1e-6)
         assert res.boundary_rel == pytest.approx(boundary, rel=1e-6)
+
+
+def sweep(n):
+    """(n, sigma, 0, p) with beta/m = .1, .5 and .9 for each sigma of the sweep."""
+    for sigma in (0.05, 0.3, 0.45, 0.5, 0.55, 0.75, 0.95):
+        m = n - 2.0 * sigma
+        for ratio in (0.1, 0.5, 0.9):
+            yield validate_params(n, sigma, 0.0, 1.0 + 2.0 * sigma / (ratio * m))
+
+
+def mpmath_profile(params, psi):
+    """phi / C = G(a + s) G(b + s) / (G(s) G(n/2)) F(a, b; n/2; cos^2 psi) at 40 digits."""
+    with mpmath.workdps(40):
+        n, s = mpmath.mpf(params.n), mpmath.mpf(params.sigma)
+        beta = (2 * s + mpmath.mpf(params.alpha)) / (mpmath.mpf(params.p) - 1)
+        a, b = beta / 2, (n - 2 * s - beta) / 2
+        k = mpmath.gamma(a + s) * mpmath.gamma(b + s) / (mpmath.gamma(s) * mpmath.gamma(n / 2))
+        return np.array([float(k * mpmath.hyp2f1(a, b, n / 2, mpmath.cos(mpmath.mpf(x)) ** 2))
+                         for x in psi])
+
+
+class TestClosedFormProfile:
+    """The closed form of exact_sphere_profile against mpmath, the flux
+    condition and the Poisson quadrature of the exact trace."""
+
+    QUARTER = math.pi / 4.0  # x = sin^2 psi = 1/2, where the two forms meet
+    ANGLES = np.array([0.0, 1e-12, 1e-6, 1e-3, np.nextafter(QUARTER, 0.0), QUARTER,
+                       np.nextafter(QUARTER, 1.0), math.pi / 2.0])
+
+    def test_angles_straddle_the_seam(self):
+        x = np.sin(self.ANGLES[4:7]) ** 2
+        assert x[1] <= 0.5 < x[2]
+
+    @pytest.mark.parametrize("n,bound", [(2, 1e-13), (3, 1e-13), (5, 1e-13), (10, 1e-11)])
+    def test_matches_mpmath(self, n, bound):
+        # measured at most 2.1e-15, 2.9e-15, 3.9e-14 and 4.6e-12
+        for params in sweep(n):
+            prof = exact_sphere_profile(params, self.ANGLES)
+            assert prof.phi[0] == prof.boundary_value == singular_constant(params)
+            want = mpmath_profile(params, self.ANGLES)
+            err = np.max(np.abs(prof.phi / prof.boundary_value - want) / want)
+            assert err <= bound, (params, err)
+
+    @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 1.8), (3, 0.45, 0.0, 1.8), (4, 0.75, 0.0, 5.0 / 3.0),
+                                      (3, 0.3, 0.0, 1.6), (2, 0.3, 0.2, 3.0), (5, 0.6, -0.3, 1.5)])
+    def test_flux_identity(self, quad):
+        # the sin^{2 sigma} coefficient C B/A of the edge expansion meets the
+        # nonlinear flux condition -2 sigma c = kappa_sigma C^p
+        params = validate_params(*quad)
+        C = singular_constant(params)
+        flux = -2.0 * params.sigma * C * _profile_connection(params)[3]
+        assert flux == pytest.approx(kappa_sigma(params.sigma) * C ** params.p, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_poisson_quadrature_agrees(self, n):
+        # measured at most 4.0e-12 over the sweep
+        psi = psi_nodes(CylinderGrid())[1:]
+        for params in sweep(n):
+            phi = exact_sphere_profile(params, psi).phi
+            err = np.max(np.abs(_profile_quadrature(params, psi) / phi - 1.0))
+            assert err <= 1e-6, (params, err)
 
 
 class TestPowerFit:

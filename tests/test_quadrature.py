@@ -13,7 +13,7 @@ from hardyhenon import quadrature
 from hardyhenon.extension import neumann_flux, poisson_extend_radial
 from hardyhenon.fraclap import QuadratureConfig, frac_laplacian_radial, power_profile
 from hardyhenon.params import derive_exponents, validate_params
-from hardyhenon.quadrature import _BLOCK_ROWS, _hyp2f1_series, angular_flux_kernel, angular_kernel
+from hardyhenon.quadrature import _BLOCK_ROWS, _sphere_mean_series, angular_flux_kernel, angular_kernel
 from hardyhenon.specialfn import singular_constant, unit_sphere_area
 from hardyhenon.suite import FALL_TUPLES
 
@@ -76,7 +76,7 @@ def test_hyp2f1_series_against_mpmath(n, sigma):
     m = n + 2.0 * sigma
     z = np.array([0.0, 1.0 / 32.0, 1.0 / 16.0])
     for dim, mu in ((n, m / 2.0), (n, m / 2.0 + 1.0), (n + 2, m / 2.0 + 2.0)):
-        got = _hyp2f1_series(dim, mu, z)
+        got = _sphere_mean_series(dim, mu, z)
         with mpmath.workdps(40):
             want = [float(mpmath.hyp2f1(mu / 2.0, mu / 2.0 + 0.5, dim / 2.0, x)) for x in z]
         assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (dim, mu)
