@@ -316,16 +316,27 @@ def _profile_connection(params: ProblemParams) -> tuple[float, float, float, flo
     return a, b, A, -math.exp(g[1] + g[4] + g[5] - g[0] - g[2] - g[3])
 
 
+#: A point with x = sin^2 psi <= 1/2 is summed in the connection form while
+#: its first series exceeds phi / C by at most this factor (the second term
+#: is negative, so this bounds the cancellation), and below
+#: _PROFILE_X_FLOOR in any case; all others take the direct series.
+_PROFILE_CANCELLATION = 8.0
+#: Direct series reach at most z = cos^2 psi = 15/16: 300-550 terms for n <= 10.
+_PROFILE_X_FLOOR = 1.0 / 16.0
+
+
 def exact_sphere_profile(params: ProblemParams, psi_grid: np.ndarray) -> SphereProfile:
     """Angular profile of the exact singular solution on the unit half-sphere.
 
     In x = sin^2 psi the profile equation is hypergeometric, and the
     solution regular at the pole with phi(0) = C is (C/A) F(a, b; n/2; cos^2 psi)
-    (``_profile_connection``).  For x <= 1/2 it is summed in the connection
+    (``_profile_connection``).  Near the edge it is summed in the connection
     form C [F(a, b; 1 - sigma; x) + (B/A) x^sigma F(a + sigma, b + sigma; 1 + sigma; x)],
-    beyond that directly; every series has positive terms and an argument of
-    at most 1/2.  The boundary value and every psi = 0 entry are C.  Angles
-    outside [0, pi/2] raise ValueError.
+    whose two terms have opposite signs; where they cancel by more than
+    _PROFILE_CANCELLATION, and wherever x > 1/2, the direct series is summed
+    instead, with a cut point z_max = 1 - 2^-k just above its largest argument.
+    Every series has positive terms.  The boundary value and every psi = 0
+    entry are C.  Angles outside [0, pi/2] raise ValueError.
     """
     psi_grid = np.asarray(psi_grid, dtype=float)
     if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
@@ -333,12 +344,19 @@ def exact_sphere_profile(params: ProblemParams, psi_grid: np.ndarray) -> SphereP
     sigma, C = params.sigma, singular_constant(params)
     a, b, A, B_over_A = _profile_connection(params)
     x = np.sin(psi_grid) ** 2
-    edge = x <= 0.5
+    edge = np.flatnonzero(x <= 0.5)
     xe = x[edge]
+    first = _hyp2f1_series(a, b, 1.0 - sigma, xe, 0.5)
+    conn = first + B_over_A * xe ** sigma * _hyp2f1_series(
+        a + sigma, b + sigma, 1.0 + sigma, xe, 0.5)
     phi = np.empty_like(psi_grid)
-    phi[edge] = C * (_hyp2f1_series(a, b, 1.0 - sigma, xe, 0.5) + B_over_A * xe ** sigma
-                     * _hyp2f1_series(a + sigma, b + sigma, 1.0 + sigma, xe, 0.5))
-    phi[~edge] = C / A * _hyp2f1_series(a, b, params.n / 2.0, np.cos(psi_grid[~edge]) ** 2, 0.5)
+    phi[edge] = C * conn
+    direct = x > 0.5
+    direct[edge] = (first > _PROFILE_CANCELLATION * conn) & (xe >= _PROFILE_X_FLOOR)
+    if direct.any():
+        k = min(4, max(1, math.ceil(-math.log2(x[direct].min()))))
+        phi[direct] = C / A * _hyp2f1_series(a, b, params.n / 2.0, np.cos(psi_grid[direct]) ** 2,
+                                             1.0 - 2.0 ** -k)
     return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=C)
 
 
@@ -358,12 +376,11 @@ def exact_extension_field(
     )
 
 
-def _profile_quadrature(params: ProblemParams, psi: np.ndarray,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+def _profile_quadrature(params: ProblemParams, psi: np.ndarray) -> np.ndarray:
     """The exact solution's extension at (1, psi), psi > 0, by Poisson quadrature
     of its trace: the independent check of ``exact_sphere_profile``."""
     trace = power_profile(derive_exponents(params).beta, singular_constant(params))
-    return _poisson_values(trace, np.ones_like(psi), psi, params.n, params.sigma, cfg)
+    return _poisson_values(trace, np.ones_like(psi), psi, params.n, params.sigma, DEFAULT_CONFIG)
 
 
 def _three_point_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ z = (2 q / a)^2 <= 1/16,
 whose Taylor series in z is cut where its terms fall below 2^-54.  The
 same cached Horner series ``_hyp2f1_series`` sums the closed-form sphere
 profile of the exact solution (``extension.exact_sphere_profile``), with
-arguments up to 1/2.
+arguments up to 15/16.
 """
 
 from __future__ import annotations

@@ -147,8 +147,13 @@ def profile():
 class TestSphereProfile:
 
     def test_boundary_value_matches_amplitude(self, profile):
-        C = singular_constant(P352)
-        assert profile.boundary_value == pytest.approx(C, rel=1e-4)
+        # the boundary value is C by construction; the Poisson quadrature of
+        # the exact trace must meet the closed form, edge term and all, as
+        # psi -> 0 (measured at most 5.0e-12)
+        assert profile.boundary_value == singular_constant(P352)
+        psi = np.array([1e-3, 1e-4, 1e-5, 1e-6])
+        near = exact_sphere_profile(P352, psi).phi
+        assert np.max(np.abs(_profile_quadrature(P352, psi) / near - 1.0)) <= 1e-10
 
     def test_regression_values(self, profile):
         assert profile.boundary_value == pytest.approx(2.0 / math.pi, rel=1e-13)
@@ -238,23 +243,28 @@ class TestClosedFormProfile:
     """The closed form of exact_sphere_profile against mpmath, the flux
     condition and the Poisson quadrature of the exact trace."""
 
-    QUARTER = math.pi / 4.0  # x = sin^2 psi = 1/2, where the two forms meet
-    ANGLES = np.array([0.0, 1e-12, 1e-6, 1e-3, np.nextafter(QUARTER, 0.0), QUARTER,
-                       np.nextafter(QUARTER, 1.0), math.pi / 2.0])
+    QUARTER = math.pi / 4.0  # x = sin^2 psi = 1/2, above which only the direct series is used
+    FLOOR = math.asin(0.25)  # x = 1/16, below which only the connection form is used
+    ANGLES = np.array([0.0, 1e-12, 1e-6, 1e-3, np.nextafter(FLOOR, 0.0), FLOOR,
+                       np.nextafter(FLOOR, 1.0), 0.4, np.nextafter(QUARTER, 0.0), QUARTER,
+                       np.nextafter(QUARTER, 1.0), 1.0, 1.3, math.pi / 2.0])
 
-    def test_angles_straddle_the_seam(self):
-        x = np.sin(self.ANGLES[4:7]) ** 2
-        assert x[1] <= 0.5 < x[2]
+    def test_angles_straddle_the_seams(self):
+        x = np.sin(self.ANGLES) ** 2
+        assert x[4] < 1.0 / 16.0 <= x[6]
+        assert x[9] <= 0.5 < x[10]
 
-    @pytest.mark.parametrize("n,bound", [(2, 1e-13), (3, 1e-13), (5, 1e-13), (10, 1e-11)])
-    def test_matches_mpmath(self, n, bound):
-        # measured at most 2.1e-15, 2.9e-15, 3.9e-14 and 4.6e-12
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_matches_mpmath(self, n):
+        # measured at most 2.1e-15, 2.9e-15, 8.9e-15 and 8.9e-15; summing the
+        # connection form up to x = 1/2 regardless of its cancellation read
+        # 3.9e-14 for n = 5 and 4.6e-12 for n = 10
         for params in sweep(n):
             prof = exact_sphere_profile(params, self.ANGLES)
             assert prof.phi[0] == prof.boundary_value == singular_constant(params)
             want = mpmath_profile(params, self.ANGLES)
             err = np.max(np.abs(prof.phi / prof.boundary_value - want) / want)
-            assert err <= bound, (params, err)
+            assert err <= 1e-13, (params, err)
 
     @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 1.8), (3, 0.45, 0.0, 1.8), (4, 0.75, 0.0, 5.0 / 3.0),
                                       (3, 0.3, 0.0, 1.6), (2, 0.3, 0.2, 3.0), (5, 0.6, -0.3, 1.5)])
@@ -268,7 +278,7 @@ class TestClosedFormProfile:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
     def test_poisson_quadrature_agrees(self, n):
-        # measured at most 4.0e-12 over the sweep
+        # measured at most 1.6e-14 over the sweep
         psi = psi_nodes(CylinderGrid())[1:]
         for params in sweep(n):
             phi = exact_sphere_profile(params, psi).phi
