@@ -30,7 +30,6 @@ from .fraclap import (
     QuadratureConfig,
     QuadratureError,
     power_profile,
-    constant_profile,
     combine_profiles,
     check_Lsigma_membership,
     reduced_kernel,
@@ -63,7 +62,6 @@ from .energy import (
 )
 from .kelvin import (
     KelvinMap,
-    kelvin_point_transform,
     kelvin_profile,
     kelvin_exponent,
     verify_equivalences,

@@ -381,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes-radial", type=int, default=DEFAULT_CONFIG.nodes_radial)
     sp.add_argument(
         "--nodes-angular", type=int, default=DEFAULT_CONFIG.nodes_angular,
-        help="nodes of the angular rules, which serve sphere-integral rows with "
-        "c0 < 6q; farther rows are summed by their 2F1 series, whatever the count",
+        help="nodes of the angular spike rule, which serves sphere-integral rows with "
+        "c0 < q/4; farther rows are summed by their 2F1 series, whatever the count",
     )
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_verify_lemma)

@@ -250,30 +250,29 @@ def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[f
     return float(coef[0]), float(np.max(np.abs(np.power.outer(t, exponents) @ coef - samples)))
 
 
+#: Elevations of ``neumann_flux``'s samples, in units of the boundary radius.
+_FLUX_T_SEQUENCE = 0.05 * 2.0 ** -np.arange(9.0)
+
+
 def neumann_flux(
     trace: RadialProfile,
     r: float,
     params: ProblemParams,
-    t_sequence: np.ndarray | None = None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> FluxResult:
     """Weighted Neumann flux -lim t^{1-2s} dU/dt at boundary radius r.
 
-    Samples the weighted derivative on a geometric t-sequence and removes the
+    Samples the weighted derivative at t = r _FLUX_T_SEQUENCE and removes the
     known leading corrections t^{2-2s} and t^2 by least squares.  A large fit
     residual signals a non-convergent extrapolation.
     """
     n, sigma = params.n, params.sigma
-    if t_sequence is None:
-        t_sequence = r * 0.05 * 2.0 ** (-np.arange(9, dtype=float))
-    t_sequence = np.asarray(t_sequence, dtype=float)
-    samples = _weighted_t_derivatives(
-        trace, np.full_like(t_sequence, r), t_sequence, n, sigma, cfg
-    )
-    value, resid = _extrapolate_t0(t_sequence, samples, sigma)
+    t = r * _FLUX_T_SEQUENCE
+    samples = _weighted_t_derivatives(trace, np.full_like(t, r), t, n, sigma, cfg)
+    value, resid = _extrapolate_t0(t, samples, sigma)
     return FluxResult(
         value=value,
-        t_samples=tuple(t_sequence),
+        t_samples=tuple(t),
         flux_samples=tuple(samples),
         fit_residual=resid,
     )
@@ -424,6 +423,11 @@ def _half_sphere_operator(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
     return L
 
 
+#: Nodes of ``verify_sphere_ode``'s interior check: the profile has a
+#: sin^{2s} edge at psi = 0, so nodes near the boundary are left out.
+_SPHERE_ODE_BAND = (0.15, math.pi / 2.0 - 0.05)
+
+
 @dataclass(frozen=True)
 class SphereOdeResiduals:
     """Residual norms of the homogeneous-profile equation on the half-sphere."""
@@ -433,42 +437,31 @@ class SphereOdeResiduals:
     interior_band: tuple[float, float]
 
 
-def verify_sphere_ode(
-    profile: SphereProfile,
-    params: ProblemParams,
-    interior_band: tuple[float, float] = (0.15, math.pi / 2.0 - 0.05),
-) -> SphereOdeResiduals:
-    """Finite-difference residuals of the angular equation satisfied by the profile.
+def verify_sphere_ode(profile: SphereProfile, params: ProblemParams) -> SphereOdeResiduals:
+    """Residuals of the angular equation satisfied by the profile, in the
+    cylinder solver's own psi operator L (``_half_sphere_operator``).
 
-    Interior: -(phi'' + ((1-2s) cot psi - (n-1) tan psi) phi') + J2 phi,
-    in max norm over grid nodes inside ``interior_band`` (the profile has a
-    sin^{2s} edge at psi = 0, so nodes near the boundary are excluded from
-    the second-difference check).  Boundary: the weighted normal limit
-    -2 sigma c against kappa_sigma phi(0)^p, with c the sin^{2s} coefficient
-    of a least-squares fit of phi - phi0 on 1, sin^{2s}, sin^2, sin^{2+2s}
-    and sin^4 over the nodes with psi <= 0.5.
+    Interior: -(L phi) + J2 phi, the three-point stencil of
+    -(phi'' + ((1-2s) cot psi - (n-1) tan psi) phi') + J2 phi, in max norm
+    over the nodes inside _SPHERE_ODE_BAND.  Boundary: the solver's flux row
+    (L phi)[0] = 2 sigma c, c the sin^{2s} coefficient of the edge model
+    through the first three nodes, against the nonlinear condition
+    -2 sigma c = kappa_sigma phi(0)^p, relative to its right side.  The grid
+    must start at psi = 0.
     """
     n, sigma, p = params.n, params.sigma, params.p
     J2 = derive_exponents(params).J2
     psi = profile.psi_grid
     phi = profile.phi
-    # the interior rows of the cylinder solver's psi operator
-    rows = -(_half_sphere_operator(psi, n, sigma) @ phi)[1:-1] + J2 * phi[1:-1]
-    band = (interior_band[0] <= psi[1:-1]) & (psi[1:-1] <= interior_band[1])
+    L_phi = _half_sphere_operator(psi, n, sigma) @ phi
+    rows = -L_phi[1:-1] + J2 * phi[1:-1]
+    lo, hi = _SPHERE_ODE_BAND
+    band = (lo <= psi[1:-1]) & (psi[1:-1] <= hi)
     interior = float(np.max(np.abs(rows[band]), initial=0.0))
-
-    # boundary: extract the sin^{2s} coefficient from a small-angle window
-    # fit; the window must reach past the tiniest nodes or quadrature noise
-    # in phi swamps the degenerate-term amplitude
-    phi0 = profile.boundary_value
-    mask = (psi > 0.0) & (psi <= 0.5)
-    exponents = (0.0, 2.0 * sigma, 2.0, 2.0 + 2.0 * sigma, 4.0)
-    n_b = min(len(exponents), max(2, mask.sum() - 1))
-    flux = -2.0 * sigma * (_power_fit(np.sin(psi[mask]), exponents[:n_b])[1] @ (phi[mask] - phi0))
-    target = kappa_sigma(sigma) * phi0 ** p
-    boundary = abs(flux - target) / abs(target)
+    target = kappa_sigma(sigma) * profile.boundary_value ** p
+    boundary = abs(L_phi[0] + target) / target
     return SphereOdeResiduals(
-        interior_max=interior, boundary_rel=boundary, interior_band=interior_band
+        interior_max=interior, boundary_rel=boundary, interior_band=_SPHERE_ODE_BAND
     )
 
 

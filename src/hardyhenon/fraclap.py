@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "power_profile",
-    "constant_profile",
     "combine_profiles",
     "check_Lsigma_membership",
     "reduced_kernel",
@@ -92,14 +91,6 @@ def power_profile(exponent: float, coefficient: float = 1.0) -> RadialProfile:
     )
 
 
-def constant_profile(value: float = 1.0) -> RadialProfile:
-    return RadialProfile(
-        evaluate=lambda r: np.full_like(np.asarray(r, dtype=float), value),
-        inner_exponent=0.0,
-        outer_exponent=0.0,
-    )
-
-
 def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> RadialProfile:
     """Linear combination; endpoint exponents take the dominant behavior."""
     def ev(r):
@@ -127,8 +118,8 @@ class QuadratureConfig:
     """Node counts and the far cutoff for the radial quadratures.
 
     ``nodes_radial`` and ``nodes_angular`` are the node counts of each radial
-    zone and of the angular rules.  The angular node count governs only
-    sphere-integral rows with c0 < 6 q; rows at and beyond that offset are
+    zone and of the angular spike rule.  The angular node count governs only
+    sphere-integral rows with c0 < q / 4; rows at and beyond that offset are
     summed by their 2F1 series (see ``quadrature``), so halving the nodes
     leaves them as they are.  ``tail_cutoff`` is the multiple of the
     evaluation radius beyond which the asserted power-law tail is integrated

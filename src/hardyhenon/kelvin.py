@@ -19,7 +19,6 @@ from .specialfn import singular_constant
 __all__ = [
     "KelvinMap",
     "EquivalenceCheck",
-    "kelvin_point_transform",
     "kelvin_profile",
     "kelvin_exponent",
     "verify_equivalences",
@@ -34,13 +33,6 @@ class KelvinMap:
     source: ProblemParams
     vartheta: float
     mapped: ProblemParams
-
-
-def kelvin_point_transform(u: RadialProfile, rho: float, n: int, sigma: float) -> float:
-    """Value of the inverted trace at radius rho > 0."""
-    if rho <= 0.0:
-        raise ValueError("the inversion is undefined at rho = 0")
-    return rho ** (-(n - 2.0 * sigma)) * float(u.evaluate(np.array([1.0 / rho]))[0])
 
 
 def kelvin_profile(u: RadialProfile, n: int, sigma: float) -> RadialProfile:

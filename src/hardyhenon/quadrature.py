@@ -5,21 +5,23 @@ The workhorse is the angular sphere integral
     Phi(c0, q) = int_{S^{n-1}} (c0 + 2 q (1 - cos g))^{-m/2} dw,
 
 with c0 >= 0 the squared offset between two radii (plus any elevation
-squared) and q the product of the radii.  Rows fall into three regimes by
-c0/q.  When it is small the integrand is a spike of width sqrt(c0/q) at
-g = 0; a sinh-stretched substitution resolves it uniformly down to
-machine-scale offsets.  In between, a flat Gauss-Legendre rule in g is used.
-When c0 >= 6 q (q = 0 included) the integrand barely varies over the
-sphere, and the row is summed in closed form: with a = c0 + 2 q and
-z = (2 q / a)^2 <= 1/16,
+squared) and q the product of the radii.  Rows fall into two regimes by
+c0/q.  Below 1/4 the integrand is a spike of width sqrt(c0/q) at g = 0; a
+sinh-stretched substitution resolves it uniformly down to machine-scale
+offsets.  Every other row (q = 0 included) is summed in closed form in the
+Gegenbauer radius h = q / A, where s = sqrt(c0 (c0 + 4 q)) and
+A = (c0 + 2 q + s) / 2 make D = A (1 - 2 h cos g + h^2) with
+h^2 <= _SERIES_Z_MAX = 0.3716.  Averaging the generating function of the
+Gegenbauer polynomials (DLMF 18.12.4) over the sphere, and a quadratic
+transformation (DLMF 15.8) of the result, give
 
-    int_{S^{n-1}} (a - 2 q cos g)^{-mu} dw
-        = |S^{n-1}| a^{-mu} 2F1(mu/2, mu/2 + 1/2; n/2; z),
+    int_{S^{n-1}} D^{-mu} dw = |S^{n-1}| A^{-mu} 2F1(mu, mu - n/2 + 1; n/2; h^2),
 
-whose Taylor series in z is cut where its terms fall below 2^-54.  The
-same cached Horner series ``_hyp2f1_series`` sums the closed-form sphere
-profile of the exact solution (``extension.exact_sphere_profile``), with
-arguments up to 15/16.
+whose parameters are positive for mu >= n/2, so its Taylor series in h^2
+has positive terms; it is cut where they fall below 2^-54 (38-53 terms
+for n <= 10).  The same cached Horner series ``_hyp2f1_series`` sums the
+closed-form sphere profile of the exact solution
+(``extension.exact_sphere_profile``), with arguments up to 15/16.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import numpy as np
 
 from .specialfn import unit_sphere_area
 
-#: Below this value of c0/q the sinh-stretched angular rule is used.
+#: Below this value of c0/q the sinh-stretched angular rule is used; at and
+#: above it rows are summed by the 2F1 series in h^2, which is then at most
+#: _SERIES_Z_MAX.
 _ANGULAR_SWITCH = 0.25
-#: At and above this value of c0/q rows are summed by the 2F1 series, where
-#: z = (2q / (c0 + 2q))^2 is at most _SERIES_Z_MAX = 1/16.
-_SERIES_SWITCH = 6.0
-_SERIES_Z_MAX = (2.0 / (_SERIES_SWITCH + 2.0)) ** 2
-#: Rows per block of the sphere integral.  Each call makes its (rows, nodes)
+_SERIES_Z_MAX = (2.0 / (_ANGULAR_SWITCH + 2.0
+                        + math.sqrt(_ANGULAR_SWITCH * (_ANGULAR_SWITCH + 4.0)))) ** 2
+#: Rows per block of the spike rule.  Each call makes its (rows, nodes)
 #: scratch arrays once, 256 KB each at 64 angular nodes, and every block
 #: is evaluated in them, so the memory does not grow with the batch and no
 #: block allocates.  Blocks that made their own temporaries had malloc hand
@@ -69,8 +71,6 @@ def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 class _AngularRule(NamedTuple):
     x01: np.ndarray  # Gauss-Legendre nodes on [0, 1]
     w01: np.ndarray  # and their weights
-    flat_s2: np.ndarray  # sin^2(g/2) at the flat rule's angles g = pi x01
-    flat_w: np.ndarray  # sin^{n-2} g there
     ring: float  # |S^{n-2}|
     area: float  # |S^{n-1}|, the factor of the series rows
 
@@ -79,9 +79,7 @@ class _AngularRule(NamedTuple):
 def _angular_rule(n: int, n_nodes: int) -> _AngularRule:
     """Everything in the sphere integral that depends on (n, n_nodes) only."""
     xg, wg = gauss_legendre(n_nodes)
-    x01 = (xg + 1.0) / 2.0
-    gam = math.pi * x01
-    tables = (x01, wg / 2.0, np.sin(gam / 2.0) ** 2, np.sin(gam) ** (n - 2))
+    tables = ((xg + 1.0) / 2.0, wg / 2.0)
     for a in tables:
         a.flags.writeable = False
     return _AngularRule(*tables, unit_sphere_area(n - 1), unit_sphere_area(n))
@@ -115,12 +113,6 @@ def _hyp2f1_series(a: float, b: float, c: float, z: np.ndarray,
     return f
 
 
-def _sphere_mean_series(n: int, mu: float, z: np.ndarray) -> np.ndarray:
-    """2F1(mu/2, mu/2 + 1/2; n/2; z) for z <= _SERIES_Z_MAX: the sphere mean
-    of a series row, (a - 2 q cos g)^{-mu} = a^{-mu} (1 - x cos g)^{-mu}."""
-    return _hyp2f1_series(mu / 2.0, mu / 2.0 + 0.5, n / 2.0, z)
-
-
 def _blocks(rows: np.ndarray):
     for start in range(0, len(rows), _BLOCK_ROWS):
         yield rows[start:start + _BLOCK_ROWS]
@@ -133,43 +125,32 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, series, *row_args):
     returns it, where w = sin^{n-2} g is the polar weight of the sphere and
     ``spare`` is a scratch array of D's shape; the caller multiplies w in
     first, which fixes the rounding of integrands that cancel near the spike.
-    ``series(a, z, *args)`` returns the sphere mean of f(D) on rows with
-    c0 >= _SERIES_SWITCH * q (q = 0 included), where D = a - 2 q cos g with
-    a = c0 + 2 q and z = (2 q / a)^2 <= 1/16.  c0, q and the per-row
-    ``row_args`` broadcast together; each arg reaches the integrand shaped to
-    broadcast against D, and ``series`` as a 1-D array.  Offsets with c0/q
-    below _ANGULAR_SWITCH use the sinh-stretched rule, the rest the flat rule.
+    ``series(A, s, h2, *args)`` returns the sphere mean of f(D) on rows with
+    c0 >= _ANGULAR_SWITCH * q (q = 0 included), where D = A (1 - 2 h cos g + h^2)
+    with s = sqrt(c0 (c0 + 4 q)), A = (c0 + 2 q + s) / 2 and h2 = (q / A)^2
+    <= _SERIES_Z_MAX.  c0, q and the per-row ``row_args`` broadcast together;
+    each arg reaches the integrand shaped to broadcast against D, and
+    ``series`` as a 1-D array.  The remaining rows use the sinh-stretched rule.
 
-    Rows of the two rules are evaluated in blocks of ``_BLOCK_ROWS`` in
-    scratch arrays made once per call, in place, by the same operations in
-    the same order as fresh arrays would take.  Each row is summed by itself
-    and series rows are evaluated elementwise, so a row's value does not
-    depend on the block size or the batch.
+    Spike rows are evaluated in blocks of ``_BLOCK_ROWS`` in scratch arrays
+    made once per call, in place, by the same operations in the same order as
+    fresh arrays would take.  Each row is summed by itself and series rows are
+    evaluated elementwise, so a row's value does not depend on the block size
+    or the batch.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c0, q, *row_args)))
     flat_c0, flat_q, *flat_args = (a.reshape(-1) for a in arrays)
     out = np.empty(flat_c0.shape)
     rule = _angular_rule(n, n_nodes)
-
-    far = flat_c0 >= _SERIES_SWITCH * flat_q
     spike = flat_c0 < _ANGULAR_SWITCH * flat_q
 
-    rows = np.flatnonzero(far)
-    a = flat_c0[rows] + 2.0 * flat_q[rows]
-    z = 2.0 * flat_q[rows] / a
-    z *= z
-    out[rows] = rule.area * series(a, z, *(arg[rows] for arg in flat_args))
-
-    flat_rows = np.flatnonzero(~(spike | far))
-    scratch = np.empty((2, min(_BLOCK_ROWS, flat_rows.size), n_nodes))
-    for rows in _blocks(flat_rows):
-        D, spare = scratch[:, :rows.size]
-        np.multiply(4.0 * flat_q[rows, None], rule.flat_s2, out=D)
-        D += flat_c0[rows, None]
-        f = integrand(D, rule.flat_w, spare, *(a[rows, None] for a in flat_args))
-        # a per-row sum, not f @ w01: BLAS rounds a row by how many rows share the call
-        f *= rule.w01
-        out[rows] = math.pi * f.sum(axis=1) * rule.ring
+    rows = np.flatnonzero(~spike)
+    c0s, qs = flat_c0[rows], flat_q[rows]
+    s = np.sqrt(c0s * (c0s + 4.0 * qs))
+    A = 0.5 * (c0s + 2.0 * qs + s)
+    h2 = qs / A  # q / A, not (a - s) / (2 q), which cancels when c0 >> q
+    h2 *= h2
+    out[rows] = rule.area * series(A, s, h2, *(arg[rows] for arg in flat_args))
 
     spike_rows = np.flatnonzero(spike)
     scratch = np.empty((5, min(_BLOCK_ROWS, spike_rows.size), n_nodes))
@@ -217,8 +198,8 @@ def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
         D *= w
         return D
 
-    def series(a, z):
-        return a ** (-m / 2.0) * _sphere_mean_series(n, m / 2.0, z)
+    def series(A, s, h2):
+        return A ** (-m / 2.0) * _hyp2f1_series(m / 2.0, m / 2.0 - n / 2.0 + 1.0, n / 2.0, h2)
 
     return _sphere_integral(c0, q, n, n_nodes, integrand, series)
 
@@ -229,22 +210,26 @@ def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
     R^2 = D - t^2 is the horizontal squared distance; t2 broadcasts with c0
     and q, so points at different elevations share one call.  The two terms
     cancel near t^2 = 2 sigma D / m, so they are combined before anything is
-    summed.  On the two quadrature rules that happens inside the integrand,
-    node by node.  Series rows (c0 >= 6 q) combine them in the numerator,
-    which is linear in cos g: with D = a - 2 q cos g and nu = m/2 + 1 its
-    sphere mean is
+    summed.  On the spike rule that happens inside the integrand, node by
+    node.  On series rows, with nu = m/2 + 1, the sphere means of D^{-nu} and
+    D^{1-nu} are A^{-nu} F(nu, sigma + 2; n/2) and A^{1-nu} F(nu - 1, sigma + 1; n/2),
+    writing F(a, b; c) = 2F1(a, b; c; h^2); the contiguous relation
+    F(nu - 1, sigma + 1; c) = (1 - h^2) F(nu, sigma + 2; c)
+    - (2 (sigma + 1) / c) h^2 F(nu, sigma + 2; c + 1) and s = A (1 - h^2)
+    turn the mean into
 
-        a^{-nu} ((2 sigma (a - t^2) - n t^2) F_n(nu)
-                 - 2 sigma a z (nu / n) F_{n+2}(nu + 1)),
+        A^{-nu} ((2 sigma (s - t^2) - n t^2) F(nu, sigma + 2; n/2)
+                 - (8 sigma (sigma + 1) / n) A h^2 F(nu, sigma + 2; n/2 + 1)),
 
-    where F_n(mu) = 2F1(mu/2, mu/2 + 1/2; n/2; z) and the second term comes
-    from the sphere mean of cos g (1 - x cos g)^{-nu}, which is
-    x (nu / n) F_{n+2}(nu + 1) with x = 2 q / a.  Against 40-digit mpmath on
-    n in {2, 3, 5, 10}, sigma in {.05, .15, ..., .95}, t^2 / c0 in
-    {0, 1/4, 1/2, 3/4, 1} and 201 offsets c0/q from 6 to 1e8, series rows
-    stay within 1.3e-13 relative (worst at t^2 = c0/2, next to the zero),
-    as the flat rule did there; summing 2 sigma Phi_m - m t^2 Phi_{m+2}
-    instead reached 1.4e-12.
+    where the cancelling terms share one numerator.  Against 40-digit
+    mpmath on n in {2, 3, 4, 5, 10}, sigma in {.05, .15, ..., .95}, 40
+    offsets c0/q per pair log-uniform on each of [1/4, 6) and [6, 1e8], and
+    t^2 uniform on [0, c0] or within 0.1% of the zero, series rows stay within 5.6e-15 of
+    2 sigma Phi_m + (2 sigma + n) t^2 Phi_{m+2}, the size of the two terms,
+    and the kernel within 6.7e-15 relative (1.8e-15 and 2.3e-15 for
+    c0/q < 6).  Both are set at large A by the rounding of the exponent m/2,
+    which costs log(A) ulps; so the flux takes the power A^{-m/2} and divides
+    by A, as A^{-nu} would round its exponent once more (measured 1.0e-14).
     """
     m = n + 2.0 * sigma
     nu = m / 2.0 + 1.0
@@ -259,12 +244,12 @@ def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
         D *= spare
         return D
 
-    def series(a, z, t2):
-        mean = 2.0 * sigma * (a - t2) - n * t2
-        mean /= a
-        mean *= _sphere_mean_series(n, nu, z)
-        mean -= 2.0 * sigma * nu / n * z * _sphere_mean_series(n + 2, nu + 1.0, z)
-        mean *= a ** (-m / 2.0)
+    def series(A, s, h2, t2):
+        mean = 2.0 * sigma * (s - t2) - n * t2
+        mean /= A
+        mean *= _hyp2f1_series(nu, sigma + 2.0, n / 2.0, h2)
+        mean -= 8.0 * sigma * (sigma + 1.0) / n * h2 * _hyp2f1_series(nu, sigma + 2.0, n / 2.0 + 1.0, h2)
+        mean *= A ** (-m / 2.0)
         return mean
 
     return _sphere_integral(c0, q, n, n_nodes, integrand, series, t2)

@@ -24,7 +24,7 @@ from hardyhenon.extension import (
     verify_barrier_identity,
     verify_sphere_ode,
 )
-from hardyhenon.fraclap import RadialProfile, constant_profile, power_profile
+from hardyhenon.fraclap import RadialProfile, power_profile
 from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.specialfn import kappa_sigma, singular_constant
 
@@ -45,7 +45,7 @@ class TestPoissonExtension:
     def test_constant_trace_extends_to_one(self):
         for n, sigma in ((2, 0.3), (3, 0.5), (4, 0.75)):
             for point in ((1.0, 0.3), (0.5, 1.2), (1.0, math.pi / 2.0), (1.0, 1e-3)):
-                u = poisson_extend_radial(constant_profile(1.0), point, n, sigma)
+                u = poisson_extend_radial(power_profile(0.0), point, n, sigma)
                 assert u == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneity(self):
@@ -66,7 +66,7 @@ class TestPoissonExtension:
 
     def test_boundary_angle_rejected(self):
         with pytest.raises(ValueError, match="psi = 0"):
-            poisson_extend_radial(constant_profile(), (1.0, 0.0), 3, 0.5)
+            poisson_extend_radial(power_profile(0.0), (1.0, 0.0), 3, 0.5)
 
     def test_convergence_report(self):
         from hardyhenon.fraclap import QuadratureError
@@ -88,7 +88,7 @@ class TestNeumannFlux:
         assert flux.value == pytest.approx(0.4052847863465031, rel=1e-10)
 
     def test_constant_trace_has_no_flux(self):
-        flux = neumann_flux(constant_profile(1.0), 1.0, P352)
+        flux = neumann_flux(power_profile(0.0), 1.0, P352)
         assert abs(flux.value) < 1e-8
 
     def test_flux_scales_homogeneously(self):
@@ -199,6 +199,15 @@ class TestSphereProfile:
         res = verify_sphere_ode(profile, P352)
         assert res.boundary_rel < 1e-3
 
+    @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 2.0), (4, 0.75, 0.0, 5.0 / 3.0),
+                                      (3, 0.3, 0.0, 1.6), (5, 0.6, -0.3, 1.5)])
+    def test_boundary_residual_converges(self, quad):
+        # 65 -> 129 nodes; measured about 16x on each of these tuples
+        params = validate_params(*quad)
+        coarse, fine = (verify_sphere_ode(exact_sphere_profile(params, psi_nodes(grid)), params)
+                        for grid in (CylinderGrid(), CylinderGrid().refined()))
+        assert coarse.boundary_rel >= 8.0 * fine.boundary_rel
+
     def test_constant_profile_residual_is_mass_term(self):
         from hardyhenon.extension import SphereProfile
 
@@ -209,8 +218,8 @@ class TestSphereProfile:
         assert res.interior_max == pytest.approx(J2 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("quad,interior,boundary", [
-        ((3, 0.5, 0.0, 2.0), 0.00017406310354722843, 0.0008887825561042972),
-        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056815195656, 0.003979815950423537),
+        ((3, 0.5, 0.0, 2.0), 0.00017406310354722843, 3.915195910887149e-07),
+        ((4, 0.75, 0.0, 5.0 / 3.0), 0.00010127056815195656, 1.8497831996181286e-06),
     ], ids=["sigma_half", "sigma_three_quarters"])  # ids that survive a re-recording
     def test_regression_residuals(self, quad, interior, boundary):
         # recorded on the default grid, with the closed-form profile

@@ -9,7 +9,6 @@ from hardyhenon.fraclap import (
     QuadratureError,
     check_Lsigma_membership,
     combine_profiles,
-    constant_profile,
     frac_laplacian_radial,
     power_profile,
     reduced_kernel,
@@ -31,7 +30,7 @@ class TestMembership:
     def test_constants_always_admissible(self):
         for n in (2, 3, 5):
             for sigma in (0.1, 0.5, 0.9):
-                assert check_Lsigma_membership(constant_profile(), n, sigma)
+                assert check_Lsigma_membership(power_profile(0.0), n, sigma)
 
     def test_growth_beyond_kernel_decay_rejected(self):
         assert not check_Lsigma_membership(power_profile(-1.5), 3, 0.5)  # u ~ r^{1.5}
@@ -73,7 +72,7 @@ class TestOperator:
         assert got == pytest.approx(2.0 / math.pi, rel=1e-9)
 
     def test_annihilates_constants(self):
-        prof = constant_profile(3.3)
+        prof = power_profile(0.0, 3.3)
         for r in (0.5, 1.0, 2.0):
             assert abs(frac_laplacian_radial(prof, r, P352)) < 1e-9 * 3.3
 

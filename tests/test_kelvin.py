@@ -8,7 +8,6 @@ from hardyhenon.fraclap import power_profile
 from hardyhenon.kelvin import (
     constant_invariance,
     kelvin_exponent,
-    kelvin_point_transform,
     kelvin_profile,
     verify_equivalences,
 )
@@ -54,7 +53,7 @@ class TestPointTransform:
         n, sigma, beta = 3, 0.5, 1.25
         u = power_profile(beta)
         for rho in (0.3, 1.0, 2.7):
-            got = kelvin_point_transform(u, rho, n, sigma)
+            got = kelvin_profile(u, n, sigma).evaluate(rho)
             want = rho ** (-(n - 2.0 * sigma - beta))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -71,11 +70,7 @@ class TestPointTransform:
         n, sigma = 3, 0.5
         u = power_profile(n - 2.0 * sigma)
         for rho in (0.5, 1.0, 3.0):
-            assert kelvin_point_transform(u, rho, n, sigma) == pytest.approx(1.0, rel=1e-12)
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            kelvin_point_transform(power_profile(1.0), 0.0, 3, 0.5)
+            assert kelvin_profile(u, n, sigma).evaluate(rho) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestExponentMap:

@@ -13,13 +13,19 @@ from hardyhenon import quadrature
 from hardyhenon.extension import neumann_flux, poisson_extend_radial
 from hardyhenon.fraclap import QuadratureConfig, frac_laplacian_radial, power_profile
 from hardyhenon.params import derive_exponents, validate_params
-from hardyhenon.quadrature import _BLOCK_ROWS, _sphere_mean_series, angular_flux_kernel, angular_kernel
+from hardyhenon.quadrature import (
+    _BLOCK_ROWS,
+    _SERIES_Z_MAX,
+    _hyp2f1_series,
+    angular_flux_kernel,
+    angular_kernel,
+)
 from hardyhenon.specialfn import singular_constant, unit_sphere_area
 from hardyhenon.suite import FALL_TUPLES
 
 N_NODES = 64  # the default angular node count of QuadratureConfig
-# c0/q on both sides of the spike switch (0.25) and of the series switch (6)
-RATIOS = (1e-8, 1e-4, 0.1, 0.3, 2.0, 6.0 * (1.0 - 1e-12), 6.0, 50.0, 1e4, 1e8)
+# c0/q on both sides of the switch (0.25) between the spike rule and the series
+RATIOS = (1e-8, 1e-4, 0.1, 0.25 * (1.0 - 1e-12), 0.25, 0.3, 2.0, 50.0, 1e4, 1e8)
 # n = 4, 6, 10 take the exponent 1, 2, 4 paths of the spike weight (4 s2 (1 - s2))^{(n-2)/2}
 CASES = [(n, sigma) for n in (2, 3, 4, 5, 6, 10) for sigma in (0.25, 0.5, 0.75)]
 
@@ -70,20 +76,64 @@ def test_angular_flux_kernel(n, sigma):
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.95])
 def test_hyp2f1_series_against_mpmath(n, sigma):
-    """The series rows' 2F1(mu/2, mu/2 + 1/2; n/2; z) up to the switch's z = 1/16,
-    at the exponents the two kernels use: m/2, m/2 + 1, and m/2 + 2 with n + 2
-    (the flux's cos g moment)."""
+    """The series rows' 2F1(a, b; c; h^2) up to the switch's h^2 = _SERIES_Z_MAX,
+    at the parameters the two kernels use: (m/2, sigma + 1; n/2) for the kernel,
+    (nu, sigma + 2; n/2) and (nu, sigma + 2; n/2 + 1) for the flux."""
     m = n + 2.0 * sigma
-    z = np.array([0.0, 1.0 / 32.0, 1.0 / 16.0])
-    for dim, mu in ((n, m / 2.0), (n, m / 2.0 + 1.0), (n + 2, m / 2.0 + 2.0)):
-        got = _sphere_mean_series(dim, mu, z)
+    nu = m / 2.0 + 1.0
+    h2 = np.array([0.0, _SERIES_Z_MAX / 2.0, _SERIES_Z_MAX])
+    for a, b, c in ((m / 2.0, sigma + 1.0, n / 2.0), (nu, sigma + 2.0, n / 2.0),
+                    (nu, sigma + 2.0, n / 2.0 + 1.0)):
+        got = _hyp2f1_series(a, b, c, h2)
         with mpmath.workdps(40):
-            want = [float(mpmath.hyp2f1(mu / 2.0, mu / 2.0 + 0.5, dim / 2.0, x)) for x in z]
-        assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (dim, mu)
+            want = [float(mpmath.hyp2f1(a, b, c, x)) for x in h2]
+        assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (a, b, c)
+
+
+def closed_form_reference(c0, q, t2, n, sigma):
+    """Kernel, flux and the flux's scale 2 sigma Phi_m + (2 sigma + n) t^2 Phi_{m+2}
+    at 40 digits, from the Gegenbauer closed form of each term's sphere mean."""
+    with mpmath.workdps(40):
+        c0, q, t2, sigma = (mpmath.mpf(x) for x in (c0, q, t2, sigma))
+        m = n + 2 * sigma
+        s = mpmath.sqrt(c0 * (c0 + 4 * q))
+        A = (c0 + 2 * q + s) / 2
+        h2 = (q / A) ** 2
+        half_n = mpmath.mpf(n) / 2
+        area = 2 * mpmath.pi ** half_n / mpmath.gamma(half_n)
+
+        def phi(mu):  # int_{S^{n-1}} D^{-mu} dw
+            return area * A ** -mu * mpmath.hyp2f1(mu, mu - half_n + 1, half_n, h2)
+
+        lead, tail = 2 * sigma * phi(m / 2), (2 * sigma + n) * t2 * phi(m / 2 + 1)
+        return float(phi(m / 2)), float(lead - tail), float(lead + tail)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_series_rows_against_closed_form(n):
+    """Series rows against the 40-digit closed form: c0/q log-uniform on
+    [1/4, 1e8] with the switch itself and q = 0, t^2 uniform on [0, c0] and
+    within 0.1% of the flux numerator's zero 2 sigma c0 / (2 sigma + n).  Near
+    that zero the flux's relative error measures its conditioning, so it is
+    bounded against the size of its two terms."""
+    rng = np.random.default_rng(17 + n)
+    for sigma in np.arange(0.05, 1.0, 0.1):
+        q = rng.uniform(0.1, 3.0, 24)
+        c0 = q * 10.0 ** rng.uniform(math.log10(0.25), 8.0, 24)
+        c0[0], q[-1] = 0.25 * q[0], 0.0
+        zero = 2.0 * sigma / (2.0 * sigma + n) * c0
+        t2 = np.where(np.arange(24) % 2 == 0, c0 * rng.uniform(0.0, 1.0, 24),
+                      zero * (1.0 + rng.uniform(-1e-3, 1e-3, 24)))
+        kernel = angular_kernel(c0, q, n, n + 2.0 * sigma, N_NODES)
+        flux = angular_flux_kernel(c0, q, t2, n, sigma, N_NODES)
+        for row in range(24):
+            k_ref, f_ref, scale = closed_form_reference(c0[row], q[row], t2[row], n, sigma)
+            assert abs(kernel[row] - k_ref) <= 1e-14 * k_ref, (sigma, c0[row], q[row])
+            assert abs(flux[row] - f_ref) <= 2e-14 * scale, (sigma, c0[row], q[row], t2[row])
 
 
 def mixed_rows(count, seed=5):
-    """Offsets across the spike switch, flat rows, series rows and q = 0 rows, shuffled."""
+    """Offsets on both sides of the switch, q = 0 rows among them, shuffled."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.1, 3.0, count)
     c0 = q * 10.0 ** rng.uniform(-10.0, 3.0, count)
