@@ -32,7 +32,6 @@ from .fraclap import (
     power_profile,
     combine_profiles,
     check_Lsigma_membership,
-    reduced_kernel,
     frac_laplacian_radial,
     verify_fall_identity,
 )

@@ -193,12 +193,17 @@ def _cmd_extend(args):
     r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
     field = exact_extension_field(params, r_grid, psi)
     beta = derive_exponents(params).beta
-    flux = neumann_flux(power_profile(beta, singular_constant(params)), 1.0, params)
+    C = singular_constant(params)
+    flux = neumann_flux(power_profile(beta, C), 1.0, params)
+    # (-Delta)^sigma u = C^p at r = 1, and the flux is kappa_sigma times it
+    target = kappa_sigma(params.sigma) * C ** params.p
     results = {
         "columns": ["r", "psi", "value"],
         "rows": _grid_rows(r_grid, psi, field.values),
         "boundary_amplitude": field.values[0, 0] * r_grid[0] ** beta,
         "neumann_flux_at_r1": flux.value,
+        "neumann_flux_target": target,
+        "neumann_flux_rel_error": abs(flux.value - target) / abs(target),
         "flux_fit_residual": flux.fit_residual,
     }
     violations = [] if flux.fit_residual < args.tol_flux else ["neumann_flux_fit_residual"]

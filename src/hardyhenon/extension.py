@@ -58,9 +58,6 @@ __all__ = [
     "verify_barrier_identity",
 ]
 
-_TAGS = ("poisson_evaluated", "cylinder_solved", "exact_homogeneous")
-
-
 @dataclass(frozen=True)
 class ExtensionField:
     """Sampled extension values over a (log-spaced radius) x (elevation) grid."""
@@ -69,11 +66,8 @@ class ExtensionField:
     psi_grid: np.ndarray
     values: np.ndarray  # shape (len(r_grid), len(psi_grid))
     params: ProblemParams
-    representation_tag: str
 
     def __post_init__(self) -> None:
-        if self.representation_tag not in _TAGS:
-            raise ValueError(f"unknown representation tag {self.representation_tag!r}")
         if self.values.shape != (len(self.r_grid), len(self.psi_grid)):
             raise ValueError("values shape does not match the grids")
         if np.any(self.values < 0.0):
@@ -289,13 +283,13 @@ def fowler_map(field: ExtensionField) -> FowlerField:
     )
 
 
-def fowler_unmap(field: FowlerField, tag: str = "cylinder_solved") -> ExtensionField:
+def fowler_unmap(field: FowlerField) -> ExtensionField:
     beta = derive_exponents(field.params).beta
     r = np.exp(field.s_grid)
     scale = r[:, None] ** (-beta)
     return ExtensionField(
         r_grid=r, psi_grid=field.psi_grid.copy(), values=field.values * scale,
-        params=field.params, representation_tag=tag,
+        params=field.params,
     )
 
 
@@ -371,7 +365,7 @@ def exact_extension_field(
     values = r_grid[:, None] ** (-beta) * profile.phi[None, :]
     return ExtensionField(
         r_grid=r_grid, psi_grid=np.asarray(psi_grid, float), values=values,
-        params=params, representation_tag="exact_homogeneous",
+        params=params,
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "power_profile",
     "combine_profiles",
     "check_Lsigma_membership",
-    "reduced_kernel",
     "frac_laplacian_radial",
     "verify_fall_identity",
     "FallIdentityReport",
@@ -155,24 +154,6 @@ def check_Lsigma_membership(profile: RadialProfile, n: int, sigma: float) -> boo
     -2 sigma).
     """
     return profile.inner_exponent < n and profile.outer_exponent > -2.0 * sigma
-
-
-def reduced_kernel(
-    r: float, rho: float, n: int, sigma: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """Sphere-reduced kernel K(r, rho): angular integral times rho^{n-1}.
-
-    Homogeneous of degree -1-2 sigma: K(l r, l rho) = l^{-1-2s} K(r, rho).
-    The coincidence r = rho is rejected; the caller's symmetric splitting
-    owns that limit.
-    """
-    if r <= 0.0 or rho <= 0.0:
-        raise ValueError("reduced_kernel requires positive radii")
-    if r == rho:
-        raise ValueError("reduced_kernel is singular at r == rho")
-    m = n + 2.0 * sigma
-    phi = angular_kernel((r - rho) ** 2, r * rho, n, m, cfg.nodes_angular)
-    return float(phi) * rho ** (n - 1)
 
 
 def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:

@@ -1,19 +1,25 @@
 """Shared quadrature machinery for the singular-integral and extension modules.
 
-The workhorse is the angular sphere integral
+The one integrand is a power of the squared distance between two points,
+and the workhorse is its sphere integral
 
-    Phi(c0, q) = int_{S^{n-1}} (c0 + 2 q (1 - cos g))^{-m/2} dw,
+    int_{S^{n-1}} D^{-mu} dw,    D = c0 + 2 q (1 - cos g),
 
 with c0 >= 0 the squared offset between two radii (plus any elevation
-squared) and q the product of the radii.  Rows fall into two regimes by
-c0/q.  Below 1/4 the integrand is a spike of width sqrt(c0/q) at g = 0; a
-sinh-stretched substitution resolves it uniformly down to machine-scale
-offsets.  Every other row (q = 0 included) is summed in closed form in the
-Gegenbauer radius h = q / A, where s = sqrt(c0 (c0 + 4 q)) and
-A = (c0 + 2 q + s) / 2 make D = A (1 - 2 h cos g + h^2) with
-h^2 <= _SERIES_Z_MAX = 0.3716.  Averaging the generating function of the
-Gegenbauer polynomials (DLMF 18.12.4) over the sphere, and a quadratic
-transformation (DLMF 15.8) of the result, give
+squared) and q the product of the radii.  ``angular_kernel`` is
+Phi_m = int D^{-m/2} dw; the flux kernel of the extension,
+int (2 sigma R^2 - n t^2) D^{-m/2-1} dw with R^2 = D - t^2, is
+2 sigma Phi_m - (2 sigma + n) t^2 Phi_{m+2}, so one call returns both
+moments D^{-mu} and D^{-mu-1}.
+
+Rows fall into two regimes by c0/q.  Below 1/4 the integrand is a spike of
+width sqrt(c0/q) at g = 0; a sinh-stretched substitution resolves it
+uniformly down to machine-scale offsets.  Every other row (q = 0 included)
+is summed in closed form in the Gegenbauer radius h = q / A, where
+s = sqrt(c0 (c0 + 4 q)) and A = (c0 + 2 q + s) / 2 make
+D = A (1 - 2 h cos g + h^2) with h^2 <= _SERIES_Z_MAX = 0.3716.  Averaging
+the generating function of the Gegenbauer polynomials (DLMF 18.12.4) over
+the sphere, and a quadratic transformation (DLMF 15.8) of the result, give
 
     int_{S^{n-1}} D^{-mu} dw = |S^{n-1}| A^{-mu} 2F1(mu, mu - n/2 + 1; n/2; h^2),
 
@@ -22,6 +28,10 @@ has positive terms; it is cut where they fall below 2^-54 (38-53 terms
 for n <= 10).  The same cached Horner series ``_hyp2f1_series`` sums the
 closed-form sphere profile of the exact solution
 (``extension.exact_sphere_profile``), with arguments up to 15/16.
+
+Against 40-digit mpmath (n in {2, 3, 4, 5, 10}, sigma in {.05, .15, ..., .95},
+1200 rows per regime, see tests/test_quadrature.py) Phi_m is within 6.9e-15
+relative on series rows and 1.25e-14 on spike rows.
 """
 
 from __future__ import annotations
@@ -118,29 +128,28 @@ def _blocks(rows: np.ndarray):
         yield rows[start:start + _BLOCK_ROWS]
 
 
-def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, series, *row_args):
-    """int_{S^{n-1}} f(D) dw with D = c0 + 2 q (1 - cos g).
+def _sphere_integral(c0, q, n: int, mu: float, n_nodes: int, moments: int = 1):
+    """The moments int_{S^{n-1}} D^{-mu-k} dw, k < ``moments``, with
+    D = c0 + 2 q (1 - cos g); c0 and q broadcast together, and each moment
+    is returned in their broadcast shape.
 
-    ``integrand(D, w, spare, *args)`` overwrites D with w f(D) elementwise and
-    returns it, where w = sin^{n-2} g is the polar weight of the sphere and
-    ``spare`` is a scratch array of D's shape; the caller multiplies w in
-    first, which fixes the rounding of integrands that cancel near the spike.
-    ``series(A, s, h2, *args)`` returns the sphere mean of f(D) on rows with
-    c0 >= _ANGULAR_SWITCH * q (q = 0 included), where D = A (1 - 2 h cos g + h^2)
-    with s = sqrt(c0 (c0 + 4 q)), A = (c0 + 2 q + s) / 2 and h2 = (q / A)^2
-    <= _SERIES_Z_MAX.  c0, q and the per-row ``row_args`` broadcast together;
-    each arg reaches the integrand shaped to broadcast against D, and
-    ``series`` as a 1-D array.  The remaining rows use the sinh-stretched rule.
+    Rows with c0 >= _ANGULAR_SWITCH * q (q = 0 included) are summed by the
+    closed form |S^{n-1}| A^{-mu-k} 2F1(mu + k, mu + k - n/2 + 1; n/2; h^2).
+    A^{-mu-k} is A^{-mu} divided by A once per k: a power of A rounds its
+    exponent, which costs log(A) ulps, and this way it is rounded once.
 
-    Spike rows are evaluated in blocks of ``_BLOCK_ROWS`` in scratch arrays
-    made once per call, in place, by the same operations in the same order as
-    fresh arrays would take.  Each row is summed by itself and series rows are
-    evaluated elementwise, so a row's value does not depend on the block size
-    or the batch.
+    The remaining rows use the sinh-stretched rule, in blocks of
+    ``_BLOCK_ROWS`` in scratch arrays made once per call, in place, by the
+    same operations in the same order as fresh arrays would take.  The rule
+    forms D^{-mu} w times its node weights, w = sin^{n-2} g being the polar
+    weight of the sphere, and each further moment divides that by D once
+    more.  Each row is summed by itself and series rows are evaluated
+    elementwise, so a row's value does not depend on the block size or the
+    batch.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c0, q, *row_args)))
-    flat_c0, flat_q, *flat_args = (a.reshape(-1) for a in arrays)
-    out = np.empty(flat_c0.shape)
+    arrays = np.broadcast_arrays(np.asarray(c0, dtype=float), np.asarray(q, dtype=float))
+    flat_c0, flat_q = (a.reshape(-1) for a in arrays)
+    out = np.empty((moments, flat_c0.size))
     rule = _angular_rule(n, n_nodes)
     spike = flat_c0 < _ANGULAR_SWITCH * flat_q
 
@@ -150,12 +159,16 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, series, *row_args):
     A = 0.5 * (c0s + 2.0 * qs + s)
     h2 = qs / A  # q / A, not (a - s) / (2 q), which cancels when c0 >> q
     h2 *= h2
-    out[rows] = rule.area * series(A, s, h2, *(arg[rows] for arg in flat_args))
+    power = A ** -mu
+    for k in range(moments):
+        if k:
+            power /= A
+        out[k, rows] = rule.area * (power * _hyp2f1_series(mu + k, mu + k - n / 2.0 + 1.0, n / 2.0, h2))
 
     spike_rows = np.flatnonzero(spike)
-    scratch = np.empty((5, min(_BLOCK_ROWS, spike_rows.size), n_nodes))
+    scratch = np.empty((4, min(_BLOCK_ROWS, spike_rows.size), n_nodes))
     for rows in _blocks(spike_rows):
-        xi, gam, jac, D, spare = scratch[:, :rows.size]
+        xi, gam, jac, D = scratch[:, :rows.size]
         c0s, qs = flat_c0[rows, None], flat_q[rows, None]
         delta = np.sqrt(c0s / qs)
         xi_max = np.arcsinh(math.pi / delta)
@@ -182,77 +195,46 @@ def _sphere_integral(c0, q, n: int, n_nodes: int, integrand, series, *row_args):
         w **= (n - 2) / 2.0
         np.multiply(4.0 * qs, s2, out=D)
         D += c0s
-        f = integrand(D, w, spare, *(a[rows, None] for a in flat_args))
+        f = np.power(D, -mu, out=s2)  # s2 is not needed again
+        f *= w
         f *= jac
         f *= rule.w01
-        out[rows] = f.sum(axis=1) * rule.ring
+        for k in range(moments):
+            if k:
+                f /= D
+            out[k, rows] = f.sum(axis=1) * rule.ring
 
-    return out.reshape(arrays[0].shape)
+    return tuple(moment.reshape(arrays[0].shape) for moment in out)
 
 
 def angular_kernel(c0, q, n: int, m: float, n_nodes: int):
-    """Vectorized Phi(c0, q) for exponent m; c0 and q broadcast together."""
-
-    def integrand(D, w, spare):
-        D **= -m / 2.0
-        D *= w
-        return D
-
-    def series(A, s, h2):
-        return A ** (-m / 2.0) * _hyp2f1_series(m / 2.0, m / 2.0 - n / 2.0 + 1.0, n / 2.0, h2)
-
-    return _sphere_integral(c0, q, n, n_nodes, integrand, series)
+    """Vectorized Phi_m(c0, q) = int_{S^{n-1}} D^{-m/2} dw; c0 and q broadcast together."""
+    return _sphere_integral(c0, q, n, m / 2.0, n_nodes)[0]
 
 
 def angular_flux_kernel(c0, q, t2, n: int, sigma: float, n_nodes: int):
     """Angular integral of (2 sigma R^2 - n t^2) D^{-(m+2)/2} over the sphere.
 
-    R^2 = D - t^2 is the horizontal squared distance; t2 broadcasts with c0
-    and q, so points at different elevations share one call.  The two terms
-    cancel near t^2 = 2 sigma D / m, so they are combined before anything is
-    summed.  On the spike rule that happens inside the integrand, node by
-    node.  On series rows, with nu = m/2 + 1, the sphere means of D^{-nu} and
-    D^{1-nu} are A^{-nu} F(nu, sigma + 2; n/2) and A^{1-nu} F(nu - 1, sigma + 1; n/2),
-    writing F(a, b; c) = 2F1(a, b; c; h^2); the contiguous relation
-    F(nu - 1, sigma + 1; c) = (1 - h^2) F(nu, sigma + 2; c)
-    - (2 (sigma + 1) / c) h^2 F(nu, sigma + 2; c + 1) and s = A (1 - h^2)
-    turn the mean into
+    R^2 = D - t^2 is the horizontal squared distance, so the integrand is
+    2 sigma D^{-m/2} - (2 sigma + n) t^2 D^{-m/2-1}, and the kernel is
+    2 sigma Phi_m - (2 sigma + n) t^2 Phi_{m+2}, both moments from one sphere
+    integral; t2 broadcasts with c0 and q.
 
-        A^{-nu} ((2 sigma (s - t^2) - n t^2) F(nu, sigma + 2; n/2)
-                 - (8 sigma (sigma + 1) / n) A h^2 F(nu, sigma + 2; n/2 + 1)),
-
-    where the cancelling terms share one numerator.  Against 40-digit
-    mpmath on n in {2, 3, 4, 5, 10}, sigma in {.05, .15, ..., .95}, 40
-    offsets c0/q per pair log-uniform on each of [1/4, 6) and [6, 1e8], and
-    t^2 uniform on [0, c0] or within 0.1% of the zero, series rows stay within 5.6e-15 of
-    2 sigma Phi_m + (2 sigma + n) t^2 Phi_{m+2}, the size of the two terms,
-    and the kernel within 6.7e-15 relative (1.8e-15 and 2.3e-15 for
-    c0/q < 6).  Both are set at large A by the rounding of the exponent m/2,
-    which costs log(A) ulps; so the flux takes the power A^{-m/2} and divides
-    by A, as A^{-nu} would round its exponent once more (measured 1.0e-14).
+    The two terms cancel near t^2 = 2 sigma D / m, and there the kernel's
+    relative error is the conditioning of a difference at its zero, so it is
+    measured against the size of the two terms, 2 sigma Phi_m
+    + (2 sigma + n) t^2 Phi_{m+2}: on the rows of the module docstring, with
+    t^2 uniform on [0, c0] or within 0.1% of the zero, it is within 5.0e-15
+    of that size on series rows and 9.6e-15 on spike rows.  The cancellation
+    does not reach the Neumann flux.  Its samples amplify kernel errors by
+    about t^{-2 sigma}: at (n, sigma, alpha) = (2, .75, .75), r = 1, putting
+    the 30-digit value in every kernel row moves the smallest-t samples by
+    about 1e-9 absolute (3e-8 relative), while summing the two terms in one
+    numerator, node by node, moves them by 3.8e-11.
     """
     m = n + 2.0 * sigma
-    nu = m / 2.0 + 1.0
-
-    def integrand(D, w, spare, t2):
-        # w (2 sigma (D - t2) - n t2) D^{-(m+2)/2}, one product at a time
-        np.subtract(D, t2, out=spare)
-        spare *= 2.0 * sigma
-        spare -= n * t2
-        spare *= w
-        D **= -(m + 2.0) / 2.0
-        D *= spare
-        return D
-
-    def series(A, s, h2, t2):
-        mean = 2.0 * sigma * (s - t2) - n * t2
-        mean /= A
-        mean *= _hyp2f1_series(nu, sigma + 2.0, n / 2.0, h2)
-        mean -= 8.0 * sigma * (sigma + 1.0) / n * h2 * _hyp2f1_series(nu, sigma + 2.0, n / 2.0 + 1.0, h2)
-        mean *= A ** (-m / 2.0)
-        return mean
-
-    return _sphere_integral(c0, q, n, n_nodes, integrand, series, t2)
+    phi_m, phi_m2 = _sphere_integral(c0, q, n, m / 2.0, n_nodes, moments=2)
+    return 2.0 * sigma * phi_m - (2.0 * sigma + n) * t2 * phi_m2
 
 
 def log_zone_nodes(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -103,6 +103,21 @@ class TestConstantsCommand:
         assert res["p_n_sigma"] == pytest.approx(1.0 / math.pi ** 2, rel=1e-11)
 
 
+class TestExtendCommand:
+    @pytest.mark.parametrize("p", ["1.8", "2"])
+    def test_reports_flux_miss_against_closed_form(self, capsys, p):
+        # the flux at r = 1 is kappa_sigma C^p; measured misses 8.3e-7 (p = 1.8)
+        # and 1.3e-7 (p = 2)
+        code, rep = run_json(capsys, ["extend", *QUAD, p, "--grid", "9x9"])
+        assert code == 0
+        res = rep["results"]
+        if p == "2":  # kappa_{1/2} = 1 and C = 2 / pi
+            assert res["neumann_flux_target"] == pytest.approx(4.0 / math.pi ** 2, rel=1e-11)
+        miss = abs(res["neumann_flux_at_r1"] / res["neumann_flux_target"] - 1.0)
+        assert res["neumann_flux_rel_error"] == pytest.approx(miss, rel=1e-3)
+        assert res["neumann_flux_rel_error"] < 1e-5
+
+
 class TestVerifyLemmaCommand:
     def test_passes_at_default_tolerance(self, capsys):
         code, rep = run_json(

@@ -124,7 +124,6 @@ class TestExactField:
             psi_grid=psi,
             values=lam ** beta * field.values[lo:hi, :],
             params=P352,
-            representation_tag="exact_homogeneous",
         )
         i = 96 - max(0, k)  # a mid-grid node present in both fields
         a = energy_halfsphere(shifted, float(shifted.r_grid[i]), P352)

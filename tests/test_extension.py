@@ -106,11 +106,11 @@ class TestFowler:
         r = np.exp(np.linspace(-1.0, 1.0, 21))
         psi = np.linspace(0.0, math.pi / 2.0, 17)
         vals = 1.0 + rng.random((21, 17))
-        return ExtensionField(r, psi, vals, P352, "poisson_evaluated")
+        return ExtensionField(r, psi, vals, P352)
 
     def test_round_trip(self):
         field = self._field()
-        back = fowler_unmap(fowler_map(field), tag="poisson_evaluated")
+        back = fowler_unmap(fowler_map(field))
         assert np.max(np.abs(back.values - field.values) / field.values) < 1e-12
         assert np.max(np.abs(back.r_grid - field.r_grid)) < 1e-14
 
@@ -133,10 +133,8 @@ class TestFowler:
         assert np.max(np.abs(back.values - want)) < 1e-12
 
     def test_field_validation(self):
-        with pytest.raises(ValueError, match="tag"):
-            ExtensionField(np.ones(2), np.ones(3), np.ones((2, 3)), P352, "bogus")
         with pytest.raises(ValueError, match="nonnegative"):
-            ExtensionField(np.ones(2), np.ones(3), -np.ones((2, 3)), P352, "exact_homogeneous")
+            ExtensionField(np.ones(2), np.ones(3), -np.ones((2, 3)), P352)
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,11 @@ from hardyhenon.fraclap import (
     combine_profiles,
     frac_laplacian_radial,
     power_profile,
-    reduced_kernel,
     verify_fall_identity,
 )
 from hardyhenon.params import validate_params
-from hardyhenon.specialfn import lambda_multiplier
+from hardyhenon.quadrature import angular_kernel
+from hardyhenon.specialfn import lambda_multiplier, unit_sphere_area
 
 P352 = validate_params(3, 0.5, 0.0, 2.0)
 
@@ -37,32 +37,31 @@ class TestMembership:
 
 
 class TestReducedKernel:
+    """The PV operator's kernel rho^{n-1} Phi_m((r - rho)^2, r rho), through its
+    angular factor Phi_m."""
+
+    @staticmethod
+    def phi(r, rho, n, sigma, nodes=QuadratureConfig().nodes_angular):
+        return float(angular_kernel((r - rho) ** 2, r * rho, n, n + 2.0 * sigma, nodes))
+
     def test_homogeneity(self):
         for n, sigma in ((2, 0.3), (3, 0.5), (4, 0.75)):
-            k1 = reduced_kernel(1.0, 1.7, n, sigma)
-            k2 = reduced_kernel(2.0, 3.4, n, sigma)
-            assert k2 / k1 == pytest.approx(2.0 ** (-1.0 - 2.0 * sigma), rel=1e-10)
-
-    def test_coincidence_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_kernel(1.0, 1.0, 3, 0.5)
+            k1 = self.phi(1.0, 1.7, n, sigma)
+            k2 = self.phi(2.0, 3.4, n, sigma)
+            assert k2 / k1 == pytest.approx(2.0 ** (-n - 2.0 * sigma), rel=1e-10)
 
     def test_angular_self_convergence_two_dims(self):
-        cfg_lo = QuadratureConfig(nodes_angular=32)
-        cfg_hi = QuadratureConfig(nodes_angular=64)
         for rho in (0.9, 0.999, 1.3):
-            a = reduced_kernel(1.0, rho, 2, 0.4, cfg_lo)
-            b = reduced_kernel(1.0, rho, 2, 0.4, cfg_hi)
+            a = self.phi(1.0, rho, 2, 0.4, nodes=32)
+            b = self.phi(1.0, rho, 2, 0.4, nodes=64)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_far_field_matches_tail_model(self):
-        # K ~ |S^{n-1}| rho^{-1-2s} for rho >> r
-        from hardyhenon.specialfn import unit_sphere_area
-
+        # Phi_m ~ |S^{n-1}| rho^{-m} for rho >> r
         n, sigma = 3, 0.5
         for rho in (1e3, 1e4):
-            got = reduced_kernel(1.0, rho, n, sigma)
-            want = unit_sphere_area(n) * rho ** (-1.0 - 2.0 * sigma)
+            got = self.phi(1.0, rho, n, sigma)
+            want = unit_sphere_area(n) * rho ** (-n - 2.0 * sigma)
             assert got == pytest.approx(want, rel=5e-6)
 
 

@@ -77,13 +77,11 @@ def test_angular_flux_kernel(n, sigma):
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 0.95])
 def test_hyp2f1_series_against_mpmath(n, sigma):
     """The series rows' 2F1(a, b; c; h^2) up to the switch's h^2 = _SERIES_Z_MAX,
-    at the parameters the two kernels use: (m/2, sigma + 1; n/2) for the kernel,
-    (nu, sigma + 2; n/2) and (nu, sigma + 2; n/2 + 1) for the flux."""
+    at the parameters of the two moments the kernels use,
+    (mu + k, mu + k - n/2 + 1; n/2) with mu = m/2 and k = 0, 1."""
     m = n + 2.0 * sigma
-    nu = m / 2.0 + 1.0
     h2 = np.array([0.0, _SERIES_Z_MAX / 2.0, _SERIES_Z_MAX])
-    for a, b, c in ((m / 2.0, sigma + 1.0, n / 2.0), (nu, sigma + 2.0, n / 2.0),
-                    (nu, sigma + 2.0, n / 2.0 + 1.0)):
+    for a, b, c in ((m / 2.0, sigma + 1.0, n / 2.0), (m / 2.0 + 1.0, sigma + 2.0, n / 2.0)):
         got = _hyp2f1_series(a, b, c, h2)
         with mpmath.workdps(40):
             want = [float(mpmath.hyp2f1(a, b, c, x)) for x in h2]
@@ -109,18 +107,27 @@ def closed_form_reference(c0, q, t2, n, sigma):
         return float(phi(m / 2)), float(lead - tail), float(lead + tail)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
-def test_series_rows_against_closed_form(n):
-    """Series rows against the 40-digit closed form: c0/q log-uniform on
-    [1/4, 1e8] with the switch itself and q = 0, t^2 uniform on [0, c0] and
-    within 0.1% of the flux numerator's zero 2 sigma c0 / (2 sigma + n).  Near
-    that zero the flux's relative error measures its conditioning, so it is
-    bounded against the size of its two terms."""
-    rng = np.random.default_rng(17 + n)
+#: c0/q range of each regime's rows and the bounds of the kernel's relative
+#: error and of the flux's error over its two terms' size
+REGIMES = {
+    "series": ((0.25, 1e8), 1e-14, 2e-14),
+    "spike": ((1e-10, 0.25), 3e-14, 2e-14),
+}
+
+
+def check_rows_against_closed_form(regime, n):
+    """One regime's rows against the 40-digit closed form: c0/q log-uniform on
+    the regime's range, t^2 uniform on [0, c0] and within 0.1% of the flux
+    numerator's zero 2 sigma c0 / (2 sigma + n).  Near that zero the flux's
+    relative error measures its conditioning, so it is bounded against the
+    size of its two terms."""
+    (lo, hi), kernel_tol, flux_tol = REGIMES[regime]
+    rng = np.random.default_rng(17 + n if regime == "series" else 71 + n)
     for sigma in np.arange(0.05, 1.0, 0.1):
         q = rng.uniform(0.1, 3.0, 24)
-        c0 = q * 10.0 ** rng.uniform(math.log10(0.25), 8.0, 24)
-        c0[0], q[-1] = 0.25 * q[0], 0.0
+        c0 = q * 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 24)
+        if regime == "series":  # the switch itself, and q = 0
+            c0[0], q[-1] = 0.25 * q[0], 0.0
         zero = 2.0 * sigma / (2.0 * sigma + n) * c0
         t2 = np.where(np.arange(24) % 2 == 0, c0 * rng.uniform(0.0, 1.0, 24),
                       zero * (1.0 + rng.uniform(-1e-3, 1e-3, 24)))
@@ -128,8 +135,18 @@ def test_series_rows_against_closed_form(n):
         flux = angular_flux_kernel(c0, q, t2, n, sigma, N_NODES)
         for row in range(24):
             k_ref, f_ref, scale = closed_form_reference(c0[row], q[row], t2[row], n, sigma)
-            assert abs(kernel[row] - k_ref) <= 1e-14 * k_ref, (sigma, c0[row], q[row])
-            assert abs(flux[row] - f_ref) <= 2e-14 * scale, (sigma, c0[row], q[row], t2[row])
+            assert abs(kernel[row] - k_ref) <= kernel_tol * k_ref, (sigma, c0[row], q[row])
+            assert abs(flux[row] - f_ref) <= flux_tol * scale, (sigma, c0[row], q[row], t2[row])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_series_rows_against_closed_form(n):
+    check_rows_against_closed_form("series", n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_spike_rows_against_closed_form(n):
+    check_rows_against_closed_form("spike", n)
 
 
 def mixed_rows(count, seed=5):
