@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,19 +95,28 @@ class SphereProfile:
     boundary_value: float
 
 
-def _poisson_radial_integral(trace, x, t, n, cfg, kernel):
-    """Per point, int_0^R u(rho) rho^{n-1} kernel(rho) d rho with peak-aware zones.
+class _RadialRule(NamedTuple):
+    """A radial rule for a batch of points, kernel rows in its weights."""
+
+    zones: tuple  # (points, rho, weight) per zone; rho and weight are (points, nodes)
+    rho0: np.ndarray  # per point, the upper end of the closed-form piece [0, rho0]
+    k0: np.ndarray  # per point, the kernel row at rho = 0
+
+
+def _radial_rule(x, t, n, cfg, kernel) -> _RadialRule:
+    """The rule of int_0^R u(rho) rho^{n-1} kernel(rho) d rho at each point, with peak-aware zones.
 
     ``x`` and ``t`` are 1-D arrays of points; R is ``tail_cutoff`` times the
     point's radius.  ``kernel(c0, q, t2)`` maps flat arrays of offsets
     c0 = (x-rho)^2 + t^2, products x*rho and the points' t^2 to the
-    sphere-reduced kernel; every zone of every point goes through one call.
-    Each point sums its zones in a fixed order: the spike at rho = x (only
-    when x > 0.05 |X|), the outer and the inner log zone, then [0, rho0],
-    where the asserted inner power law of the trace is used.  Returns the
-    sums and R.
+    sphere-reduced kernel; every zone of every point goes through one call,
+    and each weight is the node weight times rho^{n-1} times the kernel row.
+    The zones are, in summation order, the spike at rho = x (only when
+    x > 0.05 |X|), the outer and the inner log zone; [0, rho0] is left to
+    ``_radial_sum``.  Both kernels are homogeneous of degree -n - 2 sigma in
+    (x, t, rho), so the rule of the points l (x, t) is this one with nodes
+    l rho (see ``_radial_sum``).  The arrays are read-only.
     """
-    u = trace.evaluate
     L = np.hypot(x, t)
     R = cfg.tail_cutoff * L
     t2 = t * t
@@ -126,24 +137,42 @@ def _poisson_radial_integral(trace, x, t, n, cfg, kernel):
         on = hi > lo
         zones.append((on, *log_zone_nodes(lo[on, None], hi[on, None], cfg.nodes_radial), 1.0))
 
-    # one kernel call over every zone; the last len(x) rows are rho = 0, the
-    # [0, rho0] piece, where the kernel is constant to O((rho0/L)^2)
+    # one kernel call over every zone; the last len(x) rows are rho = 0
     parts = [(np.broadcast_to(x[on, None], rho.shape), np.broadcast_to(t2[on, None], rho.shape), rho)
              for on, rho, *_ in zones]
     parts.append((x, t2, np.zeros_like(x)))
     xf, t2f, rhof = (np.concatenate([a.ravel() for a in col]) for col in zip(*parts))
     k = kernel((xf - rhof) ** 2 + t2f, xf * rhof, t2f)
-    total = np.zeros_like(x)
+    rule = []
     start = 0
     for on, rho, w, jac in zones:
         kz = k[start:start + rho.size].reshape(rho.shape)
         start += rho.size
-        total[on] += np.sum(w * u(rho) * rho ** (n - 1) * kz * jac, axis=1)
+        rule.append((on, rho, w * rho ** (n - 1) * kz * jac))
+    k0 = k[start:]
+    for a in (rho0, k0, *(a for zone in rule for a in zone)):
+        a.flags.writeable = False
+    return _RadialRule(tuple(rule), rho0, k0)
+
+
+def _radial_sum(trace, rule: _RadialRule, n, sigma, scale=1.0) -> np.ndarray:
+    """Per point, the rule's integral of the trace at the points ``scale`` (x, t).
+
+    The zones are summed in order, then [0, rho0] is added, where the kernel
+    is constant to O((rho0/|X|)^2) and the asserted inner power law of the
+    trace is used.
+    """
+    u = trace.evaluate
+    total = np.zeros(len(rule.rho0))
+    for on, rho, weight in rule.zones:
+        total[on] += np.sum(weight * u(scale * rho), axis=1)
+    total *= scale ** (-2.0 * sigma)
 
     a = trace.inner_exponent
+    rho0 = scale * rule.rho0
     ua = u(rho0) * rho0 ** a
-    total += k[start:] * ua * rho0 ** (n - a) / (n - a)
-    return total, R
+    total += scale ** (-n - 2.0 * sigma) * rule.k0 * ua * rho0 ** (n - a) / (n - a)
+    return total
 
 
 def poisson_extend_radial(
@@ -181,12 +210,11 @@ def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
     x = r * np.cos(psi)
     t = r * np.sin(psi)
     m = n + 2.0 * sigma
-    total, R = _poisson_radial_integral(
-        trace, x, t, n, cfg,
-        lambda c0, q, t2: angular_kernel(c0, q, n, m, cfg.nodes_angular),
-    )
+    rule = _radial_rule(x, t, n, cfg, lambda c0, q, t2: angular_kernel(c0, q, n, m, cfg.nodes_angular))
+    total = _radial_sum(trace, rule, n, sigma)
 
     # power tail beyond R with the second-order far-field kernel moment
+    R = cfg.tail_cutoff * np.hypot(x, t)
     b = trace.outer_exponent
     ub = trace.evaluate(R) * R ** b
     A = tail_moment_coefficient(n, sigma, x * x, t * t)
@@ -194,18 +222,33 @@ def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
     return poisson_normalizer(n, sigma) * t ** (2.0 * sigma) * total
 
 
-def _weighted_t_derivatives(trace, x, t, n, sigma, cfg) -> np.ndarray:
-    """-t^{1-2 sigma} d/dt of the extension at the points (x, t), by differentiating the kernel."""
-    t2 = t * t
-    total, R = _poisson_radial_integral(
-        trace, x, t, n, cfg,
+#: Elevations of ``neumann_flux``'s samples, in units of the boundary radius.
+_FLUX_T_SEQUENCE = 0.05 * 2.0 ** -np.arange(9.0)
+
+
+@lru_cache(maxsize=16)
+def _flux_rule(n: int, sigma: float, cfg: QuadratureConfig) -> _RadialRule:
+    """The rule of ``neumann_flux``'s samples at boundary radius 1,
+    the points (1, _FLUX_T_SEQUENCE), with the flux kernel."""
+    t = _FLUX_T_SEQUENCE
+    return _radial_rule(
+        np.ones_like(t), t, n, cfg,
         lambda c0, q, t2: angular_flux_kernel(c0, q, t2, n, sigma, cfg.nodes_angular),
     )
 
+
+def _weighted_t_derivatives(trace, r, n, sigma, cfg) -> np.ndarray:
+    """-t^{1-2 sigma} d/dt of the extension at the points (r, r _FLUX_T_SEQUENCE),
+    by differentiating the kernel."""
+    total = _radial_sum(trace, _flux_rule(n, sigma, cfg), n, sigma, r)
+
+    t = r * _FLUX_T_SEQUENCE
+    t2 = t * t
+    R = cfg.tail_cutoff * np.hypot(r, t)
     b = trace.outer_exponent
     ub = trace.evaluate(R) * R ** b
     m = n + 2.0 * sigma
-    A = tail_moment_coefficient(n, sigma, x * x, t2)
+    A = tail_moment_coefficient(n, sigma, r * r, t2)
     total += unit_sphere_area(n) * ub * _power_tail(R, b, sigma, 2.0 * sigma, 2.0 * sigma * A - m * t2)
     return -poisson_normalizer(n, sigma) * total
 
@@ -244,10 +287,6 @@ def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[f
     return float(coef[0]), float(np.max(np.abs(np.power.outer(t, exponents) @ coef - samples)))
 
 
-#: Elevations of ``neumann_flux``'s samples, in units of the boundary radius.
-_FLUX_T_SEQUENCE = 0.05 * 2.0 ** -np.arange(9.0)
-
-
 def neumann_flux(
     trace: RadialProfile,
     r: float,
@@ -262,7 +301,7 @@ def neumann_flux(
     """
     n, sigma = params.n, params.sigma
     t = r * _FLUX_T_SEQUENCE
-    samples = _weighted_t_derivatives(trace, np.full_like(t, r), t, n, sigma, cfg)
+    samples = _weighted_t_derivatives(trace, r, n, sigma, cfg)
     value, resid = _extrapolate_t0(t, samples, sigma)
     return FluxResult(
         value=value,

@@ -3,16 +3,23 @@
 The operator on a radial function reduces to a 1-D radial integral against
 the sphere-averaged kernel.  The radial axis is split into closed-form
 power-law pieces at the origin and at infinity, log-spaced zones, and a
-symmetric principal-value zone around the evaluation radius; one kernel call
-serves every zone.  On the symmetric zone the odd part of the integrand
-cancels exactly; the remaining even part has an |s|^{1-2 sigma} edge and is
-integrated with a Gauss-Jacobi rule carrying that weight.
+symmetric principal-value zone around the evaluation radius.  On the
+symmetric zone the odd part of the integrand cancels exactly; the remaining
+even part has an |s|^{1-2 sigma} edge and is integrated with a Gauss-Jacobi
+rule carrying that weight.
+
+Every zone is a fixed multiple of the evaluation radius and the kernel is
+homogeneous, so the nodes and the kernel-carrying weights are built once per
+(n, sigma, QuadratureConfig) at r = 1, by one kernel call, and cached
+(``_pv_rule``).  An evaluation at r is then the profile at r times those
+nodes, one dot product scaled by r^{-2 sigma}, and the closed-form ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,42 +163,56 @@ def check_Lsigma_membership(profile: RadialProfile, n: int, sigma: float) -> boo
     return profile.inner_exponent < n and profile.outer_exponent > -2.0 * sigma
 
 
-def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:
-    """int_0^inf (u(r) - u(rho)) K(r, rho) d rho, with every zone's kernel from one call.
+class _PvRule(NamedTuple):
+    rho: np.ndarray  # nodes at r = 1: the pair 1 + s, 1 - s, then the log zones
+    weight: np.ndarray  # node weight x rho^{n-1} x kernel, over s^{1-2 sigma} on the pair
+    k0: float  # the kernel row at rho = 0
 
-    The symmetric zone [r(1-h), r(1+h)] is folded onto s in (0, h] with
-    rho = r(1 -+ s); the paired integrand is s^{1-2 sigma} times a smooth even
+
+@lru_cache(maxsize=64)
+def _pv_rule(n: int, sigma: float, cfg: QuadratureConfig) -> _PvRule:
+    """The radial rule of the PV operator at r = 1, kernel rows included.
+
+    The symmetric zone [1 - h, 1 + h] is folded onto s in (0, h] with
+    rho = 1 -+ s; the paired integrand is s^{1-2 sigma} times a smooth even
     function, matching the Gauss-Jacobi weight exactly.  Log zones join it to
-    _OUTER_SPLIT r, reach in to rho0 and out to R.  The last kernel row is
-    rho = 0, which gives [0, rho0] with the asserted inner power law, since
-    the kernel is constant there to O((rho0/r)^2); [R, inf) uses the asserted
-    outer power law.  The zones are summed in that order.
+    _OUTER_SPLIT, reach in to rho0 and out to R = ``tail_cutoff``.  One
+    kernel call gives every zone's rows and the row at rho = 0.  The kernel
+    is homogeneous, Phi_m(l^2 c0, l^2 q) = l^{-m} Phi_m(c0, q), so at radius
+    r the nodes are r rho and the weights scale by r^{-2 sigma}.
     """
-    u = profile.evaluate
-    ur = float(u(np.array([r]))[0])
     h = _PV_HALF_WIDTH
-    rho0 = _INNER_CUTOFF * (1.0 - h) * r
-    R = cfg.tail_cutoff * r
-
     s, w = gauss_jacobi_01(cfg.nodes_radial, 1.0 - 2.0 * sigma)
     s = s * h
-    w = w * h ** (2.0 - 2.0 * sigma)
-    # log zones in summation order: the outer gap, the inner zone, the far zone
-    lo = np.array([[(1.0 + h) * r], [rho0], [_OUTER_SPLIT * r]])
-    hi = np.array([[_OUTER_SPLIT * r], [(1.0 - h) * r], [R]])
+    w = w * h ** (2.0 - 2.0 * sigma) / s ** (1.0 - 2.0 * sigma)
+    # log zones: the outer gap, the inner zone, the far zone
+    lo = np.array([[1.0 + h], [_INNER_CUTOFF * (1.0 - h)], [_OUTER_SPLIT]])
+    hi = np.array([[_OUTER_SPLIT], [1.0 - h], [cfg.tail_cutoff]])
     rho_z, w_z = log_zone_nodes(lo, hi, cfg.nodes_radial)
-
-    # one kernel call: the pair rho = r(1 -+ s), the log zones, then rho = 0
-    rho = np.vstack([r * (1.0 + s), r * (1.0 - s), rho_z])
+    rho = np.concatenate([1.0 + s, 1.0 - s, rho_z.ravel()])
     rho_all = np.append(rho, 0.0)
-    k = angular_kernel((r - rho_all) ** 2, r * rho_all, n, n + 2.0 * sigma, cfg.nodes_angular)
-    k0 = float(k[-1])
-    (dp, dm, *d_z), (kp, km, *k_z) = ur - u(rho), rho ** (n - 1) * k[:-1].reshape(rho.shape)
-    total = float(np.sum(w * (r * (dp * kp + dm * km)) / s ** (1.0 - 2.0 * sigma)))
-    for wz, dz, kz in zip(w_z, d_z, k_z):
-        total += float(np.sum(wz * dz * kz))
+    k = angular_kernel((1.0 - rho_all) ** 2, rho_all, n, n + 2.0 * sigma, cfg.nodes_angular)
+    weight = np.concatenate([w, w, w_z.ravel()]) * rho ** (n - 1) * k[:-1]
+    for a in (rho, weight):
+        a.flags.writeable = False
+    return _PvRule(rho, weight, float(k[-1]))
 
+
+def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:
+    """int_0^inf (u(r) - u(rho)) K(r, rho) d rho by the cached rule ``_pv_rule``.
+
+    [0, rho0] uses the asserted inner power law, since the kernel is constant
+    there to O((rho0/r)^2); [R, inf) uses the asserted outer power law.
+    """
+    rule = _pv_rule(n, sigma, cfg)
+    u = profile.evaluate
+    ur = float(u(np.array([r]))[0])
+    total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.rho)))
+
+    rho0 = _INNER_CUTOFF * (1.0 - _PV_HALF_WIDTH) * r
+    R = cfg.tail_cutoff * r
     a, b = profile.inner_exponent, profile.outer_exponent
+    k0 = rule.k0 * r ** (-n - 2.0 * sigma)
     ua = float(u(np.array([rho0]))[0]) * rho0 ** a
     inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
     ub = float(u(np.array([R]))[0]) * R ** b

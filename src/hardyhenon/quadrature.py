@@ -67,14 +67,61 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _orthonormal_pass(s, diag, off, p0):
+    """Newton step p_n / p_n' and the sum of p_k^2, k < n, at the points s.
+
+    p_k are the polynomials orthonormal for the weight whose Jacobi matrix
+    has diagonal ``diag`` and off-diagonal ``off`` (with off[0] = 0 and
+    off[n] the coefficient that carries p_{n-1} to p_n), and p_0 = ``p0``:
+    s p_k = off[k+1] p_{k+1} + diag[k] p_k + off[k] p_{k-1}.
+    """
+    p_prev, p = np.zeros_like(s), np.full_like(s, p0)
+    d_prev, d = np.zeros_like(s), np.zeros_like(s)
+    total = np.zeros_like(s)
+    for k in range(len(diag)):
+        total += p * p
+        x = s - diag[k]
+        p_prev, p = p, (x * p - off[k] * p_prev) / off[k + 1]
+        d_prev, d = d, (p_prev + x * d - off[k] * d_prev) / off[k + 1]
+    return p / d, total
+
+
 @lru_cache(maxsize=64)
 def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for int_0^1 s^beta f(s) ds."""
-    from scipy.special import roots_jacobi  # deferred: only the PV zone needs it
+    """Nodes/weights for int_0^1 s^beta f(s) ds, beta > -1; read-only arrays.
 
-    x, w = roots_jacobi(n, 0.0, beta)
-    s = (x + 1.0) / 2.0
-    w = w * 0.5 ** (beta + 1.0)
+    The nodes are the eigenvalues of the Jacobi matrix of the polynomials
+    orthonormal for s^beta on [0, 1] (Golub & Welsch, Math. Comp. 23, 1969),
+    polished by two Newton steps on their three-term recurrence; the weights
+    are the Christoffel numbers 1 / sum_{k<n} p_k(s)^2 at the polished nodes.
+    Against 40-digit mpmath at n in {8, 64, 256} and beta in [-0.99, 0.99]
+    the nodes are within 1.1e-16 absolute and the weights within 3.9e-12
+    relative, largest at the ends of the interval (tests/test_quadrature.py).
+    """
+    # the recurrence of P_k^{(0, beta)}(2 s - 1), with c = 2 k + beta:
+    # off[k] = k (k + beta) / (c sqrt((c + 1)(c - 1))) and
+    # diag[k] = ((k + beta)(k + beta + 1) + k (k + 1)) / (c (c + 2)), forms
+    # without a difference, so they keep their relative accuracy as beta -> -1
+    k = np.arange(n + 1.0)
+    c = 2.0 * k + beta
+    off = np.zeros(n + 1)
+    off[1:] = k[1:] * (k[1:] + beta) / (c[1:] * np.sqrt((c[1:] + 1.0) * (c[1:] - 1.0)))
+    diag = np.empty(n)
+    diag[0] = (beta + 1.0) / (beta + 2.0)  # the k = 0 limit, also at beta = 0
+    k, c = k[1:n], c[1:n]
+    diag[1:] = ((k + beta) * (k + beta + 1.0) + k * (k + 1.0)) / (c * (c + 2.0))
+    # eigvalsh reads the lower triangle only; filling it in place keeps the
+    # transient memory to the matrix and LAPACK's copy of it
+    J = np.zeros((n, n))
+    J.flat[::n + 1] = diag
+    J.flat[n::n + 1] = off[1:n]
+    s = np.linalg.eigvalsh(J)
+    p0 = math.sqrt(beta + 1.0)  # 1 / sqrt(int_0^1 s^beta ds)
+    for _ in range(2):
+        s -= _orthonormal_pass(s, diag, off, p0)[0]
+    w = 1.0 / _orthonormal_pass(s, diag, off, p0)[1]
+    for a in (s, w):
+        a.flags.writeable = False
     return s, w
 
 

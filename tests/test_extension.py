@@ -11,6 +11,7 @@ from hardyhenon.extension import (
     ExtensionField,
     FowlerField,
     _edge_model,
+    _flux_rule,
     _power_fit,
     _profile_connection,
     _profile_quadrature,
@@ -24,7 +25,7 @@ from hardyhenon.extension import (
     verify_barrier_identity,
     verify_sphere_ode,
 )
-from hardyhenon.fraclap import RadialProfile, power_profile
+from hardyhenon.fraclap import QuadratureConfig, RadialProfile, power_profile
 from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.specialfn import kappa_sigma, singular_constant
 
@@ -90,6 +91,22 @@ class TestNeumannFlux:
     def test_constant_trace_has_no_flux(self):
         flux = neumann_flux(power_profile(0.0), 1.0, P352)
         assert abs(flux.value) < 1e-8
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        trace = exact_trace(P352)
+        _flux_rule.cache_clear()
+        cold = neumann_flux(trace, 1.3, P352)
+        neumann_flux(trace, 0.5, P352)
+        assert neumann_flux(trace, 1.3, P352) == cold
+        info = _flux_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        rule = _flux_rule(3, 0.5, QuadratureConfig())
+        arrays = [rule.rho0, rule.k0] + [a for zone in rule.zones for a in zone]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
 
     def test_flux_scales_homogeneously(self):
         params = P352

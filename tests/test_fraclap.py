@@ -7,6 +7,7 @@ import pytest
 from hardyhenon.fraclap import (
     QuadratureConfig,
     QuadratureError,
+    _pv_rule,
     check_Lsigma_membership,
     combine_profiles,
     frac_laplacian_radial,
@@ -76,12 +77,14 @@ class TestOperator:
             assert abs(frac_laplacian_radial(prof, r, P352)) < 1e-9 * 3.3
 
     def test_homogeneous_scaling(self):
-        # identical up to the quadrature's own accuracy: node placement in the
-        # log zones does not scale bit-exactly
+        # every radius uses the rule built at r = 1, with nodes r rho; what is
+        # left is the rounding of u(r) - u(rho) next to rho = r, which the
+        # cancelling odd part of the symmetric zone amplifies (2.5e-11 measured)
         prof = power_profile(0.8)
         v1 = frac_laplacian_radial(prof, 1.0, P352)
-        v2 = frac_laplacian_radial(prof, 2.0, P352)
-        assert v2 == pytest.approx(2.0 ** (-0.8 - 1.0) * v1, rel=5e-10)
+        for r in (0.5, 1.0, 2.0, 3.0):
+            got = frac_laplacian_radial(prof, r, P352)
+            assert got == pytest.approx(r ** (-0.8 - 1.0) * v1, rel=1e-10), r
 
     def test_linearity(self):
         cfg = QuadratureConfig(tail_cutoff=1e5)
@@ -111,6 +114,32 @@ class TestOperator:
         with pytest.raises(QuadratureError) as err:
             frac_laplacian_radial(power_profile(1.0), 1.0, P352, convergence_tol=1e-16)
         assert err.value.estimate > 1e-16
+
+
+class TestRuleCache:
+    """The PV operator's radial rule is built once per (n, sigma, cfg) at r = 1."""
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        prof = power_profile(0.8)
+        _pv_rule.cache_clear()
+        cold = frac_laplacian_radial(prof, 1.3, P352)
+        for r in (0.5, 2.0):
+            frac_laplacian_radial(prof, r, P352)
+        frac_laplacian_radial(prof, 1.0, validate_params(4, 0.75, -0.5, 1.9))
+        assert frac_laplacian_radial(prof, 1.3, P352) == cold
+        info = _pv_rule.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+
+    def test_halving_check_keys_its_own_rule(self):
+        _pv_rule.cache_clear()
+        frac_laplacian_radial(power_profile(1.0), 1.0, P352, convergence_tol=1e-6)
+        assert _pv_rule.cache_info().misses == 2
+
+    def test_cached_arrays_are_read_only(self):
+        rule = _pv_rule(3, 0.5, QuadratureConfig())
+        for a in (rule.rho, rule.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 class TestConfig:

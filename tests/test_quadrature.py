@@ -88,6 +88,41 @@ def test_hyp2f1_series_against_mpmath(n, sigma):
         assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (a, b, c)
 
 
+def gauss_jacobi_reference(n, beta, s):
+    """The node of the n-point rule for s^beta on [0, 1] next to s, and its
+    weight, at 40 digits: Newton's method on P_n^{(0, beta)}(2 s - 1) from s,
+    then the weight 1 / ((1 - x^2) P_n'(x)^2) at x = 2 s - 1."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+
+        def dP(x):
+            return (n + b + 1) / 2 * mpmath.jacobi(n - 1, 1, b + 1, x)
+
+        x = 2 * mpmath.mpf(s) - 1
+        for _ in range(3):
+            x -= mpmath.jacobi(n, 0, b, x) / dP(x)
+        return (x + 1) / 2, 1 / ((1 - x * x) * dP(x) ** 2)
+
+
+@pytest.mark.parametrize("beta", [-0.99, -0.9, -0.5, 0.0, 0.5, 0.99])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_gauss_jacobi_against_mpmath(n, beta):
+    """Nodes within 4e-16 absolute and weights within 1e-11 relative (measured
+    at most 1.1e-16 and 3.9e-12, the weights' largest errors at both ends)."""
+    s, w = quadrature.gauss_jacobi_01(n, beta)
+    assert np.all(np.diff(s) > 0.0) and 0.0 < s[0] and s[-1] < 1.0
+    for j in sorted({0, 1, n // 3, n // 2, n - 2, n - 1}):
+        node, weight = gauss_jacobi_reference(n, beta, s[j])
+        assert abs(float(node - s[j])) <= 4e-16, j
+        assert abs(float(weight / w[j] - 1)) <= 1e-11, j
+
+
+def test_gauss_jacobi_arrays_are_read_only():
+    for a in quadrature.gauss_jacobi_01(16, -0.5):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
 def closed_form_reference(c0, q, t2, n, sigma):
     """Kernel, flux and the flux's scale 2 sigma Phi_m + (2 sigma + n) t^2 Phi_{m+2}
     at 40 digits, from the Gegenbauer closed form of each term's sphere mean."""
