@@ -17,26 +17,26 @@ Math. 6, 1964) with the flux rows folded back through a capacitance matrix
 (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); sparse LU
 takes the steps of grids where that diagonalization is unstable.
 
-scipy (``scipy.sparse``, ``scipy.sparse.linalg``, ``scipy.linalg`` and its
-``lapack``) is imported inside ``_assemble_linear``, ``_separable_step`` and
-``solve_cylinder_pde``, so ``import hardyhenon`` does not load it: only a
-cylinder solve pays for it, at its first call.
+The constant part of the system is applied matrix-free from the axial
+stencil and the diagonals of the psi operator; only the sparse-LU fallback
+assembles it as a matrix.
+
+scipy is imported inside the functions that use it, so ``import hardyhenon``
+does not load it: the separable step loads ``scipy.linalg`` and its
+``lapack`` at a solve's first step, and only the sparse-LU fallback loads
+``scipy.sparse`` and ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .extension import FowlerField, _half_sphere_operator, exact_sphere_profile
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes",
            "solve_cylinder_pde", "solve_end_perturbed"]
@@ -101,17 +101,57 @@ def _axial_stencil(params: ProblemParams, grid: CylinderGrid) -> tuple[float, fl
             1.0 / ds ** 2 - d.J1 / (2.0 * ds))
 
 
-def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray):
-    """Constant part of the discrete system; the kappa V0^p term stays outside.
+def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
+    """Matrix-free apply of the row-scaled constant part of the discrete system.
 
-    The interior operator is separable, so the matrix is a sum of Kronecker
-    products: the axial operator T_s acts on every psi node but the flux row
-    (E), the psi operator on every interior axial row (D_int), and the
-    Dirichlet end rows are identity rows.
+    Returns ``(apply, row_scale)``: ``apply(x)`` is ``_assemble_linear``'s
+    matrix times x, formed from the axial stencil and the four diagonals of
+    the psi operator L (offsets -1 to 2; the +2 diagonal is the flux row's
+    third entry).  Each row's products are summed in the order the sparse
+    matrix stores them (columns descending), so the two round alike.
+    ``row_scale`` holds the scale of every row.
+    """
+    lo, diag, up = _axial_stencil(params, grid)
+    ns, npsi = grid.n_s, grid.n_psi
+    main = np.diagonal(L).copy()
+    main[1:] += diag  # the axial stencil acts on every psi node but the flux row
+    scale = 1.0 / np.maximum(np.abs(main), 1e-30)
+    c_main = scale * main
+    c_lo, c_up = scale[1:] * lo, scale[1:] * up
+    c_sub = scale[1:] * np.diagonal(L, -1)
+    c_sup = scale[:-1] * np.diagonal(L, 1)
+    c_sup2 = scale[0] * L[0, 2]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        V = x.reshape(ns, npsi)
+        W = V[1:-1]
+        out = V.copy()  # the Dirichlet end rows are identity rows
+        y = out[1:-1]
+        y[:, 1:] = c_up * V[2:, 1:]
+        y[:, 0] = c_sup2 * W[:, 2]
+        y[:, :-1] += c_sup * W[:, 1:]
+        y += c_main * W
+        y[:, 1:] += c_sub * W[:, :-1]
+        y[:, 1:] += c_lo * V[:-2, 1:]
+        return out.reshape(-1)
+
+    row_scale = np.ones((ns, npsi))
+    row_scale[1:-1] = scale
+    return apply, row_scale.reshape(-1)
+
+
+def _assemble_linear(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
+    """Constant part of the discrete system as a sparse matrix, with its row scales.
+
+    The kappa V0^p term stays outside.  The interior operator is separable,
+    so the matrix is a sum of Kronecker products: the axial operator T_s acts
+    on every psi node but the flux row (E), the psi operator L on every
+    interior axial row (D_int), and the Dirichlet end rows are identity
+    rows.  Only the sparse-LU steps use the matrix; every residual is
+    ``_linear_operator``'s matrix-free apply of it.
     """
     import scipy.sparse as sp
 
-    n, sigma = params.n, params.sigma
     ns, npsi = grid.n_s, grid.n_psi
 
     interior = np.ones(ns)
@@ -122,7 +162,7 @@ def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray)
     E = sp.diags(np.r_[0.0, np.ones(npsi - 1)])  # no axial part on the flux rows
     A = (
         sp.kron(T_s, E)
-        + sp.kron(D_int, sp.csr_matrix(_half_sphere_operator(psi, n, sigma)))
+        + sp.kron(D_int, sp.csr_matrix(L))
         + sp.kron(sp.identity(ns) - D_int, sp.identity(npsi))
     ).tocsr()
     # normalize rows by their diagonal so the residual is measured in solution
@@ -134,30 +174,72 @@ def _assemble_linear(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray)
     return A.tocsr(), scale
 
 
-def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
-                    A: scipy.sparse.csr_matrix, row_scale: np.ndarray):
+def _mode_solver(L: np.ndarray, lam: np.ndarray):
+    """One factorization of the psi systems M_j = L + lam_j E of all s-modes, or None.
+
+    E = diag(0, 1, ..., 1).  The flux row of every M_j is L's, which touches
+    y0, y1 and y2 only: it gives y0 = (b0 - L01 y1 - L02 y2) / L00, and
+    eliminating y0 from row 1 leaves rows 1.. tridiagonal.  The folded
+    systems are stacked block-diagonally, with zero couplings between
+    blocks, and factored by one ``dgttrf``.  The returned ``solve(Y)``
+    overwrites the (len(lam), n_psi) right-hand sides Y, row j for mode j,
+    with the solutions: one ``dgttrs``, then y0 from the flux row.  Returns
+    None when L[0, 0] = 0 or the factorization meets a zero pivot.
+    """
+    import scipy.linalg.lapack as lapack
+
+    if L[0, 0] == 0.0:
+        return None
+    m, npsi = len(lam), len(L)
+    # row 1 after the fold: (L11 + lam - g L01) y1 + (L12 - g L02) y2 = b1 - g b0
+    g = L[1, 0] / L[0, 0]
+    main = np.diagonal(L)[1:] + lam[:, None]
+    main[:, 0] -= g * L[0, 1]
+    off = np.zeros((2, m, npsi - 1))  # sub- and super-diagonal of each block, then a zero
+    off[0, :, :-1] = np.diagonal(L, -1)[1:]
+    off[1, :, :-1] = np.diagonal(L, 1)[1:]
+    off[1, :, 0] -= g * L[0, 2]
+    *factors, info = lapack.dgttrf(off[0].reshape(-1)[:-1], main.reshape(-1),
+                                   off[1].reshape(-1)[:-1])
+    if info != 0:
+        return None
+
+    def solve(Y: np.ndarray) -> None:
+        rhs = Y[:, 1:].copy()
+        rhs[:, 0] -= g * Y[:, 0]
+        Y[:, 1:] = lapack.dgttrs(*factors, rhs.reshape(-1, 1), overwrite_b=1)[0].reshape(m, npsi - 1)
+        Y[:, 0] = (Y[:, 0] - L[0, 1] * Y[:, 1] - L[0, 2] * Y[:, 2]) / L[0, 0]
+
+    return solve
+
+
+def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
+                    apply, row_scale: np.ndarray):
     """Exact Newton-step solver for the Jacobian A + diag(d), or None where it is unstable.
 
     With the Dirichlet rows moved to the right-hand side, the m = n_s - 2
-    interior rows of the unscaled system carry T (x) E + I (x) L_psi +
+    interior rows of the unscaled system carry T (x) E + I (x) L +
     diag(d) on the flux unknowns, with T the constant tridiagonal axial
-    stencil.  T = R Q Lambda Q R^-1 in closed form (Q the orthogonal sine
-    matrix, R = diag(r^(i - (m+1)/2))), so s-mode j leaves the psi system
-    M_j = lambda_j E + L_psi, banded with one sub- and two super-diagonals
-    and factored here once.  The flux terms d couple the modes; the
-    capacitance matrix G = R Q diag(g) Q R^-1, with g_j = [M_j^-1]_00, maps
-    a flux-row load to the flux values it produces.  A solve is then two
-    s-transforms, one banded solve per mode and one dense solve of I + D G.
+    stencil and L the psi operator.  T = R Q Lambda Q R^-1 in closed form
+    (Q the orthogonal sine matrix, R = diag(r^(i - (m+1)/2))), so s-mode j
+    leaves the psi system M_j = L + lambda_j E.  ``_mode_solver`` folds
+    the flux row of every M_j into its row 1 and factors all m of them as
+    one stacked tridiagonal system, so a mode-space solve is one
+    ``dgttrs``.  The flux terms d couple the modes; the capacitance matrix
+    G = R Q diag(g) Q R^-1, with g_j = [M_j^-1]_00, maps a flux-row load to
+    the flux values it produces.  A solve is then two s-transforms, one
+    stacked tridiagonal solve and one dense solve of I + D G.
 
+    ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same L.
     The returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with
-    d = kappa p V0^(p-1) on the interior flux rows, by one solve and one
-    pass of iterative refinement against A, which brings its residual down
-    to that of sparse LU.  Returns None when T has no real similarity
-    (lo up <= 0), its growth r^m exceeds _MAX_SIMILARITY_GROWTH, or some
-    M_j is singular.
+    A the row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on
+    the interior flux rows, by one solve and one pass of iterative
+    refinement against ``apply``, which brings its residual down to that of
+    sparse LU.  Returns None when T has no real similarity (lo up <= 0), its
+    growth r^m exceeds _MAX_SIMILARITY_GROWTH, L[0, 0] = 0 (the flux row
+    cannot be folded) or the stacked factorization meets a zero pivot.
     """
     import scipy.linalg as sla
-    import scipy.linalg.lapack as lapack
 
     lo, diag, up = _axial_stencil(params, grid)
     ns, npsi = grid.n_s, grid.n_psi
@@ -169,23 +251,12 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
     Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(np.arange(1, m + 1), theta))
     R = math.sqrt(lo / up) ** (np.arange(1, m + 1) - 0.5 * (m + 1))
 
-    # LAPACK band storage of M_j: entry (i, k) sits at row 3 + i - k, the
-    # top row is left for the fill-in of partial pivoting
-    L = _half_sphere_operator(psi, params.n, params.sigma)
-    band = np.zeros((5, npsi))
-    for off in range(-1, 3):
-        band[3 - off, max(off, 0):npsi + min(off, 0)] = np.diagonal(L, off)
-    e0 = np.zeros((npsi, 1))
-    e0[0] = 1.0
-    factors, Z = [], np.empty((m, npsi))
-    for j in range(m):
-        ab = band.copy()
-        ab[3, 1:] += lam[j]
-        lu, piv, info = lapack.dgbtrf(ab, 1, 2)
-        if info != 0:
-            return None
-        factors.append((lu, piv))
-        Z[j] = lapack.dgbtrs(lu, 1, 2, e0, piv)[0][:, 0]
+    mode_solve = _mode_solver(L, lam)
+    if mode_solve is None:
+        return None
+    Z = np.zeros((m, npsi))
+    Z[:, 0] = 1.0
+    mode_solve(Z)
     G = (R[:, None] * Q) @ (Z[:, :1] * Q / R[None, :])
     eye = np.eye(m)
     flux_rows = np.arange(1, ns - 1) * npsi
@@ -197,8 +268,7 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
         B[0, 1:] -= lo * out[0, 1:]
         B[-1, 1:] -= up * out[-1, 1:]
         Y = Q @ (B / R[:, None])
-        for j, (lu, piv) in enumerate(factors):
-            Y[j] = lapack.dgbtrs(lu, 1, 2, Y[j, :, None], piv)[0][:, 0]
+        mode_solve(Y)
         load = sla.lu_solve(capacitance, d * (R * (Q @ Y[:, 0])))
         Y -= (Q @ (load / R))[:, None] * Z
         out[1:-1] = R[:, None] * (Q @ Y)
@@ -209,7 +279,7 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, psi: np.ndarray,
         dvec = np.zeros(ns * npsi)
         dvec[flux_rows] = row_scale[flux_rows] * d
         x = solve(-F / row_scale, d, capacitance)
-        return x + solve((-F - A @ x - dvec * x) / row_scale, d, capacitance)
+        return x + solve((-F - apply(x) - dvec * x) / row_scale, d, capacitance)
 
     return step
 
@@ -233,16 +303,21 @@ def solve_cylinder_pde(
     history; negative iterates are projected back to a positive floor and
     reported on the result.
 
+    The psi operator is built once per solve, and every residual (the
+    Newton residual, the line search's trials, the refinement pass) applies
+    the constant part of the system matrix-free (``_linear_operator``).
     Each Newton step is a damped step along the exact solution of the
-    Jacobian system.  That system is solved by fast
-    diagonalization in s with a capacitance matrix for the flux rows plus
-    one pass of iterative refinement (``_separable_step``; the result's
-    ``linear_solver`` reads "separable").  Sparse LU (``spsolve``, "sparse_lu")
-    solves it instead when the axial stencil has no real similarity, that
-    is when |J1| ds / 2 >= 1, or when the similarity's growth
-    r^m ~ exp(|J1| L / 2) on a window of length L exceeds
-    _MAX_SIMILARITY_GROWTH = 1e4; on those grids every step is the one
-    sparse LU has always taken.  The line search halves the step length
+    Jacobian system.  That system is solved by fast diagonalization in s,
+    one stacked tridiagonal factorization of the psi systems of all
+    s-modes and a capacitance matrix for the flux rows, plus one pass of
+    iterative refinement (``_separable_step``; the result's
+    ``linear_solver`` reads "separable").  Sparse LU (``spsolve``,
+    "sparse_lu") on the assembled matrix (``_assemble_linear``) solves it
+    instead when the axial stencil has no real similarity, that is when
+    |J1| ds / 2 >= 1, or when the similarity's growth r^m ~ exp(|J1| L / 2)
+    on a window of length L exceeds _MAX_SIMILARITY_GROWTH = 1e4; on those
+    grids every step is the one sparse LU has always taken, and only they
+    load ``scipy.sparse``.  The line search halves the step length
     until the max-norm residual falls and never takes a step that raises
     it: when no length down to 1/1024 lowers the residual, the solve raises
     SolverDivergence naming the stall.
@@ -259,9 +334,6 @@ def solve_cylinder_pde(
     iteration; taking a rising step there ends in a field 156% off phi that
     passes the residual test.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
     boundary_left = np.asarray(boundary_left, dtype=float)
@@ -273,7 +345,8 @@ def solve_cylinder_pde(
 
     kap = kappa_sigma(params.sigma)
     p = params.p
-    A, row_scale = _assemble_linear(params, grid, psi)
+    L = _half_sphere_operator(psi, params.n, params.sigma)
+    apply, row_scale = _linear_operator(params, grid, L)
 
     b = np.zeros(ns * npsi)
     b[:npsi] = boundary_left
@@ -288,10 +361,15 @@ def solve_cylinder_pde(
 
     flux_rows = np.arange(1, ns - 1) * npsi
     flux_scale = row_scale[flux_rows]
-    separable = _separable_step(params, grid, psi, A, row_scale)
+    separable = _separable_step(params, grid, L, apply, row_scale)
+    if separable is None:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        A = _assemble_linear(params, grid, L)[0]
 
     def residual(vec):
-        F = A @ vec - b
+        F = apply(vec) - b
         F[flux_rows] += flux_scale * kap * vec[flux_rows] ** p
         return F
 

@@ -374,6 +374,22 @@ class TestStartUp:
         q = [*QUAD, "1.8"]
         assert self.scipy_modules_after([["extend", *q, "--grid", "9x9"], ["energy", *q]]) == [[0, 0], []]
 
+    def test_separable_solve_loads_no_sparse_module(self):
+        # the separable step applies the operator matrix-free and factors
+        # with LAPACK; nothing on its path assembles a sparse matrix
+        codes, modules = self.scipy_modules_after([["energy", *QUAD, "1.8", "--perturbation", "0.05"]])
+        assert codes == [0]
+        assert "scipy.linalg" in modules
+        assert [m for m in modules if m.startswith("scipy.sparse")] == []
+
+    def test_fallback_solve_loads_sparse(self, tmp_path):
+        # |J1| L / 2 = 10 on this window at J1 = 2: the steps go to sparse LU
+        spec = {"params": {"n": 4, "sigma": 0.75, "alpha": 0.0, "p": 5.0 / 3.0},
+                "s_range": [-5, 5], "grid": [101, 33], "perturbation": 0.05}
+        codes, modules = self.scipy_modules_after([with_spec(tmp_path, ["solve-cylinder", "--spec", spec])])
+        assert codes == [0]
+        assert "scipy.sparse" in modules
+
     def test_verify_lemma_loads_no_scipy(self):
         # the PV operator's Gauss-Jacobi rule is built with numpy alone
         argv = ["verify-lemma", *QUAD, "2", "--radii", "0.5,1,2"]

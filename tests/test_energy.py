@@ -251,18 +251,18 @@ class TestCellWeights:
 # of the solve, of the psi operator's fitted weights and of the exact profile
 PINNED_ENERGY = {
     (3, 0.5, 0.0, 1.8): [
-        (-0.3031075452272754, 0.0011123580684536292),
-        (-0.2987519831209647, 0.007641559633629287),
-        (-0.28951573307496353, 0.0006881546493953279),
-        (-0.24058084406872973, 0.03631463804443251),
-        (-0.22764310771333862, 0.004848170158753106),
+        (-0.3031075452272845, 0.0011123580684312031),
+        (-0.29875198312105283, 0.007641559633552698),
+        (-0.2895157330751396, 0.0006881546493906548),
+        (-0.2405808440697836, 0.03631463804378441),
+        (-0.22764310771459914, 0.0048481701587001205),
     ],
     (4, 0.75, 0.0, 5.0 / 3.0): [
-        (-0.15041509609630302, 0.00023148369382936353),
-        (-0.14994116895708898, 0.00035519058145177233),
-        (-0.14827323859537747, 0.0008109452511120478),
-        (-0.1454435317642343, 0.000693191388549466),
-        (-0.14495178339373282, 0.002870154171514316),
+        (-0.15041509609629952, 0.00023148369383376775),
+        (-0.14994116895708165, 0.00035519058145566765),
+        (-0.14827323859543964, 0.000810945251071305),
+        (-0.14544353176450373, 0.0006931913884675691),
+        (-0.144951783394054, 0.002870154171526115),
     ],
 }
 
@@ -284,7 +284,7 @@ class TestEnergyRegression:
         # truncated weights of the gradient integral.  Newton stops here after
         # one iteration at a residual of 5.3e-9, so the field carries the
         # rounding of the linear solve; the pins come from the separable step
-        # on one BLAS thread, and two threads move them by at most 1.2e-13
+        # on one BLAS thread, and two threads move them by at most 2.0e-13
         params = validate_params(4, 0.75, 0.0, 5.0 / 3.0)
         field = solve_end_perturbed(params, 0.05, CylinderGrid()).field
         assert_pinned(field, params, PINNED_ENERGY[(4, 0.75, 0.0, 5.0 / 3.0)])
