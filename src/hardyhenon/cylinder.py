@@ -14,17 +14,18 @@ The operator is separable with constant axial coefficients, and its only
 nonlinearity sits in the psi = 0 flux row.  Each Newton step is therefore
 solved exactly by fast diagonalization in s (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964) with the flux rows folded back through a capacitance matrix
-(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); sparse LU
-takes the steps of grids where that diagonalization is unstable.
+(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); on grids
+where that diagonalization is unstable, a banded LU with partial pivoting
+(LAPACK ``dgbsv``) takes the steps.  In s-major order the system is banded
+with n_psi sub- and super-diagonals.
 
-The constant part of the system is applied matrix-free from the axial
-stencil and the diagonals of the psi operator; only the sparse-LU fallback
-assembles it as a matrix.
+The constant part of the system is written once, as six arrays of
+row-scaled coefficients: they are applied matrix-free for every residual,
+and written into band storage for the banded LU.
 
 scipy is imported inside the functions that use it, so ``import hardyhenon``
-does not load it: the separable step loads ``scipy.linalg`` and its
-``lapack`` at a solve's first step, and only the sparse-LU fallback loads
-``scipy.sparse`` and ``scipy.sparse.linalg``.
+does not load it: either step loads ``scipy.linalg`` and its ``lapack`` at a
+solve's first step.  No sparse-matrix module is used.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes
 # R = diag(r^i), r = sqrt(lo/up) of the axial stencil, so its rounding error
 # grows like eps * r^m = eps * exp(|J1| L / 2) on a window of length L with m
 # interior rows.  At 1e4 that is about 2e-12 relative; beyond it (|J1| L / 2
-# > 9.2) the steps go to sparse LU.
+# > 9.2) the steps go to the banded LU, whose partial pivoting has no such
+# growth.
 _MAX_SIMILARITY_GROWTH = 1e4
 
 
@@ -86,10 +88,10 @@ def psi_nodes(grid: CylinderGrid) -> np.ndarray:
 class CylinderSolveResult:
     field: FowlerField
     residual_norm: float
+    linear_solver: str  # "separable" or "banded_lu"
     residual_history: list[float] = field(default_factory=list)
     iterations: int = 0
     projected_negative: bool = False
-    linear_solver: str = "sparse_lu"  # "separable" or "sparse_lu"
     line_search: list[float] = field(default_factory=list)  # step length of each iteration
 
 
@@ -102,14 +104,26 @@ def _axial_stencil(params: ProblemParams, grid: CylinderGrid) -> tuple[float, fl
 
 
 def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
-    """Matrix-free apply of the row-scaled constant part of the discrete system.
+    """The row-scaled constant part of the discrete system, applied and in band form.
 
-    Returns ``(apply, row_scale)``: ``apply(x)`` is ``_assemble_linear``'s
-    matrix times x, formed from the axial stencil and the four diagonals of
-    the psi operator L (offsets -1 to 2; the +2 diagonal is the flux row's
-    third entry).  Each row's products are summed in the order the sparse
-    matrix stores them (columns descending), so the two round alike.
-    ``row_scale`` holds the scale of every row.
+    The kappa V0^p term stays outside.  The axial stencil acts on every psi
+    node but the flux row, the psi operator L (offsets -1 to 2; the +2
+    diagonal is the flux row's third entry) on every interior axial row, and
+    the Dirichlet end rows are identity rows.  Each row is divided by its
+    diagonal, so the residual is measured in solution units; the graded grid
+    otherwise puts ~1/h^2 factors on the first rows and the 1e-8 tolerance
+    would sit below the evaluation roundoff.
+
+    Returns ``(apply, band, row_scale)``.  ``apply(x)`` is the matrix times x.
+    It sums each row's products in columns-descending order, the order of a
+    CSR matrix assembled from Kronecker products: the energy pins of the
+    separable path record that rounding, and the tests' Kronecker reference
+    reproduces it exactly.  ``band(d)`` writes the matrix plus
+    diag(row_scale d), d on the interior flux rows, into fresh band storage
+    for LAPACK ``dgbsv`` with kl = ku = n_psi: entry (k, k + o) sits in row
+    2 n_psi - o of a Fortran-ordered (3 n_psi + 1, n_s n_psi) array, whose
+    first n_psi rows are the pivoting's workspace.  ``row_scale`` holds the
+    scale of every row.
     """
     lo, diag, up = _axial_stencil(params, grid)
     ns, npsi = grid.n_s, grid.n_psi
@@ -135,43 +149,28 @@ def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
         y[:, 1:] += c_lo * V[:-2, 1:]
         return out.reshape(-1)
 
+    # the coefficients of an interior s-row at column offsets 0, -1, 1, 2, -n_psi, n_psi
+    offsets = (0, -1, 1, 2, -npsi, npsi)
+    stencil = np.zeros((len(offsets), npsi))
+    stencil[0] = c_main
+    stencil[1, 1:] = c_sub
+    stencil[2, :-1] = c_sup
+    stencil[3, 0] = c_sup2
+    stencil[4, 1:] = c_lo
+    stencil[5, 1:] = c_up
+    flux_rows = np.arange(1, ns - 1) * npsi
+
+    def band(d: np.ndarray) -> np.ndarray:
+        ab = np.zeros((3 * npsi + 1, ns * npsi), order="F")
+        ab[2 * npsi, :npsi] = ab[2 * npsi, -npsi:] = 1.0  # the Dirichlet end rows
+        for o, coefficients in zip(offsets, stencil):
+            ab[2 * npsi - o, npsi + o:(ns - 1) * npsi + o] = np.tile(coefficients, ns - 2)
+        ab[2 * npsi, flux_rows] += scale[0] * d
+        return ab
+
     row_scale = np.ones((ns, npsi))
     row_scale[1:-1] = scale
-    return apply, row_scale.reshape(-1)
-
-
-def _assemble_linear(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
-    """Constant part of the discrete system as a sparse matrix, with its row scales.
-
-    The kappa V0^p term stays outside.  The interior operator is separable,
-    so the matrix is a sum of Kronecker products: the axial operator T_s acts
-    on every psi node but the flux row (E), the psi operator L on every
-    interior axial row (D_int), and the Dirichlet end rows are identity
-    rows.  Only the sparse-LU steps use the matrix; every residual is
-    ``_linear_operator``'s matrix-free apply of it.
-    """
-    import scipy.sparse as sp
-
-    ns, npsi = grid.n_s, grid.n_psi
-
-    interior = np.ones(ns)
-    interior[[0, -1]] = 0.0
-    D_int = sp.diags(interior)
-    T_s = D_int @ sp.diags(list(_axial_stencil(params, grid)), [-1, 0, 1], shape=(ns, ns))
-
-    E = sp.diags(np.r_[0.0, np.ones(npsi - 1)])  # no axial part on the flux rows
-    A = (
-        sp.kron(T_s, E)
-        + sp.kron(D_int, sp.csr_matrix(L))
-        + sp.kron(sp.identity(ns) - D_int, sp.identity(npsi))
-    ).tocsr()
-    # normalize rows by their diagonal so the residual is measured in solution
-    # units; the graded grid otherwise puts ~1/h^2 factors on the first rows
-    # and the 1e-8 tolerance would sit below the evaluation roundoff
-    diag = A.diagonal()
-    scale = 1.0 / np.maximum(np.abs(diag), 1e-30)
-    A = sp.diags(scale) @ A
-    return A.tocsr(), scale
+    return apply, band, row_scale.reshape(-1)
 
 
 def _mode_solver(L: np.ndarray, lam: np.ndarray):
@@ -235,7 +234,7 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     A the row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on
     the interior flux rows, by one solve and one pass of iterative
     refinement against ``apply``, which brings its residual down to that of
-    sparse LU.  Returns None when T has no real similarity (lo up <= 0), its
+    a direct LU solve.  Returns None when T has no real similarity (lo up <= 0), its
     growth r^m exceeds _MAX_SIMILARITY_GROWTH, L[0, 0] = 0 (the flux row
     cannot be folded) or the stacked factorization meets a zero pivot.
     """
@@ -284,6 +283,37 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     return step
 
 
+def _banded_step(grid: CylinderGrid, apply, band, row_scale: np.ndarray):
+    """Newton-step solver for the Jacobian by banded LU with partial pivoting.
+
+    ``apply``, ``band`` and ``row_scale`` are ``_linear_operator``'s.  The
+    returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, as
+    ``_separable_step``'s does: one LAPACK ``dgbsv`` on band storage written
+    afresh and factored in place, then one pass of iterative refinement
+    against ``apply`` with the same factors.  Where the Jacobian's condition
+    number reaches about 1e7 (the refined default grid), the plain solve
+    missed a twice-refined LU solution by up to 1.9e-9 relative and the
+    refined step by at most 1.1e-10.  No copy of the band is kept between
+    steps, since at 321x129 one copy is 128 MB.  Pivoting keeps the solve
+    stable on every grid, whatever the axial stencil's similarity.  A
+    singular Jacobian gives a NaN step, which the line search cannot take.
+    """
+    import scipy.linalg.lapack as lapack
+
+    npsi = grid.n_psi
+    flux_rows = np.arange(1, grid.n_s - 1) * npsi
+
+    def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
+        lu, piv, x, info = lapack.dgbsv(npsi, npsi, band(d), -F, overwrite_ab=1)
+        if info != 0:
+            return np.full_like(F, np.nan)
+        dvec = np.zeros_like(F)
+        dvec[flux_rows] = row_scale[flux_rows] * d
+        return x + lapack.dgbtrs(lu, npsi, npsi, -F - apply(x) - dvec * x, piv)[0]
+
+    return step
+
+
 def solve_cylinder_pde(
     params: ProblemParams,
     boundary_left: np.ndarray,
@@ -307,32 +337,32 @@ def solve_cylinder_pde(
     Newton residual, the line search's trials, the refinement pass) applies
     the constant part of the system matrix-free (``_linear_operator``).
     Each Newton step is a damped step along the exact solution of the
-    Jacobian system.  That system is solved by fast diagonalization in s,
-    one stacked tridiagonal factorization of the psi systems of all
-    s-modes and a capacitance matrix for the flux rows, plus one pass of
-    iterative refinement (``_separable_step``; the result's
-    ``linear_solver`` reads "separable").  Sparse LU (``spsolve``,
-    "sparse_lu") on the assembled matrix (``_assemble_linear``) solves it
-    instead when the axial stencil has no real similarity, that is when
-    |J1| ds / 2 >= 1, or when the similarity's growth r^m ~ exp(|J1| L / 2)
-    on a window of length L exceeds _MAX_SIMILARITY_GROWTH = 1e4; on those
-    grids every step is the one sparse LU has always taken, and only they
-    load ``scipy.sparse``.  The line search halves the step length
-    until the max-norm residual falls and never takes a step that raises
-    it: when no length down to 1/1024 lowers the residual, the solve raises
+    Jacobian system, which one ``step(F, d)`` solves.  Where the axial
+    stencil's similarity is real and its growth r^m ~ exp(|J1| L / 2) on a
+    window of length L is at most _MAX_SIMILARITY_GROWTH = 1e4, that step
+    is fast diagonalization in s, one stacked tridiagonal factorization of
+    the psi systems of all s-modes and a capacitance matrix for the flux
+    rows, plus one pass of iterative refinement (``_separable_step``; the
+    result's ``linear_solver`` reads "separable").  Elsewhere, that is when
+    |J1| ds / 2 >= 1 or the growth exceeds 1e4, it is a banded LU with
+    partial pivoting on the same coefficients (``_banded_step``,
+    "banded_lu").  The line search halves the step length until the
+    max-norm residual falls and never takes a step that raises it: when no
+    length down to 1/1024 lowers the residual, the solve raises
     SolverDivergence naming the stall.
 
     The linearization around the constant-in-s profile has oscillatory axial
     modes, so particular window lengths are Dirichlet-resonant and leave the
     Newton matrix near-singular (observed near s_max - s_min in [3, 4] for
     the reference subcritical configuration); the iteration then stalls and
-    reports divergence.  No window length is safe for every configuration:
-    started from the exact profile with 5% end perturbation, the default
-    [-4, 4] window diverges for (n, sigma, alpha, p) = (2, 0.3, 0.2, 3.0),
-    (3, 0.3, 0, 1.6) and (4, 0.5, 0, 1.5), the first at every length from 5
-    to 12.  (4, 0.5, 0, 1.5) stalls at a residual of 2.6e-4 in its third
-    iteration; taking a rising step there ends in a field 156% off phi that
-    passes the residual test.
+    reports divergence.  Started from the exact profile with 5% end
+    perturbation, the default [-4, 4] window stalls that way for
+    (n, sigma, alpha, p) = (4, 0.5, 0, 1.5), at a residual of 2.6e-4 in its
+    third iteration; taking a rising step there ends in a field 156% off phi
+    that passes the residual test.  The default-window divergences of
+    (2, 0.3, 0.2, 3.0) and (3, 0.3, 0, 1.6) are sigma != 1/2 cases: the psi
+    operator is not consistent there, and with an exponent-fitted psi
+    stencil both converged in 3 iterations.
     """
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
@@ -346,7 +376,7 @@ def solve_cylinder_pde(
     kap = kappa_sigma(params.sigma)
     p = params.p
     L = _half_sphere_operator(psi, params.n, params.sigma)
-    apply, row_scale = _linear_operator(params, grid, L)
+    apply, band, row_scale = _linear_operator(params, grid, L)
 
     b = np.zeros(ns * npsi)
     b[:npsi] = boundary_left
@@ -361,12 +391,10 @@ def solve_cylinder_pde(
 
     flux_rows = np.arange(1, ns - 1) * npsi
     flux_scale = row_scale[flux_rows]
-    separable = _separable_step(params, grid, L, apply, row_scale)
-    if separable is None:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        A = _assemble_linear(params, grid, L)[0]
+    step = _separable_step(params, grid, L, apply, row_scale)
+    linear_solver = "separable"
+    if step is None:
+        step, linear_solver = _banded_step(grid, apply, band, row_scale), "banded_lu"
 
     def residual(vec):
         F = apply(vec) - b
@@ -383,7 +411,6 @@ def solve_cylinder_pde(
     norm = float(np.max(np.abs(F)))
     history.append(norm)
     it = 0
-    nn = ns * npsi
     while norm > newton_tol * res_scale(V):
         if it >= max_iterations:
             raise SolverDivergence(
@@ -391,16 +418,10 @@ def solve_cylinder_pde(
                 f"(residual {norm:.3e})",
                 history,
             )
-        if separable is not None:
-            step = separable(F, kap * p * np.abs(V[flux_rows]) ** (p - 1.0))
-        else:
-            dvec = np.zeros(nn)
-            dvec[flux_rows] = flux_scale * kap * p * np.abs(V[flux_rows]) ** (p - 1.0)
-            J = A + sp.diags(dvec)
-            step = spla.spsolve(J.tocsr(), -F)
+        direction = step(F, kap * p * np.abs(V[flux_rows]) ** (p - 1.0))
         lam = 1.0
         while True:
-            trial = V + lam * step
+            trial = V + lam * direction
             if np.any(trial[flux_rows] < 0.0):
                 trial = trial.copy()
                 floor = 1e-10 * max(1.0, float(np.max(trial)))
@@ -434,7 +455,7 @@ def solve_cylinder_pde(
         residual_history=history,
         iterations=it,
         projected_negative=projected,
-        linear_solver="sparse_lu" if separable is None else "separable",
+        linear_solver=linear_solver,
         line_search=line_search,
     )
 

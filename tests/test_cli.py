@@ -288,7 +288,7 @@ class TestSolverReport:
     @pytest.mark.parametrize("s_range, grid, solver", [
         ([-4, 4], [41, 17], "separable"),
         # |J1| L / 2 = 10 on this window at J1 = 2: past the separable step's bound
-        ([-5, 5], [101, 33], "sparse_lu"),
+        ([-5, 5], [101, 33], "banded_lu"),
     ])
     def test_solve_cylinder_names_its_linear_solver(self, tmp_path, capsys, s_range, grid, solver):
         params = ({"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8} if solver == "separable"
@@ -338,8 +338,8 @@ def without_elapsed(stdout: str) -> list[str]:
 
 class TestStartUp:
     def test_import_loads_no_sparse_or_dense_solver(self):
-        # only a cylinder solve needs scipy.sparse and scipy.linalg, and it
-        # imports them itself
+        # only a cylinder solve needs scipy.linalg, and it imports it itself;
+        # nothing needs scipy.sparse
         code = ("import json, sys, hardyhenon, hardyhenon.cli; print(json.dumps(sorted("
                 "m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg')))))")
         proc = subprocess.run(
@@ -382,13 +382,15 @@ class TestStartUp:
         assert "scipy.linalg" in modules
         assert [m for m in modules if m.startswith("scipy.sparse")] == []
 
-    def test_fallback_solve_loads_sparse(self, tmp_path):
-        # |J1| L / 2 = 10 on this window at J1 = 2: the steps go to sparse LU
+    def test_fallback_solve_loads_no_sparse_module(self, tmp_path):
+        # |J1| L / 2 = 10 on this window at J1 = 2: the steps go to the
+        # banded LU, which LAPACK factors from band storage
         spec = {"params": {"n": 4, "sigma": 0.75, "alpha": 0.0, "p": 5.0 / 3.0},
                 "s_range": [-5, 5], "grid": [101, 33], "perturbation": 0.05}
         codes, modules = self.scipy_modules_after([with_spec(tmp_path, ["solve-cylinder", "--spec", spec])])
         assert codes == [0]
-        assert "scipy.sparse" in modules
+        assert "scipy.linalg" in modules
+        assert [m for m in modules if m.startswith("scipy.sparse")] == []
 
     def test_verify_lemma_loads_no_scipy(self):
         # the PV operator's Gauss-Jacobi rule is built with numpy alone

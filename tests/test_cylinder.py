@@ -1,6 +1,7 @@
-"""Newton steps of the cylinder solver: the separable step against sparse LU,
-the choice between them, the matrix-free operator and the stacked mode solve
-against their dense references, the line search, and the consistency of the
+"""Newton steps of the cylinder solver: the separable and the banded-LU step
+against SuperLU on an independently assembled Kronecker matrix, the choice
+between them, the matrix-free operator, its band and the stacked mode solve
+against their references, the line search, and the consistency of the
 discrete operator with the exact solution."""
 
 import hashlib
@@ -16,8 +17,8 @@ from hardyhenon.cylinder import (
     _MAX_SIMILARITY_GROWTH,
     CylinderGrid,
     SolverDivergence,
-    _assemble_linear,
     _axial_stencil,
+    _banded_step,
     _linear_operator,
     _mode_solver,
     _separable_step,
@@ -42,13 +43,66 @@ GRIDS = {"default": CylinderGrid(), "71x33": CylinderGrid(-1.75, 1.75, 71, 33)}
 REFINED = [TUPLES[0], TUPLES[4], TUPLES[7], TUPLES[8]]
 COR11 = validate_params(4, 0.75, 0.0, 5.0 / 3.0)  # J1 = 2
 
+# Solves on the banded-LU side of the path choice, pinned from the banded-LU
+# Newton solver: the residual history and a SHA-256 digest of the field's
+# bytes, the same on one and on two BLAS threads.  Both also record the
+# rounding of the psi operator's fitted weights and of the exact profile's
+# closed form, so a change to either re-records them.
+FALLBACK = {
+    # |J1| L / 2 = 10 > log(1e4) = 9.2
+    "long_window": (
+        CylinderGrid(-5.0, 5.0, 101, 33),
+        [0.013326978432773695, 8.624550355305461e-08, 6.5333050966073544e-09],
+        "37948174789f9a176d57f6b7e93b3c842c5f6d8732018ef8ddcd15766364a56f",
+    ),
+    # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
+    "coarse_axis": (
+        CylinderGrid(-3.0, 3.0, 5, 33),
+        [0.013326978432773695, 4.6388259133584684e-08, 7.55642281325776e-10],
+        "dcc9c6c3946620b68758f5ecf81de4781298a5621b08282043d30025fd9eaa55",
+    ),
+}
+
+
+def assemble_linear(params, grid, L):
+    """Reference for ``cylinder._linear_operator``: the constant part of the
+    discrete system as a sparse matrix, with its row scales.
+
+    The interior operator is separable, so the matrix is a sum of Kronecker
+    products: the axial operator T_s acts on every psi node but the flux row
+    (E), the psi operator L on every interior axial row (D_int), and the
+    Dirichlet end rows are identity rows.  Each row is divided by its
+    diagonal.
+    """
+    ns, npsi = grid.n_s, grid.n_psi
+    interior = np.ones(ns)
+    interior[[0, -1]] = 0.0
+    D_int = sp.diags(interior)
+    T_s = D_int @ sp.diags(list(_axial_stencil(params, grid)), [-1, 0, 1], shape=(ns, ns))
+    E = sp.diags(np.r_[0.0, np.ones(npsi - 1)])
+    A = (
+        sp.kron(T_s, E)
+        + sp.kron(D_int, sp.csr_matrix(L))
+        + sp.kron(sp.identity(ns) - D_int, sp.identity(npsi))
+    ).tocsr()
+    scale = 1.0 / np.maximum(np.abs(A.diagonal()), 1e-30)
+    return (sp.diags(scale) @ A).tocsr(), scale
+
+
+def jacobian(A, scale, grid, d):
+    """The reference Newton matrix A + diag(scale d), d on the interior flux rows."""
+    flux = np.arange(1, grid.n_s - 1) * grid.n_psi
+    dvec = np.zeros(A.shape[0])
+    dvec[flux] = scale[flux] * d
+    return (A + sp.diags(dvec)).tocsc()
+
 
 def first_newton_system(params, grid, eps=0.05):
     """Psi operator, scaled matrix, row scales, residual and flux derivative
     kappa p V0^(p-1) at the start of the end-perturbed solve."""
     psi = psi_nodes(grid)
     L = _half_sphere_operator(psi, params.n, params.sigma)
-    A, scale = _assemble_linear(params, grid, L)
+    A, scale = assemble_linear(params, grid, L)
     phi = exact_sphere_profile(params, psi).phi
     ns, npsi = grid.n_s, grid.n_psi
     V = np.tile(phi, ns)
@@ -62,6 +116,34 @@ def first_newton_system(params, grid, eps=0.05):
     return L, A, scale, F, kap * p * V[flux] ** (p - 1.0)
 
 
+def separable_builder(params, grid, L):
+    apply, _, row_scale = _linear_operator(params, grid, L)
+    return _separable_step(params, grid, L, apply, row_scale)
+
+
+def banded_builder(params, grid, L):
+    return _banded_step(grid, *_linear_operator(params, grid, L))
+
+
+def check_step(builder, params, grid):
+    """The builder's first Newton step against SuperLU on the reference matrix."""
+    L, A, scale, F, d = first_newton_system(params, grid)
+    step = builder(params, grid, L)
+    assert step is not None
+    J = jacobian(A, scale, grid, d)
+    # the Jacobian's condition number is about 1e7, so a plain sparse-LU
+    # step is itself only good to about 2e-9 on the refined grid; one
+    # pass of iterative refinement, as both steps make, moves the
+    # reference by up to 2e-10 more, and a second pass keeps that motion
+    # out of the comparison (worst case measured 2.2e-10)
+    lu = spla.splu(J)
+    want = lu.solve(-F)
+    for _ in range(2):
+        want += lu.solve(-F - J @ want)
+    got = step(F, d)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 SEPARABLE_CASES = pytest.mark.parametrize(
     "quad, grid",
     [(q, g) for g in GRIDS.values() for q in TUPLES] + [(q, CylinderGrid().refined()) for q in REFINED],
@@ -72,25 +154,7 @@ SEPARABLE_CASES = pytest.mark.parametrize(
 class TestSeparableStep:
     @SEPARABLE_CASES
     def test_matches_sparse_lu(self, quad, grid):
-        params = validate_params(*quad)
-        L, A, scale, F, d = first_newton_system(params, grid)
-        step = _separable_step(params, grid, L, *_linear_operator(params, grid, L))
-        assert step is not None
-        flux = np.arange(1, grid.n_s - 1) * grid.n_psi
-        dvec = np.zeros(A.shape[0])
-        dvec[flux] = scale[flux] * d
-        J = (A + sp.diags(dvec)).tocsc()
-        # the Jacobian's condition number is about 1e7, so a plain sparse-LU
-        # step is itself only good to about 2e-9 on the refined grid; one
-        # pass of iterative refinement, as the separable step makes, moves
-        # the reference by up to 2e-10 more, and a second pass keeps that
-        # motion out of the comparison (worst case measured 2.2e-10)
-        lu = spla.splu(J)
-        want = lu.solve(-F)
-        for _ in range(2):
-            want += lu.solve(-F - J @ want)
-        got = step(F, d)
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        check_step(separable_builder, validate_params(*quad), grid)
 
     def test_result_names_solver_and_line_search(self):
         # |J1| L / 2 = 8 on the default window: inside the similarity bound
@@ -98,6 +162,28 @@ class TestSeparableStep:
         assert res.linear_solver == "separable"
         assert len(res.line_search) == res.iterations == len(res.residual_history) - 1
         assert all(0.0 < lam <= 1.0 for lam in res.line_search)
+
+
+class TestBandedStep:
+    # the separable step's cases, where the banded step must agree with it,
+    # and the grids where the path choice gives the banded step the solve
+    # (measured worst 1.0e-10, on the refined grid; 1.9e-9 without the
+    # step's refinement pass)
+    @SEPARABLE_CASES
+    def test_matches_sparse_lu(self, quad, grid):
+        check_step(banded_builder, validate_params(*quad), grid)
+
+    @pytest.mark.parametrize("case", FALLBACK.keys())
+    def test_fallback_step_matches_sparse_lu(self, case):
+        check_step(banded_builder, COR11, FALLBACK[case][0])
+
+    def test_singular_jacobian_gives_no_step(self):
+        # dgbsv reports the zero pivot; the line search cannot take a NaN step
+        grid = FALLBACK["coarse_axis"][0]
+        L = _half_sphere_operator(psi_nodes(grid), COR11.n, COR11.sigma)
+        apply, band, row_scale = _linear_operator(COR11, grid, L)
+        step = _banded_step(grid, apply, lambda d: np.zeros_like(band(d)), row_scale)
+        assert np.all(np.isnan(step(np.ones(len(row_scale)), np.ones(grid.n_s - 2))))
 
 
 class TestLineSearch:
@@ -112,27 +198,6 @@ class TestLineSearch:
         assert history[-1] > 1e-8
 
 
-# Solves on the sparse-LU side of the path choice, pinned from the sparse-LU
-# Newton solver: the residual history and a SHA-256 digest of the field's
-# bytes.  Both also record the rounding of the psi operator's fitted weights
-# and of the exact profile's closed form, so a change to either re-records
-# them.
-FALLBACK = {
-    # |J1| L / 2 = 10 > log(1e4) = 9.2
-    "long_window": (
-        CylinderGrid(-5.0, 5.0, 101, 33),
-        [0.013326978432773695, 8.624550355000868e-08, 6.533305042552253e-09],
-        "f87f30df1fb06bd7976a22570cbc75a72d2a6a317f3b109e27531d072b9291d2",
-    ),
-    # n_s = 5: J1 ds / 2 = 1.5 > 1, so the axial stencil's off-diagonals differ in sign
-    "coarse_axis": (
-        CylinderGrid(-3.0, 3.0, 5, 33),
-        [0.013326978432773695, 4.638825908315827e-08, 7.556421457429062e-10],
-        "1cffa7f299e4c5ce667b0c5bfffe04e10043753666fee4fd87e3fef79d3c63db",
-    ),
-}
-
-
 class TestPathChoice:
     def test_cases_sit_outside_the_separable_range(self):
         J1 = derive_exponents(COR11).J1
@@ -142,14 +207,25 @@ class TestPathChoice:
         assert 0.5 * J1 * (grid.s_max - grid.s_min) / (grid.n_s - 1) > 1.0
 
     @pytest.mark.parametrize("case", FALLBACK.keys())
-    def test_fallback_is_the_sparse_lu_solve(self, case):
+    def test_fallback_is_the_banded_lu_solve(self, case, monkeypatch):
         grid, history, digest = FALLBACK[case]
         L = _half_sphere_operator(psi_nodes(grid), COR11.n, COR11.sigma)
-        assert _separable_step(COR11, grid, L, *_linear_operator(COR11, grid, L)) is None
+        assert separable_builder(COR11, grid, L) is None
         res = solve_end_perturbed(COR11, 0.05, grid)
-        assert res.linear_solver == "sparse_lu"
+        assert res.linear_solver == "banded_lu"
         assert res.residual_history == history
         assert hashlib.sha256(res.field.values.tobytes()).hexdigest() == digest
+        # the same solve with the steps the fallback took before the banded
+        # LU: SuperLU on the assembled Jacobian (measured 5.7e-12 on
+        # long_window, 1.3e-11 on coarse_axis)
+        A, scale = assemble_linear(COR11, grid, L)
+
+        def superlu_step(F, d):
+            return spla.spsolve(jacobian(A, scale, grid, d), -F)
+
+        monkeypatch.setattr(cylinder, "_banded_step", lambda *_: superlu_step)
+        want = solve_end_perturbed(COR11, 0.05, grid).field.values
+        assert np.max(np.abs(res.field.values - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_window_inside_the_bound_is_separable(self):
         # |J1| L / 2 = 8 on the default window
@@ -168,18 +244,26 @@ class TestLinearOperator:
     def test_apply_matches_assembled_matrix(self, grid, n):
         # summed in the order the matrix stores each row, the apply
         # reproduces the sparse product exactly; summed in the other order
-        # it differed by at most 2 eps of sum_k |a_ik v_k|
+        # it differed by at most 2 eps of sum_k |a_ik v_k|.  The band holds
+        # the Jacobian's entries exactly, at gbsv's positions, and nothing else.
         rng = np.random.default_rng(n)
         psi = psi_nodes(grid)
+        npsi = grid.n_psi
         for sigma in (0.05, 0.5, 0.95):
             params = validate_params(n, sigma, 0.0, 1.8)
             L = _half_sphere_operator(psi, n, sigma)
-            A, scale = _assemble_linear(params, grid, L)
-            apply, row_scale = _linear_operator(params, grid, L)
+            A, scale = assemble_linear(params, grid, L)
+            apply, band, row_scale = _linear_operator(params, grid, L)
             np.testing.assert_array_equal(row_scale, scale)
             v = rng.standard_normal(A.shape[0])
             bound = 4.0 * np.finfo(float).eps * (abs(A) @ np.abs(v))
             assert np.all(np.abs(apply(v) - A @ v) <= bound)
+            d = rng.random(grid.n_s - 2)
+            J = jacobian(A, scale, grid, d).tocoo()
+            ab = band(d)
+            assert ab.shape == (3 * npsi + 1, A.shape[0]) and ab.flags.f_contiguous
+            np.testing.assert_array_equal(ab[2 * npsi + J.row - J.col, J.col], J.data)
+            assert np.count_nonzero(ab) == np.count_nonzero(J.data)
 
     @SEPARABLE_CASES
     def test_stacked_mode_solve_matches_dense(self, quad, grid):
@@ -210,7 +294,7 @@ class TestLinearOperator:
         assert _mode_solver(L, np.ones(5)) is None
 
     @pytest.mark.parametrize("grid, solver", [(GRIDS["71x33"], "separable"),
-                                              (OPERATOR_GRIDS["coarse_axis"], "sparse_lu")])
+                                              (OPERATOR_GRIDS["coarse_axis"], "banded_lu")])
     def test_psi_operator_is_built_once_per_solve(self, grid, solver, monkeypatch):
         calls = []
 
