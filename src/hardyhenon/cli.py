@@ -425,9 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=BARRIER_DELTA)
     sp.add_argument("--psi", type=float, default=BARRIER_PSI,
                     help="elevation angle of the stencil")
-    sp.add_argument("--h", type=float, default=BARRIER_H)
-    sp.add_argument("--t0", type=float, default=BARRIER_T0)
-    sp.add_argument("--fd-ratio", type=float, default=BARRIER_FD_RATIO)
+    sp.add_argument("--h", type=float, default=BARRIER_H,
+                    help="interior stencil step relative to the point, in (0, 1)")
+    sp.add_argument("--t0", type=float, default=BARRIER_T0,
+                    help="largest elevation of the t -> 0 fit, > 0")
+    sp.add_argument("--fd-ratio", type=float, default=BARRIER_FD_RATIO,
+                    help="relative step of the t-derivative, in (0, 1)")
     sp.add_argument("--levels", type=int, default=BARRIER_LEVELS,
                     help="refinement levels (at least 2)")
     sp.add_argument("--tol-order", type=float, default=acceptance.BARRIER_ORDER)

@@ -222,8 +222,10 @@ def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
     return poisson_normalizer(n, sigma) * t ** (2.0 * sigma) * total
 
 
+#: The t -> 0 fit's sample elevations in units of the largest: 2^-k, k < 9.
+_T0_HALVINGS = 2.0 ** -np.arange(9.0)
 #: Elevations of ``neumann_flux``'s samples, in units of the boundary radius.
-_FLUX_T_SEQUENCE = 0.05 * 2.0 ** -np.arange(9.0)
+_FLUX_T_SEQUENCE = 0.05 * _T0_HALVINGS
 
 
 @lru_cache(maxsize=16)
@@ -275,16 +277,38 @@ def _power_fit(x: np.ndarray, exponents) -> np.ndarray:
     return np.linalg.inv(M) if M.shape[-2] == M.shape[-1] else np.linalg.pinv(M)
 
 
-def _extrapolate_t0(t: np.ndarray, samples: np.ndarray, sigma: float) -> tuple[float, float]:
-    """Richardson limit t -> 0 of samples carrying t^{2-2 sigma} and t^2 corrections.
+class _T0Fit(NamedTuple):
+    W: np.ndarray  # least-squares weights: W @ samples are the coefficients
+    M: np.ndarray  # design matrix, one column per power of t
 
-    Least squares on [1, t^{2-2s}, t^2] (the t^2 column is dropped when the
-    two exponents nearly coincide); returns the constant and the max residual.
+
+@lru_cache(maxsize=64)
+def _t0_fit(sigma: float) -> _T0Fit:
+    """The fit of samples at t = _T0_HALVINGS on [1, t^{2-2s}, t^2].
+
+    The t^2 column is dropped when the two exponents nearly coincide.  For
+    samples at scale * _T0_HALVINGS the design matrix is M D, D diagonal, and
+    pinv(M D) = D^-1 pinv(M): the constant and the residual do not depend on
+    the scale, so one fit at unit scale serves every scale.  The arrays are
+    read-only.
     """
     e1 = 2.0 - 2.0 * sigma
     exponents = (0.0, e1, 2.0) if abs(e1 - 2.0) > 0.1 else (0.0, e1)
-    coef = _power_fit(t, exponents) @ samples
-    return float(coef[0]), float(np.max(np.abs(np.power.outer(t, exponents) @ coef - samples)))
+    fit = _T0Fit(_power_fit(_T0_HALVINGS, exponents), np.power.outer(_T0_HALVINGS, exponents))
+    for a in fit:
+        a.flags.writeable = False
+    return fit
+
+
+def _extrapolate_t0(samples: np.ndarray, sigma: float) -> tuple[float, float]:
+    """Richardson limit t -> 0 of samples at t = scale * _T0_HALVINGS, any scale > 0,
+    carrying t^{2-2 sigma} and t^2 corrections (``_t0_fit``).
+
+    Returns the constant and the max residual of the least-squares fit.
+    """
+    W, M = _t0_fit(sigma)
+    coef = W @ samples
+    return float(coef[0]), float(np.max(np.abs(M @ coef - samples)))
 
 
 def neumann_flux(
@@ -296,16 +320,16 @@ def neumann_flux(
     """Weighted Neumann flux -lim t^{1-2s} dU/dt at boundary radius r.
 
     Samples the weighted derivative at t = r _FLUX_T_SEQUENCE and removes the
-    known leading corrections t^{2-2s} and t^2 by least squares.  A large fit
-    residual signals a non-convergent extrapolation.
+    known leading corrections t^{2-2s} and t^2 by least squares
+    (``_extrapolate_t0``).  A large fit residual signals a non-convergent
+    extrapolation.
     """
     n, sigma = params.n, params.sigma
-    t = r * _FLUX_T_SEQUENCE
     samples = _weighted_t_derivatives(trace, r, n, sigma, cfg)
-    value, resid = _extrapolate_t0(t, samples, sigma)
+    value, resid = _extrapolate_t0(samples, sigma)
     return FluxResult(
         value=value,
-        t_samples=tuple(t),
+        t_samples=tuple(r * _FLUX_T_SEQUENCE),
         flux_samples=tuple(samples),
         fit_residual=resid,
     )
@@ -534,13 +558,21 @@ def verify_barrier_identity(
     divergence with its displayed closed form; the Neumann residual compares
     the extrapolated weighted t-derivative at the boundary against
     2 sigma delta |x|^{-2 sigma} times the barrier trace.  Both are second
-    order in the respective discretization scales (h; t0 and fd_ratio).
+    order in the respective discretization scales (h; t0 and fd_ratio),
+    which must satisfy 0 < h < 1, t0 > 0 and 0 < fd_ratio < 1.
     """
     n, sigma = params.n, params.sigma
     if not 0.0 < mu < n - 2.0 * sigma:
         raise ValueError(f"requires 0 < mu < n - 2*sigma, got mu={mu}")
     if not 0.0 <= delta < 0.5:
         raise ValueError(f"requires 0 <= delta < 1/2, got delta={delta}")
+    # h >= 1 or fd_ratio >= 1 would put stencil points at coordinates <= 0
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"requires 0 < h < 1, got h={h}")
+    if not t0 > 0.0:
+        raise ValueError(f"requires t0 > 0, got t0={t0}")
+    if not 0.0 < fd_ratio < 1.0:
+        raise ValueError(f"requires 0 < fd_ratio < 1, got fd_ratio={fd_ratio}")
     q, t = point
     if t <= 0.0 or q <= 0.0:
         raise ValueError("the interior stencil point needs positive coordinates")
@@ -567,7 +599,7 @@ def verify_barrier_identity(
     interior = abs(weighted_div + rhs)
 
     # boundary: -t^{1-2s} dPsi/dt extrapolated to t = 0 at fixed q
-    tk = t0 * 2.0 ** (-np.arange(9, dtype=float))
+    tk = t0 * _T0_HALVINGS
     g = np.array(
         [
             -tt ** (1.0 - 2.0 * sigma)
@@ -577,7 +609,7 @@ def verify_barrier_identity(
         ]
     )
     target = 2.0 * sigma * delta * q ** (-2.0 * sigma) * _barrier(mu, delta, sigma, q, 0.0)
-    neumann = abs(_extrapolate_t0(tk, g, sigma)[0] - target)
+    neumann = abs(_extrapolate_t0(g, sigma)[0] - target)
     return BarrierResiduals(interior=interior, neumann=neumann)
 
 

@@ -4,7 +4,9 @@ Everything here is a log-space expression in the C library's Gamma:
 the power-law multiplier ``lambda_multiplier``, the singular-solution
 amplitude ``singular_constant``, the extension flux constant
 ``kappa_sigma``, the Poisson and hypersingular kernel normalizers, and
-the classical second-order limit constant.
+the classical second-order limit constant.  ``kappa_sigma``, the two
+normalizers and ``unit_sphere_area`` depend on n and sigma only and are
+memoized, so the quadratures' repeated calls do no log-Gamma work.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .params import ProblemParams, derive_exponents
 
@@ -149,6 +152,7 @@ def singular_constant(params: ProblemParams) -> float:
     return lam.value ** (1.0 / (params.p - 1.0))
 
 
+@lru_cache(maxsize=256)
 def kappa_sigma(sigma: float) -> float:
     """Constant linking the weighted Neumann flux of the extension to the operator."""
     if not 0.0 < sigma < 1.0:
@@ -158,6 +162,7 @@ def kappa_sigma(sigma: float) -> float:
     return math.exp(g1.log_abs - g2.log_abs - (2.0 * sigma - 1.0) * math.log(2.0))
 
 
+@lru_cache(maxsize=256)
 def poisson_normalizer(n: int, sigma: float) -> float:
     """Normalizer giving the extension's Poisson kernel unit mass in x."""
     g1 = log_gamma_signed((n + 2.0 * sigma) / 2.0)
@@ -165,6 +170,7 @@ def poisson_normalizer(n: int, sigma: float) -> float:
     return math.exp(g1.log_abs - g2.log_abs - 0.5 * n * math.log(math.pi))
 
 
+@lru_cache(maxsize=256)
 def hypersingular_normalizer(n: int, sigma: float) -> float:
     """Normalizer of the principal-value singular integral.
 
@@ -199,6 +205,7 @@ def classical_limit_constant(n: int, alpha: float, p: float) -> float:
     return base ** (1.0 / (p - 1.0))
 
 
+@lru_cache(maxsize=256)
 def unit_sphere_area(d: int) -> float:
     """Surface area of the unit sphere S^{d-1} in R^d."""
     g = log_gamma_signed(d / 2.0)

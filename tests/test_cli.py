@@ -182,6 +182,20 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: --levels must be at least 2, got {levels}\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--h", "0", "requires 0 < h < 1, got h=0.0"),
+        ("--t0", "0", "requires t0 > 0, got t0=0.0"),
+        ("--t0", "-0.05", "requires t0 > 0, got t0=-0.05"),
+        ("--fd-ratio", "0", "requires 0 < fd_ratio < 1, got fd_ratio=0.0"),
+        ("--fd-ratio", "1.5", "requires 0 < fd_ratio < 1, got fd_ratio=1.5"),
+    ])
+    def test_barrier_scales_out_of_range(self, capsys, flag, value, message):
+        code = run(["barrier", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestDeterminism:
     def test_reports_identical_up_to_elapsed(self, capsys):

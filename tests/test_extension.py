@@ -6,15 +6,21 @@ import mpmath
 import numpy as np
 import pytest
 
+from hardyhenon import specialfn
 from hardyhenon.cylinder import CylinderGrid, psi_nodes
 from hardyhenon.extension import (
+    _FLUX_T_SEQUENCE,
+    _T0_HALVINGS,
     ExtensionField,
     FowlerField,
+    _barrier_ladder,
     _edge_model,
+    _extrapolate_t0,
     _flux_rule,
     _power_fit,
     _profile_connection,
     _profile_quadrature,
+    _t0_fit,
     _three_point_weights,
     exact_extension_field,
     exact_sphere_profile,
@@ -115,6 +121,89 @@ class TestNeumannFlux:
         f2 = neumann_flux(exact_trace(params), 2.0, params)
         want = 2.0 ** (params.alpha - d.beta * params.p)
         assert f2.value / f1.value == pytest.approx(want, rel=1e-5)
+
+
+def mpmath_t0_fit(t, samples, sigma):
+    """The t -> 0 limit and max residual of the least-squares fit of the
+    samples on [1, t^{2-2s}, t^2], by 40-digit normal equations."""
+    with mpmath.workdps(40):
+        e1 = 2 - 2 * mpmath.mpf(sigma)
+        M = mpmath.matrix([[mpmath.mpf(float(x)) ** e for e in (0, e1, 2)] for x in t])
+        y = mpmath.matrix([mpmath.mpf(float(v)) for v in samples])
+        coef = mpmath.lu_solve(M.T * M, M.T * y)
+        return float(coef[0]), float(max(abs(v) for v in M * coef - y))
+
+
+class TestT0Fit:
+    """One least-squares fit per sigma on 2^-k serves samples at every scale."""
+
+    @pytest.mark.parametrize("scales", [
+        (1e-2, 0.1, 1.0, 10.0, 1e2),
+        tuple(0.05 * r for r in (0.5, 1.0, 1.3, 2.0)),
+    ], ids=["1e-2_to_1e2", "flux"])
+    def test_matches_mpmath_least_squares(self, scales):
+        # measured at most 3.2e-16 of max|samples| for the limit and 4.6e-16
+        # for the residual; a pseudo-inverse at the samples' own scale missed
+        # the limit by up to 4.6e-13 (1e-2 to 1e2) and 1.3e-12 (flux) on the
+        # same draws
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            sigma = float(rng.uniform(0.06, 0.99))
+            samples = rng.standard_normal(9)
+            bound = 1e-14 * np.max(np.abs(samples))
+            value, resid = _extrapolate_t0(samples, sigma)
+            for scale in scales:
+                want, want_resid = mpmath_t0_fit(scale * _T0_HALVINGS, samples, sigma)
+                assert abs(value - want) <= bound, (sigma, scale, value - want)
+                assert abs(resid - want_resid) <= bound, (sigma, scale, resid - want_resid)
+
+    def test_t2_column_dropped_where_exponents_meet(self):
+        assert _t0_fit(0.04).M.shape == (9, 2)
+        assert _t0_fit(0.06).M.shape == (9, 3)
+        np.testing.assert_array_equal(_t0_fit(0.3).M[:, 2], _T0_HALVINGS ** 2)
+
+    def test_cached_arrays_are_read_only(self):
+        for a in _t0_fit(0.5):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+
+def count_repeat_work(monkeypatch):
+    """Counts of np.linalg.pinv and specialfn.log_gamma_signed calls from now on."""
+    counts = {"pinv": 0, "log_gamma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", np.linalg.pinv))
+    monkeypatch.setattr(specialfn, "log_gamma_signed", counted("log_gamma", specialfn.log_gamma_signed))
+    return counts
+
+
+class TestWarmCallsRepeatNoWork:
+    """After one warm call, neither the flux nor the barrier check computes a
+    pseudo-inverse or a log-Gamma."""
+
+    @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 2.0), (4, 0.75, 0.0, 5.0 / 3.0)])
+    def test_flux(self, quad, monkeypatch):
+        params = validate_params(*quad)
+        trace = exact_trace(params)
+        neumann_flux(trace, 1.0, params)
+        counts = count_repeat_work(monkeypatch)
+        for r in (0.5, 1.0, 2.0):
+            flux = neumann_flux(trace, r, params)
+            np.testing.assert_array_equal(flux.t_samples, r * _FLUX_T_SEQUENCE)
+        assert counts == {"pinv": 0, "log_gamma": 0}
+
+    def test_barrier_ladder(self, monkeypatch):
+        point = (math.cos(0.5), math.sin(0.5))
+        _barrier_ladder(0.8, 0.3, point, P352, 3)
+        counts = count_repeat_work(monkeypatch)
+        _barrier_ladder(0.8, 0.3, point, P352, 3)
+        assert counts == {"pinv": 0, "log_gamma": 0}
 
 
 class TestFowler:
@@ -412,3 +501,12 @@ class TestBarrier:
             verify_barrier_identity(2.5, 0.3, self.POINT, P352)
         with pytest.raises(ValueError, match="delta"):
             verify_barrier_identity(0.8, 0.7, self.POINT, P352)
+
+    @pytest.mark.parametrize("scales, bound", [
+        ({"h": 0.0}, "0 < h < 1"), ({"h": 1.5}, "0 < h < 1"), ({"h": math.nan}, "0 < h < 1"),
+        ({"t0": 0.0}, "t0 > 0"), ({"t0": -0.05}, "t0 > 0"),
+        ({"fd_ratio": 0.0}, "0 < fd_ratio < 1"), ({"fd_ratio": 1.5}, "0 < fd_ratio < 1"),
+    ])
+    def test_scales_enforced(self, scales, bound):
+        with pytest.raises(ValueError, match=f"requires {bound}"):
+            verify_barrier_identity(0.8, 0.3, self.POINT, P352, **scales)

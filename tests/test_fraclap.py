@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hardyhenon import specialfn
 from hardyhenon.fraclap import (
     QuadratureConfig,
     QuadratureError,
@@ -134,6 +135,15 @@ class TestRuleCache:
         _pv_rule.cache_clear()
         frac_laplacian_radial(power_profile(1.0), 1.0, P352, convergence_tol=1e-6)
         assert _pv_rule.cache_info().misses == 2
+
+    def test_second_radius_computes_no_log_gamma(self, monkeypatch):
+        prof = power_profile(0.8)
+        frac_laplacian_radial(prof, 1.0, P352)
+        calls = []
+        log_gamma = specialfn.log_gamma_signed
+        monkeypatch.setattr(specialfn, "log_gamma_signed", lambda x: calls.append(x) or log_gamma(x))
+        frac_laplacian_radial(prof, 2.0, P352)
+        assert calls == []
 
     def test_cached_arrays_are_read_only(self):
         rule = _pv_rule(3, 0.5, QuadratureConfig())

@@ -215,6 +215,14 @@ class TestNormalizers:
                 assert poisson_normalizer(n, sigma) > 0.0
                 assert hypersingular_normalizer(n, sigma) > 0.0
 
+    def test_memoized_values_are_bit_identical(self):
+        for n in (2, 3, 10):
+            assert unit_sphere_area(n) == unit_sphere_area.__wrapped__(n)
+            for sigma in (0.05, 0.5, 0.95):
+                assert kappa_sigma(sigma) == kappa_sigma.__wrapped__(sigma)
+                for fn in (poisson_normalizer, hypersingular_normalizer):
+                    assert fn(n, sigma) == fn.__wrapped__(n, sigma)
+
     def test_sphere_areas(self):
         assert unit_sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
         assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
