@@ -17,7 +17,10 @@ Math. 6, 1964) with the flux rows folded back through a capacitance matrix
 (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); on grids
 where that diagonalization is unstable, a banded LU with partial pivoting
 (LAPACK ``dgbsv``) takes the steps.  In s-major order the system is banded
-with n_psi sub- and super-diagonals.
+with n_psi sub- and super-diagonals.  The s-transforms are an FFT-based
+orthonormal DST-I (``numpy.fft``; Swarztrauber, SIAM Rev. 19, 1977), and
+the capacitance matrix is built in closed form as Toeplitz minus Hankel, so
+no dense sine matrix is formed.
 
 The constant part of the system is written once, as six arrays of
 row-scaled coefficients: they are applied matrix-free for every residual,
@@ -25,7 +28,7 @@ and written into band storage for the banded LU.
 
 scipy is imported inside the functions that use it, so ``import hardyhenon``
 does not load it: either step loads ``scipy.linalg`` and its ``lapack`` at a
-solve's first step.  No sparse-matrix module is used.
+solve's first step.  No sparse-matrix module and no ``scipy.fft`` is used.
 """
 
 from __future__ import annotations
@@ -212,6 +215,43 @@ def _mode_solver(L: np.ndarray, lam: np.ndarray):
     return solve
 
 
+def _dst1(X: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0: Q X, Q_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)), j, k = 1..m.
+
+    The real FFT of the odd extension [0, X, 0, -X[::-1]], of period
+    2(m+1), is -2i times the sine sums at frequencies 1..m, so the extension
+    is built from X scaled by -sqrt(1/(2(m+1))).  Q is symmetric and
+    orthogonal, so the transform is its own inverse.
+    """
+    m = len(X)
+    ext = np.zeros((2 * (m + 1),) + X.shape[1:])
+    ext[1:m + 1] = -math.sqrt(0.5 / (m + 1)) * X
+    ext[m + 2:] = -ext[m:0:-1]
+    return np.fft.rfft(ext, axis=0)[1:m + 1].imag
+
+
+def _capacitance(g: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """G = R Q diag(g) Q R^-1 in closed form, Q the orthonormal DST-I.
+
+    2 sin a sin b = cos(a - b) - cos(a + b), so Q diag(g) Q is Toeplitz
+    minus Hankel: entry (i, k) is h(|i - k|) - h(i + k), i, k = 1..m, with
+    h(t) = (1/(m+1)) sum_j g_j cos(pi j t/(m+1)), the real FFT of the even
+    extension [0, g, 0, g[::-1]] over its period 2(m+1), and h(t) =
+    h(2(m+1) - t) beyond t = m + 1.
+    """
+    m = len(g)
+    ext = np.zeros(2 * (m + 1))
+    ext[1:m + 1] = g
+    ext[m + 2:] = g[::-1]
+    h = np.fft.rfft(ext).real / len(ext)  # h(0), ..., h(m + 1)
+    h = np.concatenate((h, h[-2:1:-1]))  # on to h(2m)
+    windows = np.lib.stride_tricks.sliding_window_view
+    G = windows(np.concatenate((h[m - 1:0:-1], h[:m])), m)[:, ::-1] - windows(h[2:], m)
+    G *= R[:, None]
+    G /= R
+    return G
+
+
 def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
                     apply, row_scale: np.ndarray):
     """Exact Newton-step solver for the Jacobian A + diag(d), or None where it is unstable.
@@ -220,14 +260,18 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     interior rows of the unscaled system carry T (x) E + I (x) L +
     diag(d) on the flux unknowns, with T the constant tridiagonal axial
     stencil and L the psi operator.  T = R Q Lambda Q R^-1 in closed form
-    (Q the orthogonal sine matrix, R = diag(r^(i - (m+1)/2))), so s-mode j
+    (Q the orthonormal DST-I, R = diag(r^(i - (m+1)/2))), so s-mode j
     leaves the psi system M_j = L + lambda_j E.  ``_mode_solver`` folds
     the flux row of every M_j into its row 1 and factors all m of them as
     one stacked tridiagonal system, so a mode-space solve is one
     ``dgttrs``.  The flux terms d couple the modes; the capacitance matrix
     G = R Q diag(g) Q R^-1, with g_j = [M_j^-1]_00, maps a flux-row load to
-    the flux values it produces.  A solve is then two s-transforms, one
-    stacked tridiagonal solve and one dense solve of I + D G.
+    the flux values it produces.  ``_capacitance`` builds it in closed form
+    from one real FFT of g, in O(m log m + m^2), and Q itself is never
+    formed: every product with it is ``_dst1``, a real FFT of length
+    2(m+1).  A solve is then two s-transforms of the whole right-hand side,
+    one stacked tridiagonal solve, two transforms of a vector and one dense
+    solve of I + D G, whose LU is the step's only BLAS-backed call.
 
     ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same L.
     The returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with
@@ -247,7 +291,6 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
         return None
     theta = np.arange(1, m + 1) * (math.pi / (m + 1))
     lam = diag + 2.0 * math.sqrt(lo * up) * np.cos(theta)
-    Q = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(np.arange(1, m + 1), theta))
     R = math.sqrt(lo / up) ** (np.arange(1, m + 1) - 0.5 * (m + 1))
 
     mode_solve = _mode_solver(L, lam)
@@ -256,8 +299,7 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     Z = np.zeros((m, npsi))
     Z[:, 0] = 1.0
     mode_solve(Z)
-    G = (R[:, None] * Q) @ (Z[:, :1] * Q / R[None, :])
-    eye = np.eye(m)
+    G = _capacitance(Z[:, 0], R)
     flux_rows = np.arange(1, ns - 1) * npsi
 
     def solve(rhs, d, capacitance):
@@ -266,15 +308,17 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
         B = out[1:-1].copy()
         B[0, 1:] -= lo * out[0, 1:]
         B[-1, 1:] -= up * out[-1, 1:]
-        Y = Q @ (B / R[:, None])
+        Y = _dst1(B / R[:, None])
         mode_solve(Y)
-        load = sla.lu_solve(capacitance, d * (R * (Q @ Y[:, 0])))
-        Y -= (Q @ (load / R))[:, None] * Z
-        out[1:-1] = R[:, None] * (Q @ Y)
+        load = sla.lu_solve(capacitance, d * (R * _dst1(Y[:, 0])))
+        Y -= _dst1(load / R)[:, None] * Z
+        out[1:-1] = R[:, None] * _dst1(Y)
         return out.reshape(-1)
 
     def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
-        capacitance = sla.lu_factor(eye + d[:, None] * G)
+        coupled = d[:, None] * G
+        coupled.flat[::m + 1] += 1.0  # I + D G
+        capacitance = sla.lu_factor(coupled)
         dvec = np.zeros(ns * npsi)
         dvec[flux_rows] = row_scale[flux_rows] * d
         x = solve(-F / row_scale, d, capacitance)
@@ -327,11 +371,11 @@ def solve_cylinder_pde(
     """Solve the discrete cylinder problem with Dirichlet data at both axial ends.
 
     ``boundary_left``/``boundary_right`` give V on the psi nodes at s_min and
-    s_max; they must be strictly positive.  The iteration starts from the
-    linear interpolation of the end data unless ``initial`` (an (n_s, n_psi)
-    array) is supplied.  Divergence raises SolverDivergence with the residual
-    history; negative iterates are projected back to a positive floor and
-    reported on the result.
+    s_max; they must be finite and strictly positive.  The iteration starts
+    from the linear interpolation of the end data unless ``initial`` (a finite
+    (n_s, n_psi) array) is supplied.  Divergence raises SolverDivergence with
+    the residual history; negative iterates are projected back to a positive
+    floor and reported on the result.
 
     The psi operator is built once per solve, and every residual (the
     Newton residual, the line search's trials, the refinement pass) applies
@@ -370,6 +414,11 @@ def solve_cylinder_pde(
     boundary_right = np.asarray(boundary_right, dtype=float)
     if boundary_left.shape != (npsi,) or boundary_right.shape != (npsi,):
         raise ValueError("boundary data must match the psi grid")
+    # a NaN passes the positivity test, and then the residual test as well
+    for name, data in (("boundary_left", boundary_left), ("boundary_right", boundary_right),
+                       ("initial", initial)):
+        if data is not None and not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} must be finite")
     if np.any(boundary_left <= 0.0) or np.any(boundary_right <= 0.0):
         raise ValueError("boundary data must be strictly positive")
 

@@ -174,6 +174,25 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: spec")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_energy_perturbation_exits_two(self, capsys, value):
+        # NaN end data once passed as a converged solve (exit 0, verdict
+        # Constant), and inf ones failed inside the capacitance LU
+        code = run(["energy", *QUAD, "1.8", "--perturbation", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: boundary_left must be finite\n"
+
+    def test_non_finite_spec_perturbation_exits_two(self, tmp_path, capsys):
+        # JSON NaN is a number; the solve once ended in a solver_residual violation
+        spec = {**CONVERGING_SPEC, "perturbation": math.nan}
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: boundary_left must be finite\n"
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_barrier_needs_two_levels(self, capsys, levels):
         code = run(["barrier", "--levels", levels])
@@ -353,9 +372,9 @@ def without_elapsed(stdout: str) -> list[str]:
 class TestStartUp:
     def test_import_loads_no_sparse_or_dense_solver(self):
         # only a cylinder solve needs scipy.linalg, and it imports it itself;
-        # nothing needs scipy.sparse
+        # nothing needs scipy.sparse, and the sine transforms are numpy's FFT
         code = ("import json, sys, hardyhenon, hardyhenon.cli; print(json.dumps(sorted("
-                "m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg')))))")
+                "m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg', 'scipy.fft')))))")
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -390,11 +409,13 @@ class TestStartUp:
 
     def test_separable_solve_loads_no_sparse_module(self):
         # the separable step applies the operator matrix-free and factors
-        # with LAPACK; nothing on its path assembles a sparse matrix
+        # with LAPACK; nothing on its path assembles a sparse matrix, and its
+        # sine transforms use numpy.fft, which scipy.linalg loads anyway
+        # (a fresh scipy.fft import after scipy.linalg took 0.07-0.10 s)
         codes, modules = self.scipy_modules_after([["energy", *QUAD, "1.8", "--perturbation", "0.05"]])
         assert codes == [0]
         assert "scipy.linalg" in modules
-        assert [m for m in modules if m.startswith("scipy.sparse")] == []
+        assert [m for m in modules if m.startswith(("scipy.sparse", "scipy.fft"))] == []
 
     def test_fallback_solve_loads_no_sparse_module(self, tmp_path):
         # |J1| L / 2 = 10 on this window at J1 = 2: the steps go to the

@@ -1,8 +1,9 @@
 """Newton steps of the cylinder solver: the separable and the banded-LU step
 against SuperLU on an independently assembled Kronecker matrix, the choice
-between them, the matrix-free operator, its band and the stacked mode solve
-against their references, the line search, and the consistency of the
-discrete operator with the exact solution."""
+between them, the matrix-free operator, its band, the stacked mode solve,
+the sine transform and the capacitance matrix against their references, the
+line search, the end data it refuses, and the consistency of the discrete
+operator with the exact solution."""
 
 import hashlib
 import math
@@ -19,6 +20,8 @@ from hardyhenon.cylinder import (
     SolverDivergence,
     _axial_stencil,
     _banded_step,
+    _capacitance,
+    _dst1,
     _linear_operator,
     _mode_solver,
     _separable_step,
@@ -87,6 +90,13 @@ def assemble_linear(params, grid, L):
     ).tocsr()
     scale = 1.0 / np.maximum(np.abs(A.diagonal()), 1e-30)
     return (sp.diags(scale) @ A).tocsr(), scale
+
+
+def sine_matrix(m):
+    """Reference for ``cylinder._dst1``: the orthonormal DST-I as a dense
+    matrix, Q_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)), j, k = 1..m."""
+    theta = np.arange(1, m + 1) * (math.pi / (m + 1))
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(np.arange(1, m + 1), theta))
 
 
 def jacobian(A, scale, grid, d):
@@ -307,6 +317,57 @@ class TestLinearOperator:
         assert res.linear_solver == solver
         assert res.iterations >= 1
         assert len(calls) == 1
+
+
+# every OPERATOR_GRIDS grid, and a fine axial grid where m = 1279
+TRANSFORM_GRIDS = {**OPERATOR_GRIDS, "1281x33": CylinderGrid(n_s=1281, n_psi=33)}
+
+
+class TestSeparableTransforms:
+    @pytest.mark.parametrize("grid", TRANSFORM_GRIDS.values(), ids=TRANSFORM_GRIDS.keys())
+    def test_fft_sine_transform_matches_sine_matrix(self, grid):
+        # measured at most 1.5e-13 max|X|, at m = 1279
+        m = grid.n_s - 2
+        Q = sine_matrix(m)
+        X = np.random.default_rng(m).standard_normal((m, grid.n_psi))
+        bound = 1e-12 * np.max(np.abs(X))
+        assert np.max(np.abs(_dst1(X) - Q @ X)) <= bound
+        assert np.max(np.abs(_dst1(X[:, 0]) - Q @ X[:, 0])) <= bound
+
+    @pytest.mark.parametrize("grid", TRANSFORM_GRIDS.values(), ids=TRANSFORM_GRIDS.keys())
+    @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 1.8), (3, 0.3, 0.0, 1.6)], ids=["J1>0", "J1<0"])
+    def test_closed_form_capacitance_matches_dense_product(self, grid, quad):
+        # g and R as the separable step builds them; measured at most 1.2e-13
+        # relative, at m = 1279.  Both sides carry rounding of about
+        # eps max|g| R_i/R_k per entry, so at J1 = 2, where R_m/R_1 = 2.7e3,
+        # they differ by 1.4e-12 relative while Q diag(g) Q agrees to 4e-15
+        params = validate_params(*quad)
+        lo, diag, up = _axial_stencil(params, grid)
+        m = grid.n_s - 2
+        lam = diag + 2.0 * math.sqrt(lo * up) * np.cos(np.arange(1, m + 1) * (math.pi / (m + 1)))
+        R = math.sqrt(lo / up) ** (np.arange(1, m + 1) - 0.5 * (m + 1))
+        Z = np.zeros((m, grid.n_psi))
+        Z[:, 0] = 1.0
+        _mode_solver(_half_sphere_operator(psi_nodes(grid), params.n, params.sigma), lam)(Z)
+        g = Z[:, 0]
+        Q = sine_matrix(m)
+        want = (R[:, None] * Q) @ (g[:, None] * Q / R[None, :])
+        assert np.max(np.abs(_capacitance(g, R) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestEndData:
+    @pytest.mark.parametrize("name, bad", [("boundary_left", math.nan), ("boundary_right", math.inf),
+                                           ("initial", math.nan)])
+    def test_non_finite_data_are_refused(self, name, bad):
+        # a NaN passes the positivity test; unchecked, its NaN residual
+        # passed the tolerance test and returned a NaN field as converged
+        grid = GRIDS["71x33"]
+        phi = exact_sphere_profile(COR11, psi_nodes(grid)).phi
+        data = {"boundary_left": phi.copy(), "boundary_right": phi.copy(),
+                "initial": np.tile(phi, (grid.n_s, 1))}
+        data[name].flat[3] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            solve_cylinder_pde(COR11, grid=grid, **data)
 
 
 class TestExactSolutionConsistency:
