@@ -112,6 +112,16 @@ def _emit(report: dict, out: str | None, violations: list[str]) -> int:
     return 0
 
 
+def _add_tolerance(sp, flag: str, default: float, what: str) -> None:
+    """A ``--tol-*`` flag: NaN or a negative value would switch its check off."""
+    def tolerance(token: str) -> float:
+        value = float(token)
+        if not 0.0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {token!r}")
+        return value
+    sp.add_argument(flag, type=tolerance, default=default, help=f"{what}; finite, >= 0")
+
+
 def _params_from(args):
     return validate_params(args.n, args.sigma, args.alpha, args.p)
 
@@ -382,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-lemma", help="singular-solution identity by quadrature")
     _add_params(sp)
     sp.add_argument("--radii", default="0.5,1,2", help="comma list of radii")
-    sp.add_argument("--tol-fall", type=float, default=acceptance.FALL_TOL)
+    _add_tolerance(sp, "--tol-fall", acceptance.FALL_TOL, "largest relative error of the identity")
     sp.add_argument("--nodes-radial", type=int, default=DEFAULT_CONFIG.nodes_radial)
     sp.add_argument(
         "--nodes-angular", type=int, default=DEFAULT_CONFIG.nodes_angular,
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sp)
     sp.add_argument("--r-range", default="0.25,4.0")
     sp.add_argument("--grid", default="81x65", help="NRxNPSI")
-    sp.add_argument("--tol-flux", type=float, default=1e-4)
+    _add_tolerance(sp, "--tol-flux", 1e-4, "fit residual of the Neumann flux, passed below it")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_extend)
 
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", required=True,
                     help='JSON file: {"params": {...}, "s_range": [a,b], "grid": [ns,npsi], '
                          '"perturbation": eps}')
-    sp.add_argument("--tol-residual", type=float, default=1e-8)
+    _add_tolerance(sp, "--tol-residual", 1e-8, "largest Newton residual norm")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_solve_cylinder)
 
@@ -414,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=f"{_DEFAULT_GRID.n_s}x{_DEFAULT_GRID.n_psi}",
                     help="NSxNPSI")
     sp.add_argument("--perturbation", type=float, default=0.0)
-    sp.add_argument("--tol-drift", type=float, default=1e-4)
+    _add_tolerance(sp, "--tol-drift", 1e-4, "slope allowed against sign(J1), in units of max |E|")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_energy)
 
@@ -433,13 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative step of the t-derivative, in (0, 1)")
     sp.add_argument("--levels", type=int, default=BARRIER_LEVELS,
                     help="refinement levels (at least 2)")
-    sp.add_argument("--tol-order", type=float, default=acceptance.BARRIER_ORDER)
+    _add_tolerance(sp, "--tol-order", acceptance.BARRIER_ORDER, "smallest decay ratio per level")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_barrier)
 
     sp = sub.add_parser("kelvin", help="inversion map, equivalences, amplitude invariance")
     _add_params(sp)
-    sp.add_argument("--tol-invariance", type=float, default=acceptance.INVARIANCE_TOL)
+    _add_tolerance(sp, "--tol-invariance", acceptance.INVARIANCE_TOL,
+                   "amplitude change under inversion, passed below it")
     sp.set_defaults(fn=_cmd_kelvin)
 
     sp = sub.add_parser("suite", help="run the full acceptance battery")

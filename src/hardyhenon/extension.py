@@ -107,10 +107,11 @@ def _radial_rule(x, t, n, cfg, kernel) -> _RadialRule:
     """The rule of int_0^R u(rho) rho^{n-1} kernel(rho) d rho at each point, with peak-aware zones.
 
     ``x`` and ``t`` are 1-D arrays of points; R is ``tail_cutoff`` times the
-    point's radius.  ``kernel(c0, q, t2)`` maps flat arrays of offsets
-    c0 = (x-rho)^2 + t^2, products x*rho and the points' t^2 to the
-    sphere-reduced kernel; every zone of every point goes through one call,
-    and each weight is the node weight times rho^{n-1} times the kernel row.
+    point's radius.  ``kernel(c0, q, t2)`` maps the offsets
+    c0 = (x-rho)^2 + t^2, the products x*rho and the points' t^2, which
+    broadcast together, to the sphere-reduced kernel.  It is called once per
+    zone and once for the rows at rho = 0, and each weight is the node weight
+    times rho^{n-1} times the kernel row.
     The zones are, in summation order, the spike at rho = x (only when
     x > 0.05 |X|), the outer and the inner log zone; [0, rho0] is left to
     ``_radial_sum``.  Both kernels are homogeneous of degree -n - 2 sigma in
@@ -137,19 +138,12 @@ def _radial_rule(x, t, n, cfg, kernel) -> _RadialRule:
         on = hi > lo
         zones.append((on, *log_zone_nodes(lo[on, None], hi[on, None], cfg.nodes_radial), 1.0))
 
-    # one kernel call over every zone; the last len(x) rows are rho = 0
-    parts = [(np.broadcast_to(x[on, None], rho.shape), np.broadcast_to(t2[on, None], rho.shape), rho)
-             for on, rho, *_ in zones]
-    parts.append((x, t2, np.zeros_like(x)))
-    xf, t2f, rhof = (np.concatenate([a.ravel() for a in col]) for col in zip(*parts))
-    k = kernel((xf - rhof) ** 2 + t2f, xf * rhof, t2f)
     rule = []
-    start = 0
     for on, rho, w, jac in zones:
-        kz = k[start:start + rho.size].reshape(rho.shape)
-        start += rho.size
-        rule.append((on, rho, w * rho ** (n - 1) * kz * jac))
-    k0 = k[start:]
+        xz, t2z = x[on, None], t2[on, None]
+        k = kernel((xz - rho) ** 2 + t2z, xz * rho, t2z)
+        rule.append((on, rho, w * rho ** (n - 1) * k * jac))
+    k0 = kernel(x * x + t2, np.zeros_like(x), t2)
     for a in (rho0, k0, *(a for zone in rule for a in zone)):
         a.flags.writeable = False
     return _RadialRule(tuple(rule), rho0, k0)
@@ -192,8 +186,8 @@ def poisson_extend_radial(
     raises QuadratureError with the achieved estimate.
     """
     r, psi = point
-    if r <= 0.0:
-        raise ValueError("the spherical radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"the spherical radius r must be finite and positive, got r={r}")
     if not 0.0 < psi <= math.pi / 2.0:
         raise ValueError("elevation angle must lie in (0, pi/2]; use the trace at psi = 0")
     if not check_Lsigma_membership(trace, n, sigma):
@@ -324,6 +318,8 @@ def neumann_flux(
     (``_extrapolate_t0``).  A large fit residual signals a non-convergent
     extrapolation.
     """
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"the boundary radius r must be finite and positive, got r={r}")
     n, sigma = params.n, params.sigma
     samples = _weighted_t_derivatives(trace, r, n, sigma, cfg)
     value, resid = _extrapolate_t0(samples, sigma)

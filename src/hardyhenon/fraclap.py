@@ -237,8 +237,8 @@ def frac_laplacian_radial(
     node counts and a relative disagreement above the tolerance raises
     QuadratureError carrying the achieved estimate.
     """
-    if r <= 0.0:
-        raise ValueError("evaluation radius must be positive")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"evaluation radius r must be finite and positive, got r={r}")
     n, sigma = params.n, params.sigma
     if not check_Lsigma_membership(profile, n, sigma):
         raise ValueError(

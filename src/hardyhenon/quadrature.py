@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,15 +49,14 @@ from .specialfn import unit_sphere_area
 _ANGULAR_SWITCH = 0.25
 _SERIES_Z_MAX = (2.0 / (_ANGULAR_SWITCH + 2.0
                         + math.sqrt(_ANGULAR_SWITCH * (_ANGULAR_SWITCH + 4.0)))) ** 2
-#: Rows per block of the spike rule.  Each call makes its (rows, nodes)
-#: scratch arrays once, 256 KB each at 64 angular nodes, and every block
-#: is evaluated in them, so the memory does not grow with the batch and no
-#: block allocates.  Blocks that made their own temporaries had malloc hand
-#: them back to the system and fault fresh pages in for the next block, and
-#: how often depended on the process's allocation history: with 256-row
-#: blocks, one extension_flux round took 212k minor faults and 2.9 s in one
-#: process, 25k and 2.2 s in another running the same code.
-_BLOCK_ROWS = 512
+#: Rows per block of the spike rule.  Each block makes its own (rows, nodes)
+#: temporaries, 64 KB each at 64 angular nodes, so the memory does not grow
+#: with the batch: a two-moment call over 20,000 spike rows peaks at 1.2 MB
+#: (tracemalloc) at 64 nodes and 2.9 MB at 256, against 2.9 and 10.0 MB with
+#: 512-row blocks.  The rule runs only when a radial rule is built, and the
+#: PV and flux rules are cached per (n, sigma, cfg), so their warm
+#: evaluations never reach it.
+_BLOCK_ROWS = 128
 
 
 @lru_cache(maxsize=64)
@@ -125,23 +123,6 @@ def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-class _AngularRule(NamedTuple):
-    x01: np.ndarray  # Gauss-Legendre nodes on [0, 1]
-    w01: np.ndarray  # and their weights
-    ring: float  # |S^{n-2}|
-    area: float  # |S^{n-1}|, the factor of the series rows
-
-
-@lru_cache(maxsize=64)
-def _angular_rule(n: int, n_nodes: int) -> _AngularRule:
-    """Everything in the sphere integral that depends on (n, n_nodes) only."""
-    xg, wg = gauss_legendre(n_nodes)
-    tables = ((xg + 1.0) / 2.0, wg / 2.0)
-    for a in tables:
-        a.flags.writeable = False
-    return _AngularRule(*tables, unit_sphere_area(n - 1), unit_sphere_area(n))
-
-
 @lru_cache(maxsize=256)
 def _hyp2f1_coefficients(a: float, b: float, c: float, z_max: float) -> tuple[float, ...]:
     """Taylor coefficients of 2F1(a, b; c; z), every one whose term at
@@ -170,11 +151,6 @@ def _hyp2f1_series(a: float, b: float, c: float, z: np.ndarray,
     return f
 
 
-def _blocks(rows: np.ndarray):
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield rows[start:start + _BLOCK_ROWS]
-
-
 def _sphere_integral(c0, q, n: int, mu: float, n_nodes: int, moments: int = 1):
     """The moments int_{S^{n-1}} D^{-mu-k} dw, k < ``moments``, with
     D = c0 + 2 q (1 - cos g); c0 and q broadcast together, and each moment
@@ -185,19 +161,17 @@ def _sphere_integral(c0, q, n: int, mu: float, n_nodes: int, moments: int = 1):
     A^{-mu-k} is A^{-mu} divided by A once per k: a power of A rounds its
     exponent, which costs log(A) ulps, and this way it is rounded once.
 
-    The remaining rows use the sinh-stretched rule, in blocks of
-    ``_BLOCK_ROWS`` in scratch arrays made once per call, in place, by the
-    same operations in the same order as fresh arrays would take.  The rule
-    forms D^{-mu} w times its node weights, w = sin^{n-2} g being the polar
-    weight of the sphere, and each further moment divides that by D once
-    more.  Each row is summed by itself and series rows are evaluated
-    elementwise, so a row's value does not depend on the block size or the
-    batch.
+    The remaining rows use the sinh-stretched rule, g = delta sinh(xi) with
+    delta = sqrt(c0 / q) and xi from 0 to arcsinh(pi / delta), evaluated
+    ``_BLOCK_ROWS`` rows at a time.  The rule forms D^{-mu} w times the
+    Jacobian and the node weights, w = sin^{n-2} g being the polar weight of
+    the sphere, and each further moment divides that by D once more.  Each
+    row is summed by itself and series rows are evaluated elementwise, so a
+    row's value does not depend on the block size or the batch.
     """
     arrays = np.broadcast_arrays(np.asarray(c0, dtype=float), np.asarray(q, dtype=float))
     flat_c0, flat_q = (a.reshape(-1) for a in arrays)
     out = np.empty((moments, flat_c0.size))
-    rule = _angular_rule(n, n_nodes)
     spike = flat_c0 < _ANGULAR_SWITCH * flat_q
 
     rows = np.flatnonzero(~spike)
@@ -210,46 +184,31 @@ def _sphere_integral(c0, q, n: int, mu: float, n_nodes: int, moments: int = 1):
     for k in range(moments):
         if k:
             power /= A
-        out[k, rows] = rule.area * (power * _hyp2f1_series(mu + k, mu + k - n / 2.0 + 1.0, n / 2.0, h2))
+        series = _hyp2f1_series(mu + k, mu + k - n / 2.0 + 1.0, n / 2.0, h2)
+        out[k, rows] = unit_sphere_area(n) * (power * series)
 
+    xg, wg = gauss_legendre(n_nodes)
+    x01, w01 = (xg + 1.0) / 2.0, wg / 2.0
     spike_rows = np.flatnonzero(spike)
-    scratch = np.empty((4, min(_BLOCK_ROWS, spike_rows.size), n_nodes))
-    for rows in _blocks(spike_rows):
-        xi, gam, jac, D = scratch[:, :rows.size]
+    for start in range(0, spike_rows.size, _BLOCK_ROWS):
+        rows = spike_rows[start:start + _BLOCK_ROWS]
         c0s, qs = flat_c0[rows, None], flat_q[rows, None]
         delta = np.sqrt(c0s / qs)
         xi_max = np.arcsinh(math.pi / delta)
-        np.multiply(xi_max, rule.x01, out=xi)
-        np.sinh(xi, out=gam)
-        gam *= delta
-        np.cosh(xi, out=jac)
-        jac *= delta
-        jac *= xi_max
+        xi = xi_max * x01
+        jac = np.cosh(xi) * delta * xi_max
         # sin(g/2) = 2 tau / (1 + tau^2) with tau = tan(g/4): numpy's float64
         # tangent is vectorized where its sine is a scalar loop
-        tau = gam  # gam is not needed again
-        tau *= 0.25
-        np.tan(tau, out=tau)
-        np.multiply(tau, tau, out=D)
-        D += 1.0
-        tau *= 2.0
-        tau /= D
-        s2 = tau
-        s2 **= 2
+        tau = np.tan(np.sinh(xi) * delta * 0.25)
+        s2 = (tau * 2.0 / (tau * tau + 1.0)) ** 2
         # sin^2 g = 4 sin^2(g/2) cos^2(g/2): one tangent per node
-        w = np.multiply(4.0, s2, out=xi)
-        w *= np.subtract(1.0, s2, out=D)
-        w **= (n - 2) / 2.0
-        np.multiply(4.0 * qs, s2, out=D)
-        D += c0s
-        f = np.power(D, -mu, out=s2)  # s2 is not needed again
-        f *= w
-        f *= jac
-        f *= rule.w01
+        w = (4.0 * s2 * (1.0 - s2)) ** ((n - 2) / 2.0)
+        D = 4.0 * qs * s2 + c0s
+        f = D ** -mu * w * jac * w01
         for k in range(moments):
             if k:
                 f /= D
-            out[k, rows] = f.sum(axis=1) * rule.ring
+            out[k, rows] = f.sum(axis=1) * unit_sphere_area(n - 1)
 
     return tuple(moment.reshape(arrays[0].shape) for moment in out)
 

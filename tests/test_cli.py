@@ -193,6 +193,35 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "error: boundary_left must be finite\n"
 
+    @pytest.mark.parametrize("radius", ["inf", "nan", "0", "-1"])
+    def test_radius_must_be_finite_and_positive(self, capsys, radius):
+        # inf once ended in a ZeroDivisionError traceback, nan in a report
+        # with bare NaN tokens
+        code = run(["verify-lemma", *QUAD, "1.8", "--radii", f"1,{radius}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: evaluation radius r must be finite and positive")
+
+    # each once switched its check off: NaN compares false, and a negative
+    # bound passes every ratio
+    @pytest.mark.parametrize("command, flag", [
+        (["verify-lemma", *QUAD, "2"], "--tol-fall"),
+        (["extend", *QUAD, "1.8", "--grid", "9x9"], "--tol-flux"),
+        (["solve-cylinder", "--spec", "unread.json"], "--tol-residual"),
+        (["energy", *QUAD, "1.8"], "--tol-drift"),
+        (["barrier"], "--tol-order"),
+        (["kelvin", *QUAD, "1.8"], "--tol-invariance"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: must be finite and >= 0, got '{value}'" in captured.err
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_barrier_needs_two_levels(self, capsys, levels):
         code = run(["barrier", "--levels", levels])

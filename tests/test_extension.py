@@ -75,6 +75,12 @@ class TestPoissonExtension:
         with pytest.raises(ValueError, match="psi = 0"):
             poisson_extend_radial(power_profile(0.0), (1.0, 0.0), 3, 0.5)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, r):
+        # nan and inf once returned nan
+        with pytest.raises(ValueError, match="radius r must be finite and positive"):
+            poisson_extend_radial(power_profile(1.0), (r, 0.4), 3, 0.5)
+
     def test_convergence_report(self):
         from hardyhenon.fraclap import QuadratureError
 
@@ -97,6 +103,12 @@ class TestNeumannFlux:
     def test_constant_trace_has_no_flux(self):
         flux = neumann_flux(power_profile(0.0), 1.0, P352)
         assert abs(flux.value) < 1e-8
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, r):
+        # -1 once returned a plausible flux and 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="radius r must be finite and positive"):
+            neumann_flux(exact_trace(P352), r, P352)
 
     def test_cold_and_warm_cache_agree_bitwise(self):
         trace = exact_trace(P352)

@@ -109,6 +109,12 @@ class TestOperator:
         with pytest.raises(ValueError, match="integrability"):
             frac_laplacian_radial(power_profile(4.0), 1.0, P352)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, r):
+        # inf once raised ZeroDivisionError and nan returned nan
+        with pytest.raises(ValueError, match="radius r must be finite and positive"):
+            frac_laplacian_radial(power_profile(1.0), r, P352)
+
     def test_convergence_report(self):
         value = frac_laplacian_radial(power_profile(1.0), 1.0, P352, convergence_tol=1e-6)
         assert value == pytest.approx(2.0 / math.pi, rel=1e-9)

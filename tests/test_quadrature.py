@@ -3,6 +3,7 @@ their 2F1 series against mpmath, and the closed-form far-field tail of the
 radial quadratures."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -233,6 +234,24 @@ class TestBatchInvariance:
         rows = np.array([angular_flux_kernel(a, b, c, 4, 0.75, N_NODES)
                          for a, b, c in zip(c0, q, t2)])
         assert np.max(np.abs(batch - rows) / np.abs(rows)) <= 1e-15
+
+
+class TestBlockMemory:
+    """The spike rule's memory does not grow with the batch."""
+
+    def test_peak_is_bounded_by_the_block(self):
+        # 20,000 spike rows: one (rows, nodes) temporary alone would be 10 MB
+        rng = np.random.default_rng(0)
+        q = rng.uniform(0.5, 2.0, 20_000)
+        c0 = q * 10.0 ** rng.uniform(-12.0, -0.7, q.size)
+        quadrature._sphere_integral(c0[:1], q[:1], 3, 1.75, N_NODES, moments=2)  # warm the caches
+        tracemalloc.start()
+        try:
+            quadrature._sphere_integral(c0, q, 3, 1.75, N_NODES, moments=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestTailCutoff:
