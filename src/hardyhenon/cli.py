@@ -46,6 +46,7 @@ from .specialfn import (
 __all__ = ["main", "run", "serialize_report"]
 
 _DEFAULT_GRID = CylinderGrid()
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _round_sig(x: float) -> float:
@@ -54,29 +55,81 @@ def _round_sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _clean(obj):
-    """Recursive conversion to JSON-safe types with 12-significant-digit floats."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _clean(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
+def _json_float(x: float) -> str:
+    """The JSON token of a float rounded by ``_round_sig``; NaN and inf as json.dumps writes them."""
+    if math.isfinite(x):
+        return repr(_round_sig(x))
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _write_json(obj, parts: list, nl: str) -> None:
+    """Append ``obj`` to ``parts`` as ``json.dumps(obj, indent=2)`` writes it, floats rounded.
+
+    ``nl`` is a newline followed by the indent of the line ``obj`` starts on.
+    numpy scalars and arrays are written as Python numbers and lists, tuples
+    as lists, dataclasses as objects of their fields and keys as ``str(key)``.
+    """
+    if isinstance(obj, str):
+        parts.append(_json_str(obj))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_json_float(float(obj)))
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(repr(int(obj)))
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _write_json(value, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), parts, nl)
+    else:
+        if not isinstance(obj, dict):
+            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(sep + _json_str(str(key)) + ": ")
+            _write_json(value, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+
+
+def _rounded(value):
+    """A key-value CSV cell with each float in it rounded by ``_round_sig``."""
+    if isinstance(value, float):
+        return _round_sig(float(value))
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
 
 
 def serialize_report(report: dict, fmt: str = "json") -> bytes:
-    """Deterministic byte encoding of a report; CSV uses the rows payload."""
+    """Deterministic byte encoding of a report; CSV uses the rows payload.
+
+    JSON is written in one pass, in the layout of ``json.dumps(indent=2)``.
+    """
     if fmt == "json":
-        return (json.dumps(_clean(report), indent=2) + "\n").encode()
+        parts = []
+        _write_json(report, parts, "\n")
+        parts.append("\n")
+        return "".join(parts).encode()
     if fmt == "csv":
         rows = report.get("results", {}).get("rows")
         columns = report.get("results", {}).get("columns")
@@ -88,8 +141,8 @@ def serialize_report(report: dict, fmt: str = "json") -> bytes:
                 writer.writerow([_round_sig(v) if isinstance(v, float) else v for v in row])
         else:
             writer.writerow(["key", "value"])
-            for k, v in _clean(report["results"]).items():
-                writer.writerow([k, v])
+            for k, v in report["results"].items():
+                writer.writerow([k, _rounded(v)])
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -149,7 +202,7 @@ def _grid_rows(axis0, axis1, values) -> list:
 def _cmd_classify(args):
     params = _params_from(args)
     results = classify_regime(params).to_dict()
-    results["derived"] = dataclasses.asdict(derive_exponents(params))
+    results["derived"] = derive_exponents(params)
     return params, results, {"threshold_equality": THRESHOLD_TOL}, []
 
 
@@ -199,6 +252,8 @@ def _cmd_extend(args):
     params = _params_from(args)
     n_r, n_psi = _parse_grid(args.grid)
     r_lo, r_hi = (float(t) for t in args.r_range.split(","))
+    if not 0.0 < r_lo < r_hi < math.inf:
+        raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
     psi = psi_nodes(CylinderGrid(n_s=n_r, n_psi=n_psi))
     r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
     field = exact_extension_field(params, r_grid, psi)
@@ -331,7 +386,7 @@ def _cmd_kelvin(args):
     checks = verify_equivalences(params)
     results = {
         "vartheta": kmap.vartheta,
-        "mapped_params": dataclasses.asdict(kmap.mapped),
+        "mapped_params": kmap.mapped,
         "equivalences": [{**dataclasses.asdict(c), "agree": c.agree} for c in checks],
     }
     violations = [] if all(c.agree for c in checks) else ["exponent_equivalences"]
@@ -466,7 +521,7 @@ def run(argv: list[str] | None = None) -> int:
         params, results, tolerances, violations = args.fn(args)
         report = {"command": args.command}
         if params is not None:
-            report["params"] = dataclasses.asdict(params)
+            report["params"] = params
         report.update(results=results, tolerances=tolerances, elapsed=time.perf_counter() - t0)
         return _emit(report, getattr(args, "out", None), violations)
     except ParamError as exc:

@@ -72,8 +72,10 @@ class CylinderGrid:
     n_psi: int = 65
 
     def __post_init__(self) -> None:
-        if self.s_max <= self.s_min:
-            raise ValueError("empty axial range")
+        if not -math.inf < self.s_min < self.s_max < math.inf:
+            raise ValueError(
+                f"axial range needs finite s_min < s_max, got s_min={self.s_min}, s_max={self.s_max}"
+            )
         if self.n_s < 5 or self.n_psi < 5:
             raise ValueError("grid too small")
 

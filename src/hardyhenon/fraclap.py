@@ -206,20 +206,24 @@ def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, 
     """
     rule = _pv_rule(n, sigma, cfg)
     u = profile.evaluate
-    ur = float(u(np.array([r]))[0])
-    total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.rho)))
-
     rho0 = _INNER_CUTOFF * (1.0 - _PV_HALF_WIDTH) * r
     R = cfg.tail_cutoff * r
     a, b = profile.inner_exponent, profile.outer_exponent
-    k0 = rule.k0 * r ** (-n - 2.0 * sigma)
-    ua = float(u(np.array([rho0]))[0]) * rho0 ** a
-    inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
-    ub = float(u(np.array([R]))[0]) * R ** b
-    A = tail_moment_coefficient(n, sigma, r * r, 0.0)
-    tail = unit_sphere_area(n) * (
-        ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
-    )
+    try:
+        # Python float powers raise where numpy's would warn, so the ends
+        # come first: at a small r, k0 overflows before u(r) does
+        k0 = rule.k0 * r ** (-n - 2.0 * sigma)
+        ur = float(u(np.array([r]))[0])
+        ua = float(u(np.array([rho0]))[0]) * rho0 ** a
+        inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
+        ub = float(u(np.array([R]))[0]) * R ** b
+        A = tail_moment_coefficient(n, sigma, r * r, 0.0)
+        tail = unit_sphere_area(n) * (
+            ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
+        )
+    except OverflowError as exc:
+        raise ValueError(f"the closed-form ends overflow a double at r={r}") from exc
+    total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.rho)))
     return total + (inner + tail)
 
 

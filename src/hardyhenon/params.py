@@ -42,8 +42,8 @@ def _check(n, sigma, alpha, p) -> None:
         raise ParamError(f"dimension below 2 (or non-integer): n={n}")
     if not 0.0 < sigma < 1.0:
         raise ParamError(f"sigma out of range (0,1): sigma={sigma}")
-    if not p > 1.0:
-        raise ParamError(f"nonlinearity exponent must exceed 1: p={p}")
+    if not 1.0 < p < float("inf"):
+        raise ParamError(f"nonlinearity exponent must exceed 1 and be finite: p={p}")
     if not (alpha == alpha and abs(alpha) != float("inf")):
         raise ParamError(f"alpha must be a finite real: alpha={alpha}")
 

@@ -1,5 +1,8 @@
 """Command-line surface: report schema, determinism, exit-status contract."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -9,8 +12,10 @@ import sys
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
+from hardyhenon import cli
 from hardyhenon.cli import build_parser, run, serialize_report
 from hardyhenon.extension import _flux_rule
 
@@ -41,6 +46,64 @@ def with_spec(tmp_path, argv):
         if isinstance(arg, dict):
             path.write_text(json.dumps(arg))
     return [str(path) if isinstance(arg, dict) else arg for arg in argv]
+
+
+def _clean(obj):
+    """The former report pipeline's first pass: a JSON-safe copy with rounded floats."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _clean(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return cli._round_sig(float(obj))
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_clean(v) for v in obj.tolist()]
+    return obj
+
+
+def reference_serialize(report: dict, fmt: str = "json") -> bytes:
+    """The former ``serialize_report``: ``_clean``, then ``json.dumps(indent=2)``."""
+    if fmt == "json":
+        return (json.dumps(_clean(report), indent=2) + "\n").encode()
+    rows = report["results"].get("rows")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if rows is not None:
+        writer.writerow(report["results"]["columns"])
+        for row in rows:
+            writer.writerow([cli._round_sig(v) if isinstance(v, float) else v for v in row])
+    else:
+        writer.writerow(["key", "value"])
+        for k, v in _clean(report["results"]).items():
+            writer.writerow([k, v])
+    return buf.getvalue().encode()
+
+
+@pytest.fixture
+def reference_bytes(monkeypatch):
+    """Check each report the CLI writes against ``reference_serialize``.
+
+    ``_emit`` calls ``cli.serialize_report`` by its module name, so the check
+    sees every report of a run; the fixture's dict maps each format written
+    to the reference bytes of its last report.
+    """
+    written = {}
+    serialize = cli.serialize_report
+
+    def checked(report, fmt="json"):
+        got = serialize(report, fmt)
+        written[fmt] = reference_serialize(report, fmt)
+        assert got == written[fmt]
+        return got
+
+    monkeypatch.setattr(cli, "serialize_report", checked)
+    return written
 
 
 class TestClassifyCommand:
@@ -222,6 +285,55 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"argument {flag}: must be finite and >= 0, got '{value}'" in captured.err
 
+    @pytest.mark.parametrize("p", ["inf", "1"])
+    def test_nonlinearity_exponent_must_be_finite_above_one(self, capsys, p):
+        # p = inf was once labelled HardySobolevCritical, with J1 NaN
+        code = run(["classify", *QUAD, p])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"parameter error: nonlinearity exponent must exceed 1 and be finite: p={float(p)}\n")
+
+    @pytest.mark.parametrize("s_range", ["nan,1", "-inf,1", "1,inf", "1,nan", "1,1"])
+    def test_energy_axial_range_must_be_finite_and_ordered(self, capsys, s_range):
+        # nan once gave NaN rows with exit 0, -inf numpy warnings before exit 2
+        code = run(["energy", *QUAD, "1.8", "--grid", "9x9", f"--s-range={s_range}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: axial range needs finite s_min < s_max, got s_min=")
+
+    @pytest.mark.parametrize("s_range", [[math.nan, 1], [-math.inf, 1], [2, 1]],
+                             ids=["nan", "-inf", "reversed"])
+    def test_spec_axial_range_must_be_finite_and_ordered(self, tmp_path, capsys, s_range):
+        # NaN once ran a full solve and exited 1 with solver_residual
+        spec = {**CONVERGING_SPEC, "s_range": s_range}
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: axial range needs finite s_min < s_max")
+
+    @pytest.mark.parametrize("r_range", ["nan,1", "0,1", "-1,1", "2,1", "1,inf"])
+    def test_extend_radial_range_must_be_finite_positive_and_ordered(self, capsys, r_range):
+        # nan once gave a NaN report with exit 0, 0 a bare "math domain error"
+        code = run(["extend", *QUAD, "1.8", "--grid", "9x9", f"--r-range={r_range}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --r-range needs finite 0 < lo < hi, got {r_range!r}\n"
+
+    @pytest.mark.parametrize("radius", ["1e300", "1e-300", "1e-100"])
+    def test_extreme_radius_is_a_usage_error(self, capsys, radius):
+        # each once ended in an OverflowError traceback (exit 1)
+        code = run(["verify-lemma", *QUAD, "1.8", "--radii", radius])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the closed-form ends overflow a double at r={float(radius)!r}\n")
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_barrier_needs_two_levels(self, capsys, levels):
         code = run(["barrier", "--levels", levels])
@@ -263,6 +375,79 @@ class TestDeterminism:
         rep = {"command": "x", "results": {"a": math.pi}, "tolerances": {}}
         out = json.loads(serialize_report(rep).decode())
         assert out["results"]["a"] == 3.14159265359
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    x: float
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    values: tuple
+    flag: bool
+
+
+class TestReportWriter:
+    """The one-pass writer against the former ``_clean`` + ``json.dumps`` pipeline."""
+
+    CASES = {
+        "classify": ["classify", *QUAD, "2"],
+        "classify-nonexistence": ["classify", "--n", "3", "--sigma", "0.5", "--alpha", "-1.5", "--p", "2"],
+        "constants": ["constants", *QUAD, "1.8"],
+        # C overflows a double: a None result and a note
+        "constants-overflow": ["constants", "--n", "7", "--sigma", "0.9171138422611018",
+                               "--alpha", "-1.8299003669778384", "--p", "1.0012244109248665"],
+        "verify-lemma": ["verify-lemma", *QUAD, "2", "--radii", "0.5,1,2"],
+        "extend": ["extend", *QUAD, "1.8", "--grid", "9x9"],
+        "solve-cylinder-converging": ["solve-cylinder", "--spec", CONVERGING_SPEC],
+        "solve-cylinder-diverging": ["solve-cylinder", "--spec", RESONANT_SPEC],
+        "energy-exact": ["energy", *QUAD, "2", "--grid", "41x17"],
+        "energy-perturbed": ["energy", *QUAD, "1.8", "--grid", "41x17", "--perturbation", "0.05"],
+        "barrier": ["barrier"],
+        "kelvin": ["kelvin", *QUAD, "1.8"],
+        # the CSV bytes of a key-value and of a table report, and their stdout
+        "verify-lemma-out": ["verify-lemma", *QUAD, "2", "--radii", "0.5,1,2", "--out"],
+        "energy-out": ["energy", *QUAD, "2", "--grid", "41x33", "--s-range=-4,4", "--out"],
+        "solve-cylinder-diverging-out": ["solve-cylinder", "--spec", RESONANT_SPEC, "--out"],
+        "suite-out": ["suite", "--out"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_report_matches_reference(self, tmp_path, capsys, reference_bytes, case):
+        argv = with_spec(tmp_path, self.CASES[case])
+        path = tmp_path / "out.csv"
+        if argv[-1] == "--out":
+            argv.append(str(path))
+        run(argv)
+        assert capsys.readouterr().out.encode() == reference_bytes["json"]
+        if argv[-1] == str(path):
+            assert path.read_bytes() == reference_bytes["csv"]
+
+    def test_hand_made_report(self):
+        report = {
+            "command": "x",
+            "results": {
+                "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "none": None,
+                "f64": np.float64(math.pi), "f32": np.float32(0.1), "i64": np.int64(-7),
+                "bool_": np.bool_(True), "bool": False,
+                "array": np.array([[1.0, math.nan], [2.5e-300, -0.0]]),
+                "ints": np.arange(3), "tuple": (1, 2.000000000000001, "a"),
+                "dataclass": _Outer(_Inner(1.0 / 3.0, "ψ"), (math.inf,), True),
+                "empty_dict": {}, "empty_list": [], "nested_empty": [[], {}],
+                "text": "σ → 0, \"quoted\"\n\ttab", 3: "int key",
+            },
+            "params": _Inner(1e-320, ""),
+            "elapsed": 0.123456789012345,
+        }
+        assert serialize_report(report) == reference_serialize(report)
+        assert serialize_report({}) == reference_serialize({}) == b"{}\n"
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            serialize_report({"results": {1, 2}})
 
 
 class TestCsvOutput:
