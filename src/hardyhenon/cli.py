@@ -256,8 +256,15 @@ def _cmd_extend(args):
         raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
     psi = psi_nodes(CylinderGrid(n_s=n_r, n_psi=n_psi))
     r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
-    field = exact_extension_field(params, r_grid, psi)
     beta = derive_exponents(params).beta
+    # a finite range can still take r^-beta phi, or the amplitude read back
+    # from it, beyond a double: refuse it rather than print Infinity and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = exact_extension_field(params, r_grid, psi)
+        amplitude = field.values[0, 0] * r_grid[0] ** beta
+    if not (np.isfinite(field.values).all() and np.isfinite(amplitude)):
+        raise ValueError(
+            f"--r-range {args.r_range!r} takes the exact field r^-beta phi beyond a double")
     C = singular_constant(params)
     flux = neumann_flux(power_profile(beta, C), 1.0, params)
     # (-Delta)^sigma u = C^p at r = 1, and the flux is kappa_sigma times it
@@ -265,7 +272,7 @@ def _cmd_extend(args):
     results = {
         "columns": ["r", "psi", "value"],
         "rows": _grid_rows(r_grid, psi, field.values),
-        "boundary_amplitude": field.values[0, 0] * r_grid[0] ** beta,
+        "boundary_amplitude": amplitude,
         "neumann_flux_at_r1": flux.value,
         "neumann_flux_target": target,
         "neumann_flux_rel_error": abs(flux.value - target) / abs(target),

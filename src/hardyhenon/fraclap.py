@@ -11,8 +11,10 @@ rule carrying that weight.
 Every zone is a fixed multiple of the evaluation radius and the kernel is
 homogeneous, so the nodes and the kernel-carrying weights are built once per
 (n, sigma, QuadratureConfig) at r = 1, by one kernel call, and cached
-(``_pv_rule``).  An evaluation at r is then the profile at r times those
-nodes, one dot product scaled by r^{-2 sigma}, and the closed-form ends.
+(``_pv_rule``).  An evaluation at r is then one profile evaluation at r
+times those nodes (the closed-form ends' radii r, rho0 and R ride at the
+front of the same array), one dot product scaled by r^{-2 sigma}, and the
+closed-form ends.
 """
 
 from __future__ import annotations
@@ -75,9 +77,15 @@ def _halving_checked(evaluate, cfg, tol: float | None, where: str) -> float:
 class RadialProfile:
     """A radial function with asserted power-law behavior at 0 and infinity.
 
-    ``evaluate`` must accept numpy arrays of radii.  ``inner_exponent`` a
-    asserts u ~ r^{-a} near 0, ``outer_exponent`` b asserts u ~ r^{-b} at
-    infinity; both are trusted by the closed-form endpoint corrections.
+    ``evaluate`` must accept numpy arrays of radii and be elementwise: each
+    value depends only on its own radius.  The PV operator calls it once
+    per rule evaluation, on one 1-D array holding r, rho0, R and r times the
+    rule's nodes, and reads u(r), u(rho0) and u(R) from its front; being
+    elementwise is what makes those the values separate calls give, to the
+    bit.
+    ``inner_exponent`` a asserts u ~ r^{-a} near 0, ``outer_exponent`` b
+    asserts u ~ r^{-b} at infinity; both are trusted by the closed-form
+    endpoint corrections.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -90,11 +98,14 @@ class RadialProfile:
 
 def power_profile(exponent: float, coefficient: float = 1.0) -> RadialProfile:
     """u(r) = coefficient * r^{-exponent}."""
-    return RadialProfile(
-        evaluate=lambda r: coefficient * np.asarray(r, dtype=float) ** (-exponent),
-        inner_exponent=exponent,
-        outer_exponent=exponent,
-    )
+    def ev(r):
+        # the power is a fresh array (or a scalar), so scaling it in place
+        # does the same two IEEE operations with one allocation fewer
+        u = np.asarray(r, dtype=float) ** (-exponent)
+        u *= coefficient
+        return u
+
+    return RadialProfile(evaluate=ev, inner_exponent=exponent, outer_exponent=exponent)
 
 
 def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> RadialProfile:
@@ -117,6 +128,8 @@ _OUTER_SPLIT = 2.0
 #: [0, rho0] is taken in closed form, with rho0 this fraction of the inner
 #: log zone's upper edge (the PV operator's and the extension's alike)
 _INNER_CUTOFF = 1e-8
+#: rho0 in multiples of the evaluation radius
+_RHO0 = _INNER_CUTOFF * (1.0 - _PV_HALF_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -163,8 +176,13 @@ def check_Lsigma_membership(profile: RadialProfile, n: int, sigma: float) -> boo
     return profile.inner_exponent < n and profile.outer_exponent > -2.0 * sigma
 
 
+#: the closed-form ends' radii r, rho0 and R head the rule's node array
+_ENDS = 3
+
+
 class _PvRule(NamedTuple):
-    rho: np.ndarray  # nodes at r = 1: the pair 1 + s, 1 - s, then the log zones
+    # at r = 1: 1, rho0 and R, then the pair 1 + s, 1 - s and the log zones
+    nodes: np.ndarray
     weight: np.ndarray  # node weight x rho^{n-1} x kernel, over s^{1-2 sigma} on the pair
     k0: float  # the kernel row at rho = 0
 
@@ -193,37 +211,41 @@ def _pv_rule(n: int, sigma: float, cfg: QuadratureConfig) -> _PvRule:
     rho_all = np.append(rho, 0.0)
     k = angular_kernel((1.0 - rho_all) ** 2, rho_all, n, n + 2.0 * sigma, cfg.nodes_angular)
     weight = np.concatenate([w, w, w_z.ravel()]) * rho ** (n - 1) * k[:-1]
-    for a in (rho, weight):
+    nodes = np.concatenate([[1.0, _RHO0, cfg.tail_cutoff], rho])
+    for a in (nodes, weight):
         a.flags.writeable = False
-    return _PvRule(rho, weight, float(k[-1]))
+    return _PvRule(nodes, weight, float(k[-1]))
 
 
 def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, cfg) -> float:
     """int_0^inf (u(r) - u(rho)) K(r, rho) d rho by the cached rule ``_pv_rule``.
 
     [0, rho0] uses the asserted inner power law, since the kernel is constant
-    there to O((rho0/r)^2); [R, inf) uses the asserted outer power law.
+    there to O((rho0/r)^2); [R, inf) uses the asserted outer power law.  The
+    profile is evaluated once, at r times the rule's nodes: u(r), u(rho0)
+    and u(R) are the first three values.
     """
     rule = _pv_rule(n, sigma, cfg)
-    u = profile.evaluate
-    rho0 = _INNER_CUTOFF * (1.0 - _PV_HALF_WIDTH) * r
+    rho0 = _RHO0 * r
     R = cfg.tail_cutoff * r
     a, b = profile.inner_exponent, profile.outer_exponent
     try:
-        # Python float powers raise where numpy's would warn, so the ends
-        # come first: at a small r, k0 overflows before u(r) does
+        # Python float powers raise where numpy's would warn, so the ends'
+        # powers come before the profile: at a small r, k0 overflows first
         k0 = rule.k0 * r ** (-n - 2.0 * sigma)
-        ur = float(u(np.array([r]))[0])
-        ua = float(u(np.array([rho0]))[0]) * rho0 ** a
-        inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
-        ub = float(u(np.array([R]))[0]) * R ** b
+        rho0_a, rho0_n, rho0_na = rho0 ** a, rho0 ** n, rho0 ** (n - a)
+        R_b = R ** b
         A = tail_moment_coefficient(n, sigma, r * r, 0.0)
-        tail = unit_sphere_area(n) * (
-            ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
-        )
+        tail_0 = _power_tail(R, 0.0, sigma, 1.0, A)
+        tail_b = _power_tail(R, b, sigma, 1.0, A)
+        scale = r ** (-2.0 * sigma)
     except OverflowError as exc:
         raise ValueError(f"the closed-form ends overflow a double at r={r}") from exc
-    total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.rho)))
+    u = profile.evaluate(r * rule.nodes)
+    ur, ua, ub = u[:_ENDS].tolist()
+    inner = k0 * (ur * rho0_n / n - ua * rho0_a * rho0_na / (n - a))
+    tail = unit_sphere_area(n) * (ur * tail_0 - ub * R_b * tail_b)
+    total = scale * float(rule.weight @ (ur - u[_ENDS:]))
     return total + (inner + tail)
 
 
@@ -251,6 +273,8 @@ def frac_laplacian_radial(
             f"{profile.outer_exponent}) with n={n}, sigma={sigma}"
         )
     c = hypersingular_normalizer(n, sigma)
+    if convergence_tol is None:
+        return c * _frac_laplacian_raw(profile, r, n, sigma, cfg)
     return _halving_checked(
         lambda cf: c * _frac_laplacian_raw(profile, r, n, sigma, cf),
         cfg, convergence_tol, f"r={r}",

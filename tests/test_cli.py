@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -18,6 +19,8 @@ import pytest
 from hardyhenon import cli
 from hardyhenon.cli import build_parser, run, serialize_report
 from hardyhenon.extension import _flux_rule
+from hardyhenon.params import validate_params
+from hardyhenon.specialfn import singular_constant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -323,6 +326,33 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: --r-range needs finite 0 < lo < hi, got {r_range!r}\n"
+
+    @pytest.mark.parametrize("r_range", ["1e-300,1e300", "1e-300,1"])
+    def test_extend_radial_range_must_keep_the_field_finite(self, capsys, r_range):
+        # once exit 0 with Infinity rows and a NaN boundary_amplitude, after
+        # numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["extend", *QUAD, "1.8", "--grid", "9x9", f"--r-range={r_range}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --r-range {r_range!r} takes the exact field r^-beta phi beyond a double\n")
+
+    @pytest.mark.parametrize("r_range", ["1e-240,1e240", "1,1e300"])
+    def test_extend_extreme_but_finite_field_is_reported(self, capsys, r_range):
+        # r^-beta = 1e300 at the smallest radius, and at 1e300 the field
+        # underflows to zero: both are finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(
+                capsys, ["extend", *QUAD, "1.8", "--grid", "9x9", f"--r-range={r_range}"])
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0
+        assert all(math.isfinite(row[2]) for row in rep["results"]["rows"])
+        C = singular_constant(validate_params(3, 0.5, 0.0, 1.8))
+        assert rep["results"]["boundary_amplitude"] == pytest.approx(C, rel=1e-10)
 
     @pytest.mark.parametrize("radius", ["1e300", "1e-300", "1e-100"])
     def test_extreme_radius_is_a_usage_error(self, capsys, radius):

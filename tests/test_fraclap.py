@@ -1,13 +1,21 @@
 """Principal-value quadrature of the nonlocal operator on radial profiles."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from hardyhenon import specialfn
 from hardyhenon.fraclap import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureError,
+    RadialProfile,
+    _ENDS,
+    _INNER_CUTOFF,
+    _PV_HALF_WIDTH,
+    _frac_laplacian_raw,
     _pv_rule,
     check_Lsigma_membership,
     combine_profiles,
@@ -15,11 +23,56 @@ from hardyhenon.fraclap import (
     power_profile,
     verify_fall_identity,
 )
+from hardyhenon.kelvin import kelvin_profile
 from hardyhenon.params import validate_params
-from hardyhenon.quadrature import angular_kernel
+from hardyhenon.quadrature import _power_tail, angular_kernel, tail_moment_coefficient
 from hardyhenon.specialfn import lambda_multiplier, unit_sphere_area
 
 P352 = validate_params(3, 0.5, 0.0, 2.0)
+
+
+def reference_power_profile(exponent, coefficient=1.0):
+    """The former ``power_profile``: the power scaled into a new array."""
+    return RadialProfile(
+        evaluate=lambda r: coefficient * np.asarray(r, dtype=float) ** (-exponent),
+        inner_exponent=exponent,
+        outer_exponent=exponent,
+    )
+
+
+def reference_raw(profile, r, n, sigma, cfg):
+    """The former ``_frac_laplacian_raw``: one profile evaluation for each of
+    u(r), u(rho0), u(R) and the rule's nodes."""
+    rule = _pv_rule(n, sigma, cfg)
+    u = profile.evaluate
+    rho0 = _INNER_CUTOFF * (1.0 - _PV_HALF_WIDTH) * r
+    R = cfg.tail_cutoff * r
+    a, b = profile.inner_exponent, profile.outer_exponent
+    try:
+        k0 = rule.k0 * r ** (-n - 2.0 * sigma)
+        ur = float(u(np.array([r]))[0])
+        ua = float(u(np.array([rho0]))[0]) * rho0 ** a
+        inner = k0 * (ur * rho0 ** n / n - ua * rho0 ** (n - a) / (n - a))
+        ub = float(u(np.array([R]))[0]) * R ** b
+        A = tail_moment_coefficient(n, sigma, r * r, 0.0)
+        tail = unit_sphere_area(n) * (
+            ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
+        )
+    except OverflowError as exc:
+        raise ValueError(f"the closed-form ends overflow a double at r={r}") from exc
+    total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.nodes[_ENDS:])))
+    return total + (inner + tail)
+
+
+def counting(profile):
+    """``profile`` with every array its ``evaluate`` receives recorded."""
+    calls = []
+
+    def ev(x):
+        calls.append(x)
+        return profile.evaluate(x)
+
+    return RadialProfile(ev, profile.inner_exponent, profile.outer_exponent), calls
 
 
 class TestMembership:
@@ -153,9 +206,81 @@ class TestRuleCache:
 
     def test_cached_arrays_are_read_only(self):
         rule = _pv_rule(3, 0.5, QuadratureConfig())
-        for a in (rule.rho, rule.weight):
+        for a in (rule.nodes, rule.weight):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+
+#: 25 decades from 1e-12 to 1e12, and radii whose products with the nodes round
+SWEEP_RADII = [10.0 ** k for k in range(-12, 13)] + [0.7, 1.3, 3.0]
+OVERFLOW_RADII = [1e-300, 1e-100, 1e300]
+CONFIGS = {"default": DEFAULT_CONFIG, "halved": DEFAULT_CONFIG.halved()}
+
+
+class TestSingleEvaluation:
+    """The profile is evaluated once per rule evaluation, on one array, and
+    every value is the one the former four evaluations gave, to the bit."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_power_profiles_match_reference_bitwise(self, n, cfg):
+        for sigma in (0.05, 0.2, 0.5, 0.75, 0.95):
+            for beta in (0.3, (n - 2.0 * sigma) / 2.0, n - 0.5):
+                new, old = power_profile(beta, 1.7), reference_power_profile(beta, 1.7)
+                for r in SWEEP_RADII:
+                    got = _frac_laplacian_raw(new, r, n, sigma, cfg)
+                    assert got == reference_raw(old, r, n, sigma, cfg), (sigma, beta, r)
+
+    @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+    @pytest.mark.parametrize("kind", ["combined", "kelvin"])
+    def test_derived_profiles_match_reference_bitwise(self, kind, cfg):
+        def make(power):
+            if kind == "combined":
+                return combine_profiles([2.0, -0.3], [power(0.8), power(1.2, 3.0)])
+            return kelvin_profile(power(0.8, 2.0), 3, 0.5)
+
+        new, old = make(power_profile), make(reference_power_profile)
+        for r in SWEEP_RADII:
+            assert _frac_laplacian_raw(new, r, 3, 0.5, cfg) == reference_raw(old, r, 3, 0.5, cfg), r
+
+    @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+    @pytest.mark.parametrize("r", OVERFLOW_RADII)
+    def test_overflow_radii_raise_as_reference(self, r, cfg):
+        with pytest.raises(ValueError) as want:
+            reference_raw(reference_power_profile(1.25), r, 3, 0.5, cfg)
+        with pytest.raises(ValueError) as got:
+            _frac_laplacian_raw(power_profile(1.25), r, 3, 0.5, cfg)
+        assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__) is OverflowError
+
+    @pytest.mark.parametrize("tol, calls", [(None, 1), (1.0, 2)])
+    def test_one_evaluate_call_per_rule_evaluation(self, tol, calls):
+        prof, seen = counting(power_profile(0.8))
+        value = frac_laplacian_radial(prof, 1.3, P352, convergence_tol=tol)
+        assert value == frac_laplacian_radial(power_profile(0.8), 1.3, P352)
+        assert len(seen) == calls
+        for x, cfg in zip(seen, CONFIGS.values()):
+            assert isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+            # r, rho0 and R, then the rule's nodes, all at r = 1.3
+            assert np.array_equal(x, 1.3 * _pv_rule(3, 0.5, cfg).nodes)
+            assert x[:_ENDS].tolist() == [1.3, 5e-9 * 1.3, cfg.tail_cutoff * 1.3]
+
+    @pytest.mark.parametrize("r", OVERFLOW_RADII)
+    def test_overflow_raises_before_the_profile_is_evaluated(self, r):
+        prof, seen = counting(power_profile(1.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="closed-form ends overflow a double"):
+                frac_laplacian_radial(prof, r, P352)
+        assert seen == []
+
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_power_profile_leaves_its_input_alone(self, r):
+        x = np.array([r, 2.0 * r])
+        for exponent in (1.0, -1.0, 0.0, 0.5, -2.0):
+            power_profile(exponent, 3.0).evaluate(x)
+            assert x.tolist() == [r, 2.0 * r]
+        assert power_profile(2.0, 3.0)(2.0) == 0.75
 
 
 class TestConfig:
