@@ -29,7 +29,7 @@ from .cylinder import CylinderGrid, SolverDivergence, psi_nodes, solve_end_pertu
 from .energy import derivative_identity_check, energy_trace, monotonicity_verdict
 from .extension import (
     BARRIER_DELTA, BARRIER_FD_RATIO, BARRIER_H, BARRIER_LEVELS, BARRIER_MU, BARRIER_PSI, BARRIER_T0,
-    _barrier_ladder, exact_extension_field, fowler_map, neumann_flux,
+    FowlerField, _barrier_ladder, exact_extension_field, exact_sphere_profile, neumann_flux,
 )
 from .fraclap import DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
@@ -347,8 +347,8 @@ def _cmd_energy(args):
         field = solved.field
         solver = {"linear_solver": solved.linear_solver, "line_search": solved.line_search}
     else:
-        r_grid = np.exp(np.linspace(s_lo, s_hi, n_s))
-        field = fowler_map(exact_extension_field(params, r_grid, psi_nodes(grid)))
+        prof = exact_sphere_profile(params, psi_nodes(grid))
+        field = FowlerField(np.linspace(s_lo, s_hi, n_s), prof.psi_grid, np.tile(prof.phi, (n_s, 1)), params)
     margin = 2.5 * (s_hi - s_lo) / (n_s - 1)
     trace = energy_trace(field, (s_lo + margin, s_hi - margin), params)
     verdict = monotonicity_verdict(trace, budget=args.tol_drift * float(np.max(np.abs(trace.E))))

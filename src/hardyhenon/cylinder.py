@@ -38,9 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .extension import FowlerField, _half_sphere_operator, exact_sphere_profile
+from .extension import FowlerField, exact_sphere_profile
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma
+from .sphere import psi_operator
 
 __all__ = ["CylinderGrid", "CylinderSolveResult", "SolverDivergence", "psi_nodes",
            "solve_cylinder_pde", "solve_end_perturbed"]
@@ -400,15 +401,15 @@ def solve_cylinder_pde(
     The linearization around the constant-in-s profile has oscillatory axial
     modes, so particular window lengths are Dirichlet-resonant and leave the
     Newton matrix near-singular (observed near s_max - s_min in [3, 4] for
-    the reference subcritical configuration); the iteration then stalls and
-    reports divergence.  Started from the exact profile with 5% end
-    perturbation, the default [-4, 4] window stalls that way for
-    (n, sigma, alpha, p) = (4, 0.5, 0, 1.5), at a residual of 2.6e-4 in its
-    third iteration; taking a rising step there ends in a field 156% off phi
-    that passes the residual test.  The default-window divergences of
-    (2, 0.3, 0.2, 3.0) and (3, 0.3, 0, 1.6) are sigma != 1/2 cases: the psi
-    operator is not consistent there, and with an exponent-fitted psi
-    stencil both converged in 3 iterations.
+    the reference subcritical configuration).  Not every stall is that: at
+    (n, sigma, alpha, p) = (4, 0.5, 0, 1.5), eps = 0.05 (``solve_end_perturbed``)
+    and the default grid, Newton from phi stalls at 2.6e-4 in its third
+    iteration, yet continuation in eps from phi in steps of 0.001 reaches
+    eps = 0.080 (V0 in [0.26, 2.71] phi0): the solution exists, 156% off phi
+    at eps = 0.05 like the field a rising step reaches, and damped Newton
+    from phi does not reach it.  Default-window divergences at sigma != 1/2,
+    such as (2, 0.3, 0.2, 3.0) and (3, 0.3, 0, 1.6), converged in 3
+    iterations with an exponent-fitted psi stencil; this operator is not consistent there.
     """
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
@@ -426,7 +427,7 @@ def solve_cylinder_pde(
 
     kap = kappa_sigma(params.sigma)
     p = params.p
-    L = _half_sphere_operator(psi, params.n, params.sigma)
+    L = psi_operator(psi, params.n, params.sigma)
     apply, band, row_scale = _linear_operator(params, grid, L)
 
     b = np.zeros(ns * npsi)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import ExtensionField, FowlerField, _edge_model, _three_point_weights, fowler_map
+from .extension import ExtensionField, FowlerField, fowler_map
 from .params import ProblemParams, derive_exponents
-from .quadrature import gauss_legendre
 from .specialfn import kappa_sigma, unit_sphere_area
+from .sphere import cell_weights, gradient_integral
 
 __all__ = [
     "EnergyTrace",
@@ -30,42 +30,6 @@ __all__ = [
 ]
 
 
-def _cell_quad_weights(psi: np.ndarray, n: int, sigma: float, start_cell: int = 0) -> np.ndarray:
-    """Nodal weights for int f(psi) sin^{1-2s} psi cos^{n-1} psi d psi.
-
-    The integral runs over [psi[start_cell], pi/2].  Each cell integrates the
-    weight against the cubic Lagrange interpolant of f on the four nearest
-    nodes.  A leading cell starting at psi = 0 uses the power substitution
-    psi = psi_1 v^{1/(2-2s)} so the degenerate weight is resolved exactly.
-    """
-    xg, wg = gauss_legendre(12)
-    x01 = (xg + 1.0) / 2.0
-    w01 = wg / 2.0
-    nn = len(psi)
-    c = np.arange(start_cell, nn - 1)
-    c = c[psi[c + 1] > psi[c]]
-    lo, hi = psi[c, None], psi[c + 1, None]
-    # (cells, 12) Gauss nodes and Jacobians; cells at psi = 0 are power-substituted
-    pp = lo + (hi - lo) * x01
-    jac = np.broadcast_to(hi - lo, pp.shape).copy()
-    first = lo[:, 0] == 0.0
-    e = 1.0 / (2.0 - 2.0 * sigma)
-    pp[first] = hi[first] * x01 ** e
-    jac[first] = hi[first] * e * x01 ** (e - 1.0)
-    cellw = w01 * jac * (np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1))
-    stencil = np.minimum(np.maximum(c - 1, 0), nn - 4)[:, None] + np.arange(4)
-    nodes = psi[stencil]
-    out = np.zeros(nn)
-    # positions in reverse, so each node collects its cells in ascending order
-    for k in range(3, -1, -1):
-        lag = np.ones_like(pp)
-        for l in range(4):
-            if l != k:
-                lag *= (pp - nodes[:, l, None]) / (nodes[:, k, None] - nodes[:, l, None])
-        np.add.at(out, stencil[:, k], np.sum(cellw * lag, axis=1))
-    return out
-
-
 def _axial_derivative(values: np.ndarray, ds: float) -> np.ndarray:
     """Fourth-order interior / second-order edge d/ds along axis 0."""
     out = np.empty_like(values)
@@ -75,45 +39,6 @@ def _axial_derivative(values: np.ndarray, ds: float) -> np.ndarray:
     out[-2] = (values[-1] - values[-3]) / (2.0 * ds)
     out[-1] = (values[-1] - values[-2]) / ds
     return out
-
-
-def _psi_derivative(values: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Second-order d/dpsi along the last axis on a nonuniform grid; one-sided at both ends."""
-    out = np.empty_like(values)
-    w = _three_point_weights(psi)[0]
-    out[..., 1:-1] = w[:, 0] * values[..., :-2] + w[:, 1] * values[..., 1:-1] + w[:, 2] * values[..., 2:]
-    out[..., 0] = (values[..., 1] - values[..., 0]) / (psi[1] - psi[0])
-    out[..., -1] = (values[..., -1] - values[..., -2]) / (psi[-1] - psi[-2])
-    return out
-
-
-def _gradient_integral(values: np.ndarray, psi: np.ndarray, n: int, sigma: float,
-                       weights: np.ndarray) -> np.ndarray:
-    """Weighted integral of (dV/dpsi)^2 for each row of an (..., n_psi) array.
-
-    Near psi = 0 the field carries a sin^{2 sigma} component whose derivative
-    is not resolvable by difference quotients, so the contribution of
-    [0, psi_2] is integrated from the local model
-    V = V0 + c sin^{2s} psi + e sin^2 psi through the first three nodes.
-    """
-    f = _psi_derivative(values, psi) ** 2
-    if psi[0] != 0.0:
-        return np.sum(weights * f, axis=-1)
-    cut = psi[2]
-    total = np.sum(_cell_quad_weights(psi, n, sigma, start_cell=2) * f, axis=-1)
-    ce = values[..., :3] @ _edge_model(psi, sigma).T
-    c, e = ce[..., 0, None], ce[..., 1, None]
-    xg, wg = gauss_legendre(16)
-    v = (xg + 1.0) / 2.0
-    ex = 1.0 / (2.0 * sigma)
-    pp = cut * v ** ex
-    jac = cut * ex * v ** (ex - 1.0)
-    dv_model = (
-        2.0 * sigma * c * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp)
-        + 2.0 * e * np.sin(pp) * np.cos(pp)
-    )
-    wfun = np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
-    return total + np.sum(wg / 2.0 * jac * dv_model ** 2 * wfun, axis=-1)
 
 
 def _locate(grid: np.ndarray, value: float, margin: int) -> int:
@@ -138,11 +63,11 @@ def _energy_cylinder_rows(field: FowlerField, params: ProblemParams):
     psi = field.psi_grid
     area = unit_sphere_area(n)
     kap = kappa_sigma(sigma)
-    w = _cell_quad_weights(psi, n, sigma)
+    w = cell_weights(psi, n, sigma)
     V = field.values
     kinetic = np.sum(w * _axial_derivative(V, field.s_grid[1] - field.s_grid[0]) ** 2, axis=1)
     mass = np.sum(w * V ** 2, axis=1)
-    grad = _gradient_integral(V, psi, n, sigma, w)
+    grad = gradient_integral(V, psi, n, sigma)
     E = area * (
         0.5 * kinetic - 0.5 * d.J2 * mass - 0.5 * grad + kap / (p + 1.0) * V[:, 0] ** (p + 1.0)
     )
@@ -164,7 +89,7 @@ def energy_halfsphere(field: ExtensionField, r: float, params: ProblemParams) ->
     psi = field.psi_grid
     area = unit_sphere_area(n)
     kap = kappa_sigma(sigma)
-    w = _cell_quad_weights(psi, n, sigma)
+    w = cell_weights(psi, n, sigma)
 
     ds = math.log(field.r_grid[1]) - math.log(field.r_grid[0])
     Us = _axial_derivative(field.values, ds)
@@ -177,7 +102,7 @@ def energy_halfsphere(field: ExtensionField, r: float, params: ProblemParams) ->
     I_urur = surf * float(np.sum(w * Ur ** 2))
     I_uru = surf * float(np.sum(w * Ur * U))
     I_uu = surf * float(np.sum(w * U ** 2))
-    grad_ang = _gradient_integral(U, psi, n, sigma, w) / r ** 2
+    grad_ang = gradient_integral(U, psi, n, sigma) / r ** 2
     I_grad = surf * (float(np.sum(w * Ur ** 2)) + grad_ang)
     boundary = r ** (n - 1.0) * area * U[0] ** (p + 1.0)
 

@@ -42,6 +42,7 @@ from .specialfn import (
     singular_constant,
     unit_sphere_area,
 )
+from .sphere import power_fit, psi_operator
 
 __all__ = [
     "ExtensionField",
@@ -259,18 +260,6 @@ class FluxResult:
     fit_residual: float
 
 
-def _power_fit(x: np.ndarray, exponents) -> np.ndarray:
-    """Weights W for which W @ f(x) are the coefficients a_j of f ~ sum_j a_j x^{e_j}.
-
-    ``x`` holds the k sample abscissae on its last axis, and leading axes
-    batch independent fits; W has shape (..., len(exponents), k).  The fit
-    interpolates when k equals the number of exponents and is least squares
-    when k is larger.  The columns x^{e_j} are not rescaled.
-    """
-    M = np.asarray(x, dtype=float)[..., None] ** np.asarray(exponents, dtype=float)
-    return np.linalg.inv(M) if M.shape[-2] == M.shape[-1] else np.linalg.pinv(M)
-
-
 class _T0Fit(NamedTuple):
     W: np.ndarray  # least-squares weights: W @ samples are the coefficients
     M: np.ndarray  # design matrix, one column per power of t
@@ -288,7 +277,7 @@ def _t0_fit(sigma: float) -> _T0Fit:
     """
     e1 = 2.0 - 2.0 * sigma
     exponents = (0.0, e1, 2.0) if abs(e1 - 2.0) > 0.1 else (0.0, e1)
-    fit = _T0Fit(_power_fit(_T0_HALVINGS, exponents), np.power.outer(_T0_HALVINGS, exponents))
+    fit = _T0Fit(power_fit(_T0_HALVINGS, exponents), np.power.outer(_T0_HALVINGS, exponents))
     for a in fit:
         a.flags.writeable = False
     return fit
@@ -435,47 +424,6 @@ def _profile_quadrature(params: ProblemParams, psi: np.ndarray) -> np.ndarray:
     return _poisson_values(trace, np.ones_like(psi), psi, params.n, params.sigma, DEFAULT_CONFIG)
 
 
-def _three_point_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of d/dpsi and d^2/dpsi^2 at the interior nodes of a nonuniform grid.
-
-    Each is a (len(psi) - 2, 3) array acting on (f[j-1], f[j], f[j+1]); both
-    are exact on 1, psi and psi^2.
-    """
-    W = _power_fit(np.stack([psi[:-2], psi[1:-1], psi[2:]], axis=1) - psi[1:-1, None], (0, 1, 2))
-    return W[:, 1], 2.0 * W[:, 2]
-
-
-def _edge_model(psi: np.ndarray, sigma: float) -> np.ndarray:
-    """The 2x3 matrix taking (V0, V1, V2) on psi[:3], psi[0] = 0, to (c, e).
-
-    (c, e) are the coefficients of the local model
-    V = V0 + c sin^{2 sigma} psi + e sin^2 psi through the three samples.
-    """
-    W = _power_fit(np.sin(psi[1:3]), (2.0 * sigma, 2.0))  # acts on (V1 - V0, V2 - V0)
-    return np.column_stack([-W.sum(axis=1), W])
-
-
-def _half_sphere_operator(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
-    """Dense psi operator on a grid running from psi = 0 to the pole pi/2.
-
-    Row 0 is the linear part 2 sigma c of the weighted flux (c from the edge
-    model); interior rows are the three-point stencil of
-    V'' + ((1-2s) cot psi - (n-1) tan psi) V'; the last row is n V_chichi at
-    the pole with even reflection across psi = pi/2.
-    """
-    npsi = len(psi)
-    L = np.zeros((npsi, npsi))
-    L[0, :3] = 2.0 * sigma * _edge_model(psi, sigma)[0]
-    d1, d2 = _three_point_weights(psi)
-    tan = np.array([math.tan(x) for x in psi[1:-1]])  # libm; numpy's tan may differ by an ulp
-    P = (1.0 - 2.0 * sigma) / tan - (n - 1) * tan
-    j = np.arange(1, npsi - 1)[:, None]
-    L[j, j + np.arange(-1, 2)] = d2 + P[:, None] * d1
-    chi = math.pi / 2.0 - psi[-2]
-    L[-1, -2:] = [2.0 * n / chi ** 2, -2.0 * n / chi ** 2]
-    return L
-
-
 #: Nodes of ``verify_sphere_ode``'s interior check: the profile has a
 #: sin^{2s} edge at psi = 0, so nodes near the boundary are left out.
 _SPHERE_ODE_BAND = (0.15, math.pi / 2.0 - 0.05)
@@ -492,7 +440,7 @@ class SphereOdeResiduals:
 
 def verify_sphere_ode(profile: SphereProfile, params: ProblemParams) -> SphereOdeResiduals:
     """Residuals of the angular equation satisfied by the profile, in the
-    cylinder solver's own psi operator L (``_half_sphere_operator``).
+    cylinder solver's own psi operator L (``sphere.psi_operator``).
 
     Interior: -(L phi) + J2 phi, the three-point stencil of
     -(phi'' + ((1-2s) cot psi - (n-1) tan psi) phi') + J2 phi, in max norm
@@ -506,7 +454,7 @@ def verify_sphere_ode(profile: SphereProfile, params: ProblemParams) -> SphereOd
     J2 = derive_exponents(params).J2
     psi = profile.psi_grid
     phi = profile.phi
-    L_phi = _half_sphere_operator(psi, n, sigma) @ phi
+    L_phi = psi_operator(psi, n, sigma) @ phi
     rows = -L_phi[1:-1] + J2 * phi[1:-1]
     lo, hi = _SPHERE_ODE_BAND
     band = (lo <= psi[1:-1]) & (psi[1:-1] <= hi)

@@ -1,0 +1,141 @@
+"""The psi discretization of the degenerate profile equation on S^n_+: the
+local power fit, the three-point stencil, the psi = 0 edge model
+V = V0 + c sin^{2 sigma} psi + e sin^2 psi, the cylinder solver's psi
+operator and the energy's weighted psi quadrature, on grids from psi = 0
+to the pole."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .quadrature import gauss_legendre
+
+
+def power_fit(x: np.ndarray, exponents) -> np.ndarray:
+    """Weights W for which W @ f(x) are the coefficients a_j of f ~ sum_j a_j x^{e_j}.
+
+    ``x`` holds the k sample abscissae on its last axis, and leading axes
+    batch independent fits; W has shape (..., len(exponents), k).  The fit
+    interpolates when k equals the number of exponents and is least squares
+    when k is larger.  The columns x^{e_j} are not rescaled.
+    """
+    M = np.asarray(x, dtype=float)[..., None] ** np.asarray(exponents, dtype=float)
+    return np.linalg.inv(M) if M.shape[-2] == M.shape[-1] else np.linalg.pinv(M)
+
+
+def derivative_weights(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of d/dpsi and d^2/dpsi^2 at the interior nodes of a nonuniform grid.
+
+    Each is a (len(psi) - 2, 3) array acting on (f[j-1], f[j], f[j+1]); both
+    are exact on 1, psi and psi^2.
+    """
+    W = power_fit(np.stack([psi[:-2], psi[1:-1], psi[2:]], axis=1) - psi[1:-1, None], (0, 1, 2))
+    return W[:, 1], 2.0 * W[:, 2]
+
+
+def edge_model(psi: np.ndarray, sigma: float) -> np.ndarray:
+    """The 2x3 matrix taking (V0, V1, V2) on psi[:3], psi[0] = 0, to (c, e).
+
+    (c, e) are the coefficients of the local model
+    V = V0 + c sin^{2 sigma} psi + e sin^2 psi through the three samples.
+    """
+    W = power_fit(np.sin(psi[1:3]), (2.0 * sigma, 2.0))  # acts on (V1 - V0, V2 - V0)
+    return np.column_stack([-W.sum(axis=1), W])
+
+
+def psi_operator(psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """Dense psi operator on a grid running from psi = 0 to the pole pi/2.
+
+    Row 0 is the linear part 2 sigma c of the weighted flux (c from the edge
+    model); interior rows are the three-point stencil of
+    V'' + ((1-2s) cot psi - (n-1) tan psi) V'; the last row is n V_chichi at
+    the pole with even reflection across psi = pi/2.
+    """
+    npsi = len(psi)
+    L = np.zeros((npsi, npsi))
+    L[0, :3] = 2.0 * sigma * edge_model(psi, sigma)[0]
+    d1, d2 = derivative_weights(psi)
+    tan = np.array([math.tan(x) for x in psi[1:-1]])  # libm; numpy's tan may differ by an ulp
+    P = (1.0 - 2.0 * sigma) / tan - (n - 1) * tan
+    j = np.arange(1, npsi - 1)[:, None]
+    L[j, j + np.arange(-1, 2)] = d2 + P[:, None] * d1
+    chi = math.pi / 2.0 - psi[-2]
+    L[-1, -2:] = [2.0 * n / chi ** 2, -2.0 * n / chi ** 2]
+    return L
+
+
+def cell_weights(psi: np.ndarray, n: int, sigma: float, start_cell: int = 0) -> np.ndarray:
+    """Nodal weights for int f(psi) sin^{1-2s} psi cos^{n-1} psi d psi.
+
+    The integral runs over [psi[start_cell], pi/2].  Each cell integrates the
+    weight against the cubic Lagrange interpolant of f on the four nearest
+    nodes.  A leading cell starting at psi = 0 uses the power substitution
+    psi = psi_1 v^{1/(2-2s)} so the degenerate weight is resolved exactly.
+    """
+    xg, wg = gauss_legendre(12)
+    x01 = (xg + 1.0) / 2.0
+    w01 = wg / 2.0
+    nn = len(psi)
+    c = np.arange(start_cell, nn - 1)
+    c = c[psi[c + 1] > psi[c]]
+    lo, hi = psi[c, None], psi[c + 1, None]
+    # (cells, 12) Gauss nodes and Jacobians; cells at psi = 0 are power-substituted
+    pp = lo + (hi - lo) * x01
+    jac = np.broadcast_to(hi - lo, pp.shape).copy()
+    first = lo[:, 0] == 0.0
+    e = 1.0 / (2.0 - 2.0 * sigma)
+    pp[first] = hi[first] * x01 ** e
+    jac[first] = hi[first] * e * x01 ** (e - 1.0)
+    cellw = w01 * jac * (np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1))
+    stencil = np.minimum(np.maximum(c - 1, 0), nn - 4)[:, None] + np.arange(4)
+    nodes = psi[stencil]
+    out = np.zeros(nn)
+    # positions in reverse, so each node collects its cells in ascending order
+    for k in range(3, -1, -1):
+        lag = np.ones_like(pp)
+        for l in range(4):
+            if l != k:
+                lag *= (pp - nodes[:, l, None]) / (nodes[:, k, None] - nodes[:, l, None])
+        np.add.at(out, stencil[:, k], np.sum(cellw * lag, axis=1))
+    return out
+
+
+def psi_derivative(values: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Second-order d/dpsi along the last axis on a nonuniform grid; one-sided at both ends."""
+    out = np.empty_like(values)
+    w = derivative_weights(psi)[0]
+    out[..., 1:-1] = w[:, 0] * values[..., :-2] + w[:, 1] * values[..., 1:-1] + w[:, 2] * values[..., 2:]
+    out[..., 0] = (values[..., 1] - values[..., 0]) / (psi[1] - psi[0])
+    out[..., -1] = (values[..., -1] - values[..., -2]) / (psi[-1] - psi[-2])
+    return out
+
+
+def gradient_integral(values: np.ndarray, psi: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """Weighted integral of (dV/dpsi)^2 for each row of an (..., n_psi) array.
+
+    Near psi = 0 the field carries a sin^{2 sigma} component whose derivative
+    is not resolvable by difference quotients, so the contribution of
+    [0, psi_2] is integrated from the local model
+    V = V0 + c sin^{2s} psi + e sin^2 psi through the first three nodes;
+    a psi grid that does not start at psi = 0 raises ValueError.
+    """
+    if psi[0] != 0.0:
+        raise ValueError(f"the psi grid must start at psi = 0, got psi[0] = {psi[0]!r}")
+    f = psi_derivative(values, psi) ** 2
+    cut = psi[2]
+    total = np.sum(cell_weights(psi, n, sigma, start_cell=2) * f, axis=-1)
+    ce = values[..., :3] @ edge_model(psi, sigma).T
+    c, e = ce[..., 0, None], ce[..., 1, None]
+    xg, wg = gauss_legendre(16)
+    v = (xg + 1.0) / 2.0
+    ex = 1.0 / (2.0 * sigma)
+    pp = cut * v ** ex
+    jac = cut * ex * v ** (ex - 1.0)
+    dv_model = (
+        2.0 * sigma * c * np.sin(pp) ** (2.0 * sigma - 1.0) * np.cos(pp)
+        + 2.0 * e * np.sin(pp) * np.cos(pp)
+    )
+    wfun = np.sin(pp) ** (1.0 - 2.0 * sigma) * np.cos(pp) ** (n - 1)
+    return total + np.sum(wg / 2.0 * jac * dv_model ** 2 * wfun, axis=-1)

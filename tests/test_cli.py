@@ -595,6 +595,20 @@ class TestSolverReport:
         assert "linear_solver" not in rep["results"]
 
 
+class TestUnperturbedEnergy:
+    def test_wide_axial_range_stays_finite(self, capsys):
+        # e^-800 is 0, so the field must not pass through r^-beta phi at
+        # r = e^s: it is V = phi at every s
+        argv = ["energy", *QUAD, "1.8", "--grid", "41x17", "--s-range=-800,1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, argv)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0
+        assert all(math.isfinite(x) for row in rep["results"]["rows"] for x in row)
+        assert rep["results"]["verdict"] == "Constant"
+
+
 class TestSolverDivergence:
     def test_resonant_window_reports_named_violation(self, tmp_path, capsys):
         code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", RESONANT_SPEC]))

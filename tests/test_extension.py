@@ -14,14 +14,11 @@ from hardyhenon.extension import (
     ExtensionField,
     FowlerField,
     _barrier_ladder,
-    _edge_model,
     _extrapolate_t0,
     _flux_rule,
-    _power_fit,
     _profile_connection,
     _profile_quadrature,
     _t0_fit,
-    _three_point_weights,
     exact_extension_field,
     exact_sphere_profile,
     fowler_map,
@@ -34,6 +31,7 @@ from hardyhenon.extension import (
 from hardyhenon.fraclap import QuadratureConfig, RadialProfile, power_profile
 from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.specialfn import kappa_sigma, singular_constant
+from hardyhenon.sphere import derivative_weights, edge_model, power_fit
 
 P352 = validate_params(3, 0.5, 0.0, 2.0)
 
@@ -422,13 +420,13 @@ class TestPowerFit:
 
     def test_square_system_interpolates(self):
         x = np.array([0.1, 0.3, 0.7])
-        W = _power_fit(x, self.EXPONENTS)
+        W = power_fit(x, self.EXPONENTS)
         assert W.shape == (3, 3)
         np.testing.assert_allclose(W @ self.samples(x), self.COEF, rtol=1e-12)
 
     def test_tall_system_is_least_squares(self):
         x = np.linspace(0.05, 0.9, 9)
-        W = _power_fit(x, self.EXPONENTS)
+        W = power_fit(x, self.EXPONENTS)
         assert W.shape == (3, 9)
         np.testing.assert_allclose(W @ self.samples(x), self.COEF, rtol=1e-12)
         # on data off the model, the residual is orthogonal to every column
@@ -439,10 +437,10 @@ class TestPowerFit:
 
     def test_leading_axes_batch_independent_fits(self):
         x = np.array([[0.1, 0.3, 0.7], [0.2, 0.25, 0.4], [1e-3, 2e-3, 4e-3]])
-        W = _power_fit(x, self.EXPONENTS)
+        W = power_fit(x, self.EXPONENTS)
         assert W.shape == (3, 3, 3)
         for row, Wrow in zip(x, W):
-            np.testing.assert_array_equal(Wrow, _power_fit(row, self.EXPONENTS))
+            np.testing.assert_array_equal(Wrow, power_fit(row, self.EXPONENTS))
         coef = np.einsum("bjk,bk->bj", W, self.samples(x))
         # the x^2 coefficient of the last fit is conditioned by 1/x^2 ~ 1e5
         np.testing.assert_allclose(coef, np.broadcast_to(self.COEF, (3, 3)), rtol=1e-10)
@@ -458,7 +456,7 @@ class TestPsiGrid:
         hp = psi[2:] - psi[1:-1]
         want1 = np.stack([-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))], axis=1)
         want2 = np.stack([2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))], axis=1)
-        for got, want in zip(_three_point_weights(psi), (want1, want2)):
+        for got, want in zip(derivative_weights(psi), (want1, want2)):
             # measured against the summed term size, as in the exactness test below
             err = np.abs(got - want).max(axis=1) / np.abs(want).sum(axis=1)
             assert err.max() < 1e-12
@@ -466,7 +464,7 @@ class TestPsiGrid:
     @pytest.mark.parametrize("n_psi", (65, 129))
     def test_three_point_weights_exact_on_quadratics(self, n_psi):
         psi = psi_nodes(CylinderGrid(n_psi=n_psi))
-        d1, d2 = _three_point_weights(psi)
+        d1, d2 = derivative_weights(psi)
         x = psi[1:-1]
         stencil = np.stack([psi[:-2], x, psi[2:]], axis=1)
         for f, df, d2f in ((np.ones_like, np.zeros_like, np.zeros_like),
@@ -486,7 +484,7 @@ class TestPsiGrid:
         psi = psi_nodes(CylinderGrid(n_psi=17))
         v0, c, e = 0.7, -0.3, 1.1
         s = np.sin(psi[:3])
-        got = _edge_model(psi, sigma) @ (v0 + c * s ** (2.0 * sigma) + e * s ** 2)
+        got = edge_model(psi, sigma) @ (v0 + c * s ** (2.0 * sigma) + e * s ** 2)
         assert got[0] == pytest.approx(c, rel=1e-12)
         assert got[1] == pytest.approx(e, rel=1e-12)
 
