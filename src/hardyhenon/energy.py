@@ -17,7 +17,7 @@ import numpy as np
 from .extension import ExtensionField, FowlerField, fowler_map
 from .params import ProblemParams, derive_exponents
 from .specialfn import kappa_sigma, unit_sphere_area
-from .sphere import cell_weights, gradient_integral
+from .sphere import gradient_integral, psi_rule
 
 __all__ = [
     "EnergyTrace",
@@ -63,7 +63,7 @@ def _energy_cylinder_rows(field: FowlerField, params: ProblemParams):
     psi = field.psi_grid
     area = unit_sphere_area(n)
     kap = kappa_sigma(sigma)
-    w = cell_weights(psi, n, sigma)
+    w = psi_rule(psi, n, sigma).w0
     V = field.values
     kinetic = np.sum(w * _axial_derivative(V, field.s_grid[1] - field.s_grid[0]) ** 2, axis=1)
     mass = np.sum(w * V ** 2, axis=1)
@@ -89,7 +89,7 @@ def energy_halfsphere(field: ExtensionField, r: float, params: ProblemParams) ->
     psi = field.psi_grid
     area = unit_sphere_area(n)
     kap = kappa_sigma(sigma)
-    w = cell_weights(psi, n, sigma)
+    w = psi_rule(psi, n, sigma).w0
 
     ds = math.log(field.r_grid[1]) - math.log(field.r_grid[0])
     Us = _axial_derivative(field.values, ds)

@@ -447,8 +447,13 @@ def verify_sphere_ode(profile: SphereProfile, params: ProblemParams) -> SphereOd
     over the nodes inside _SPHERE_ODE_BAND.  Boundary: the solver's flux row
     (L phi)[0] = 2 sigma c, c the sin^{2s} coefficient of the edge model
     through the first three nodes, against the nonlinear condition
-    -2 sigma c = kappa_sigma phi(0)^p, relative to its right side.  The grid
-    must start at psi = 0.
+    -2 sigma c = kappa_sigma phi(0)^p, relative to its right side.  A grid
+    that does not start at psi = 0 raises ValueError.
+
+    L comes from ``sphere.psi_rule``'s cache, keyed on the grid's bytes, n
+    and sigma: alpha and p enter only through J2 and the boundary power,
+    which act on L phi, so profiles at other (alpha, p) on the same grid and
+    (n, sigma) share one read-only L, built once.
     """
     n, sigma, p = params.n, params.sigma, params.p
     J2 = derive_exponents(params).J2
