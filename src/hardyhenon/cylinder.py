@@ -22,19 +22,31 @@ orthonormal DST-I (``numpy.fft``; Swarztrauber, SIAM Rev. 19, 1977), and
 the capacitance matrix is built in closed form as Toeplitz minus Hankel, so
 no dense sine matrix is formed.
 
-The constant part of the system is written once, as six arrays of
-row-scaled coefficients: they are applied matrix-free for every residual,
-and written into band storage for the banded LU.
+The constant part of the system is written as six arrays of row-scaled
+coefficients: they are applied matrix-free for every residual, and written
+into band storage for the banded LU.  Nothing of it depends on the end data
+or on eps, so ``_newton_system`` builds it, with the separable step's
+factorization (the s-mode eigenvalues and similarity, the stacked mode
+factors, Z and the capacitance matrix G), once per (``ProblemParams``,
+``CylinderGrid``) and keeps it in an ``lru_cache`` of 8 entries, least
+recently used first out, of about 0.75 MB each on 161x65 and 3.0 MB on
+321x129; every solve on that key shares its read-only arrays.  What d
+changes is rebuilt at every Newton step: the LU of I + D G, and the band
+and its LU.  The banded step and the separable step's s-transform buffer
+are made per solve.
 
 scipy is imported inside the functions that use it, so ``import hardyhenon``
-does not load it: either step loads ``scipy.linalg`` and its ``lapack`` at a
-solve's first step.  No sparse-matrix module and no ``scipy.fft`` is used.
+does not load it: the first solve loads ``scipy.linalg`` and its
+``lapack``.  No sparse-matrix module and no ``scipy.fft`` is used.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,18 +230,22 @@ def _mode_solver(L: np.ndarray, lam: np.ndarray):
     return solve
 
 
-def _dst1(X: np.ndarray) -> np.ndarray:
+def _dst1(X: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal DST-I along axis 0: Q X, Q_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)), j, k = 1..m.
 
     The real FFT of the odd extension [0, X, 0, -X[::-1]], of period
     2(m+1), is -2i times the sine sums at frequencies 1..m, so the extension
     is built from X scaled by -sqrt(1/(2(m+1))).  Q is symmetric and
-    orthogonal, so the transform is its own inverse.
+    orthogonal, so the transform is its own inverse.  ``ext``, if given, is
+    a zeroed (2(m+1),) + X.shape[1:] array that takes the extension: its
+    rows 0 and m+1 are never written, so one buffer serves every transform
+    of that shape.
     """
     m = len(X)
-    ext = np.zeros((2 * (m + 1),) + X.shape[1:])
-    ext[1:m + 1] = -math.sqrt(0.5 / (m + 1)) * X
-    ext[m + 2:] = -ext[m:0:-1]
+    if ext is None:
+        ext = np.zeros((2 * (m + 1),) + X.shape[1:])
+    np.multiply(X, -math.sqrt(0.5 / (m + 1)), out=ext[1:m + 1])
+    np.negative(ext[m:0:-1], out=ext[m + 2:])
     return np.fft.rfft(ext, axis=0)[1:m + 1].imag
 
 
@@ -255,9 +271,20 @@ def _capacitance(g: np.ndarray, R: np.ndarray) -> np.ndarray:
     return G
 
 
-def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
-                    apply, row_scale: np.ndarray):
-    """Exact Newton-step solver for the Jacobian A + diag(d), or None where it is unstable.
+class _SeparableFactors(NamedTuple):
+    """The separable step's part that d does not change; every array is read-only."""
+
+    lo: float  # the axial stencil's sub-diagonal
+    up: float  # and super-diagonal
+    R: np.ndarray  # the similarity diag(r^(i - (m+1)/2)), i = 1..m
+    mode_solve: Callable[[np.ndarray], None]  # ``_mode_solver``'s solve
+    Z: np.ndarray  # M_j^-1 e_0 of every s-mode j, by rows
+    G: np.ndarray  # the capacitance matrix R Q diag(Z[:, 0]) Q R^-1
+
+
+def _separable_factors(params: ProblemParams, grid: CylinderGrid,
+                       L: np.ndarray) -> _SeparableFactors | None:
+    """The exact Newton step's factorization, or None where it is unstable.
 
     With the Dirichlet rows moved to the right-hand side, the m = n_s - 2
     interior rows of the unscaled system carry T (x) E + I (x) L +
@@ -271,25 +298,13 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     G = R Q diag(g) Q R^-1, with g_j = [M_j^-1]_00, maps a flux-row load to
     the flux values it produces.  ``_capacitance`` builds it in closed form
     from one real FFT of g, in O(m log m + m^2), and Q itself is never
-    formed: every product with it is ``_dst1``, a real FFT of length
-    2(m+1).  A solve is then two s-transforms of the whole right-hand side,
-    one stacked tridiagonal solve, two transforms of a vector and one dense
-    solve of I + D G, whose LU is the step's only BLAS-backed call.
-
-    ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same L.
-    The returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with
-    A the row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on
-    the interior flux rows, by one solve and one pass of iterative
-    refinement against ``apply``, which brings its residual down to that of
-    a direct LU solve.  Returns None when T has no real similarity (lo up <= 0), its
-    growth r^m exceeds _MAX_SIMILARITY_GROWTH, L[0, 0] = 0 (the flux row
-    cannot be folded) or the stacked factorization meets a zero pivot.
+    formed.  None of this depends on d.  Returns None when T has no real
+    similarity (lo up <= 0), its growth r^m exceeds
+    _MAX_SIMILARITY_GROWTH, L[0, 0] = 0 (the flux row cannot be folded) or
+    the stacked factorization meets a zero pivot.
     """
-    import scipy.linalg as sla
-
     lo, diag, up = _axial_stencil(params, grid)
-    ns, npsi = grid.n_s, grid.n_psi
-    m = ns - 2
+    m = grid.n_s - 2
     if lo * up <= 0.0 or 0.5 * m * abs(math.log(lo / up)) > math.log(_MAX_SIMILARITY_GROWTH):
         return None
     theta = np.arange(1, m + 1) * (math.pi / (m + 1))
@@ -299,24 +314,53 @@ def _separable_step(params: ProblemParams, grid: CylinderGrid, L: np.ndarray,
     mode_solve = _mode_solver(L, lam)
     if mode_solve is None:
         return None
-    Z = np.zeros((m, npsi))
+    Z = np.zeros((m, grid.n_psi))
     Z[:, 0] = 1.0
     mode_solve(Z)
     G = _capacitance(Z[:, 0], R)
+    for a in (R, Z, G):
+        a.flags.writeable = False
+    return _SeparableFactors(lo, up, R, mode_solve, Z, G)
+
+
+def _separable_step(grid: CylinderGrid, factors: _SeparableFactors, apply,
+                    row_scale: np.ndarray):
+    """Exact Newton-step solver for the Jacobian A + diag(d) from ``_separable_factors``.
+
+    ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same
+    params, grid and L.  Every product with Q is ``_dst1``, a real FFT of
+    length 2(m+1); the whole-grid transforms of one solve share one
+    extension buffer.  A solve is two s-transforms of the whole right-hand
+    side, one stacked tridiagonal solve, two transforms of a vector and one
+    dense solve of I + D G, whose LU, refactored at every step since d
+    changes, is the step's only BLAS-backed call.  The returned
+    ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with A the
+    row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on the
+    interior flux rows, by one solve and one pass of iterative refinement
+    against ``apply``, which brings its residual down to that of a direct
+    LU solve.
+    """
+    import scipy.linalg as sla
+
+    lo, up, R, mode_solve, Z, G = factors
+    ns, npsi = grid.n_s, grid.n_psi
+    m = ns - 2
     flux_rows = np.arange(1, ns - 1) * npsi
+    ext = np.zeros((2 * (m + 1), npsi))
 
     def solve(rhs, d, capacitance):
-        """Solve the unscaled system with the whole-grid right-hand side rhs."""
-        out = rhs.reshape(ns, npsi).copy()
+        """Solve the unscaled system with the whole-grid right-hand side rhs, in place."""
+        out = rhs.reshape(ns, npsi)
         B = out[1:-1].copy()
         B[0, 1:] -= lo * out[0, 1:]
         B[-1, 1:] -= up * out[-1, 1:]
-        Y = _dst1(B / R[:, None])
+        B /= R[:, None]
+        Y = _dst1(B, ext)
         mode_solve(Y)
         load = sla.lu_solve(capacitance, d * (R * _dst1(Y[:, 0])))
         Y -= _dst1(load / R)[:, None] * Z
-        out[1:-1] = R[:, None] * _dst1(Y)
-        return out.reshape(-1)
+        np.multiply(R[:, None], _dst1(Y, ext), out=out[1:-1])
+        return rhs
 
     def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
         coupled = d[:, None] * G
@@ -361,6 +405,28 @@ def _banded_step(grid: CylinderGrid, apply, band, row_scale: np.ndarray):
     return step
 
 
+class _NewtonSystem(NamedTuple):
+    """The part of the Newton system that the end data and d do not change."""
+
+    apply: Callable[[np.ndarray], np.ndarray]  # ``_linear_operator``'s
+    band: Callable[[np.ndarray], np.ndarray]
+    row_scale: np.ndarray  # read-only
+    separable: _SeparableFactors | None  # None sends the steps to the banded LU
+
+
+@lru_cache(maxsize=8)
+def _newton_system(params: ProblemParams, grid: CylinderGrid) -> _NewtonSystem:
+    """``_NewtonSystem`` of one (params, grid), both frozen and hashable.
+
+    An entry takes about 0.75 MB on 161x65 and 3.0 MB on 321x129, most of
+    it the capacitance matrix, Z, the stacked mode factors and row_scale.
+    """
+    L = psi_operator(psi_nodes(grid), params.n, params.sigma)
+    apply, band, row_scale = _linear_operator(params, grid, L)
+    row_scale.flags.writeable = False
+    return _NewtonSystem(apply, band, row_scale, _separable_factors(params, grid, L))
+
+
 def solve_cylinder_pde(
     params: ProblemParams,
     boundary_left: np.ndarray,
@@ -380,9 +446,12 @@ def solve_cylinder_pde(
     the residual history; negative iterates are projected back to a positive
     floor and reported on the result.
 
-    The psi operator is built once per solve, and every residual (the
-    Newton residual, the line search's trials, the refinement pass) applies
-    the constant part of the system matrix-free (``_linear_operator``).
+    The constant part of the system and the separable step's factorization
+    are built at the first solve on a (params, grid) and cached
+    (``_newton_system``, 8 entries); every residual (the Newton residual,
+    the line search's trials, the refinement pass) applies the constant
+    part matrix-free (``_linear_operator``), and the capacitance LU is
+    refactored at every step.
     Each Newton step is a damped step along the exact solution of the
     Jacobian system, which one ``step(F, d)`` solves.  Where the axial
     stencil's similarity is real and its growth r^m ~ exp(|J1| L / 2) on a
@@ -405,11 +474,12 @@ def solve_cylinder_pde(
     (n, sigma, alpha, p) = (4, 0.5, 0, 1.5), eps = 0.05 (``solve_end_perturbed``)
     and the default grid, Newton from phi stalls at 2.6e-4 in its third
     iteration, yet continuation in eps from phi in steps of 0.001 reaches
-    eps = 0.080 (V0 in [0.26, 2.71] phi0): the solution exists, 156% off phi
-    at eps = 0.05 like the field a rising step reaches, and damped Newton
-    from phi does not reach it.  Default-window divergences at sigma != 1/2,
-    such as (2, 0.3, 0.2, 3.0) and (3, 0.3, 0, 1.6), converged in 3
-    iterations with an exponent-fitted psi stencil; this operator is not consistent there.
+    eps = 0.097 on 161x65 (V0 in [0.18, 2.81] phi0 there; 0.098 on 81x33):
+    the solution exists, 156% off phi at eps = 0.05 like the field a rising
+    step reaches, and damped Newton from phi does not reach it.
+    Default-window divergences at sigma != 1/2, such as (2, 0.3, 0.2, 3.0)
+    and (3, 0.3, 0, 1.6), converged in 3 iterations with an
+    exponent-fitted psi stencil; this operator is not consistent there.
     """
     psi = psi_nodes(grid)
     npsi, ns = grid.n_psi, grid.n_s
@@ -417,6 +487,10 @@ def solve_cylinder_pde(
     boundary_right = np.asarray(boundary_right, dtype=float)
     if boundary_left.shape != (npsi,) or boundary_right.shape != (npsi,):
         raise ValueError("boundary data must match the psi grid")
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (ns, npsi):
+            raise ValueError(f"initial must have shape (n_s, n_psi) = {(ns, npsi)}, got {initial.shape}")
     # a NaN passes the positivity test, and then the residual test as well
     for name, data in (("boundary_left", boundary_left), ("boundary_right", boundary_right),
                        ("initial", initial)):
@@ -427,8 +501,8 @@ def solve_cylinder_pde(
 
     kap = kappa_sigma(params.sigma)
     p = params.p
-    L = psi_operator(psi, params.n, params.sigma)
-    apply, band, row_scale = _linear_operator(params, grid, L)
+    system = _newton_system(params, grid)
+    apply, row_scale = system.apply, system.row_scale
 
     b = np.zeros(ns * npsi)
     b[:npsi] = boundary_left
@@ -439,14 +513,14 @@ def solve_cylinder_pde(
         frac = np.linspace(0.0, 1.0, ns)[:, None]
         V = ((1.0 - frac) * boundary_left[None, :] + frac * boundary_right[None, :]).reshape(-1)
     else:
-        V = np.asarray(initial, dtype=float).reshape(-1).copy()
+        V = initial.reshape(-1).copy()
 
     flux_rows = np.arange(1, ns - 1) * npsi
     flux_scale = row_scale[flux_rows]
-    step = _separable_step(params, grid, L, apply, row_scale)
-    linear_solver = "separable"
-    if step is None:
-        step, linear_solver = _banded_step(grid, apply, band, row_scale), "banded_lu"
+    if system.separable is None:
+        step, linear_solver = _banded_step(grid, apply, system.band, row_scale), "banded_lu"
+    else:
+        step, linear_solver = _separable_step(grid, system.separable, apply, row_scale), "separable"
 
     def residual(vec):
         F = apply(vec) - b

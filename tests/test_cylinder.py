@@ -2,8 +2,9 @@
 against SuperLU on an independently assembled Kronecker matrix, the choice
 between them, the matrix-free operator, its band, the stacked mode solve,
 the sine transform and the capacitance matrix against their references, the
-line search, the end data it refuses, and the consistency of the discrete
-operator with the exact solution."""
+cache of the system's eps-independent part, the line search, the end data it
+refuses, and the consistency of the discrete operator with the exact
+solution."""
 
 import hashlib
 import math
@@ -24,6 +25,7 @@ from hardyhenon.cylinder import (
     _dst1,
     _linear_operator,
     _mode_solver,
+    _separable_factors,
     _separable_step,
     psi_nodes,
     solve_cylinder_pde,
@@ -128,8 +130,11 @@ def first_newton_system(params, grid, eps=0.05):
 
 
 def separable_builder(params, grid, L):
+    factors = _separable_factors(params, grid, L)
+    if factors is None:
+        return None
     apply, _, row_scale = _linear_operator(params, grid, L)
-    return _separable_step(params, grid, L, apply, row_scale)
+    return _separable_step(grid, factors, apply, row_scale)
 
 
 def banded_builder(params, grid, L):
@@ -203,7 +208,8 @@ class TestLineSearch:
         # 0.46) ends in a field 156% off phi that passes the residual test.
         # The Newton matrix is not near-singular here: the solution exists
         # (continuation in eps from phi, in steps of 0.001, reaches
-        # eps = 0.080), and damped Newton started from phi does not reach it
+        # eps = 0.097 on this 161x65 grid), and damped Newton started from
+        # phi does not reach it
         with pytest.raises(SolverDivergence, match="stalled") as err:
             solve_end_perturbed(validate_params(4, 0.5, 0.0, 1.5), 0.05, CylinderGrid())
         history = err.value.history
@@ -232,12 +238,18 @@ class TestPathChoice:
         # LU: SuperLU on the assembled Jacobian (measured 5.7e-12 on
         # long_window, 1.3e-11 on coarse_axis)
         A, scale = assemble_linear(COR11, grid, L)
+        calls = []
 
         def superlu_step(F, d):
+            calls.append(d)
             return spla.spsolve(jacobian(A, scale, grid, d), -F)
 
+        # the banded step is built per solve, so the patch reaches a solve
+        # on a warm cache too; without it this compares the solve with itself
         monkeypatch.setattr(cylinder, "_banded_step", lambda *_: superlu_step)
-        want = solve_end_perturbed(COR11, 0.05, grid).field.values
+        want = solve_end_perturbed(COR11, 0.05, grid)
+        assert len(calls) == want.iterations >= 1
+        want = want.field.values
         assert np.max(np.abs(res.field.values - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_window_inside_the_bound_is_separable(self):
@@ -307,9 +319,16 @@ class TestLinearOperator:
         L[0, 0] = 0.0
         assert _mode_solver(L, np.ones(5)) is None
 
-    @pytest.mark.parametrize("grid, solver", [(GRIDS["71x33"], "separable"),
-                                              (OPERATOR_GRIDS["coarse_axis"], "banded_lu")])
-    def test_psi_operator_is_built_once_per_solve(self, grid, solver, monkeypatch):
+
+class TestNewtonSystemCache:
+    """The eps-independent part of the Newton system is built once per (params, grid)."""
+
+    CASES = pytest.mark.parametrize("grid, solver", [(GRIDS["71x33"], "separable"),
+                                                     (FALLBACK["coarse_axis"][0], "banded_lu")],
+                                    ids=["separable", "coarse_axis"])
+
+    @CASES
+    def test_built_once_per_params_and_grid(self, grid, solver, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -317,10 +336,40 @@ class TestLinearOperator:
             return psi_operator(*args)
 
         monkeypatch.setattr(cylinder, "psi_operator", counted)
+        cylinder._newton_system.cache_clear()
         res = solve_end_perturbed(COR11, 0.05, grid)
-        assert res.linear_solver == solver
-        assert res.iterations >= 1
+        assert res.linear_solver == solver and res.iterations >= 1
         assert len(calls) == 1
+        res = solve_end_perturbed(COR11, 0.02, grid)
+        assert res.linear_solver == solver and res.iterations >= 1
+        assert len(calls) == 1
+        info = cylinder._newton_system.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @CASES
+    def test_warm_solve_matches_cold_bit_for_bit(self, grid, solver):
+        cylinder._newton_system.cache_clear()
+        cold = solve_end_perturbed(COR11, 0.05, grid)
+        solve_end_perturbed(COR11, 0.02, grid)
+        warm = solve_end_perturbed(COR11, 0.05, grid)
+        assert cylinder._newton_system.cache_info().misses == 1
+        assert warm.linear_solver == cold.linear_solver == solver
+        assert warm.field.values.tobytes() == cold.field.values.tobytes()
+        assert warm.residual_history == cold.residual_history
+
+    def test_cached_arrays_are_read_only(self):
+        system = cylinder._newton_system(COR11, GRIDS["71x33"])
+        separable = system.separable
+        for a in (system.row_scale, separable.R, separable.Z, separable.G):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        maxsize = cylinder._newton_system.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(maxsize + 2):
+            cylinder._newton_system(COR11, CylinderGrid(n_s=9 + 2 * k, n_psi=9))
+        assert cylinder._newton_system.cache_info().currsize == maxsize
 
 
 # every OPERATOR_GRIDS grid, and a fine axial grid where m = 1279
@@ -372,6 +421,16 @@ class TestEndData:
         data[name].flat[3] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             solve_cylinder_pde(COR11, grid=grid, **data)
+
+    @pytest.mark.parametrize("shape", [(33, 71), (71, 32)], ids=["transposed", "short"])
+    def test_misshapen_initial_is_refused(self, shape):
+        # a transposed guess has the right size: unchecked, it was reshaped
+        # into a scrambled start and the solve converged from it
+        grid = GRIDS["71x33"]
+        phi = exact_sphere_profile(COR11, psi_nodes(grid)).phi
+        initial = np.ones(shape)
+        with pytest.raises(ValueError, match=r"^initial must have shape \(n_s, n_psi\) = \(71, 33\)"):
+            solve_cylinder_pde(COR11, phi, phi, grid, initial=initial)
 
 
 class TestExactSolutionConsistency:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyhenon import sphere
+from hardyhenon import cylinder, sphere
 from hardyhenon.cylinder import CylinderGrid, psi_nodes, solve_end_perturbed
 from hardyhenon.energy import energy_trace
 from hardyhenon.extension import exact_sphere_profile, verify_sphere_ode
@@ -90,6 +90,7 @@ class TestPsiRule:
     def test_solver_and_energy_share_one_entry(self):
         params = validate_params(3, 0.5, 0.0, 1.8)
         sphere._psi_rule.cache_clear()
+        cylinder._newton_system.cache_clear()  # so that the solve builds its system
         res = solve_end_perturbed(params, 0.05, CylinderGrid())
         energy_trace(res.field, (-3.5, 3.5), params)
         assert sphere._psi_rule.cache_info().misses == 1
