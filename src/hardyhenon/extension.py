@@ -27,7 +27,7 @@ from .fraclap import (
 )
 from .params import ProblemParams, derive_exponents
 from .quadrature import (
-    _hyp2f1_series,
+    _hyp2f1_sweep,
     _power_tail,
     angular_kernel,
     angular_flux_kernel,
@@ -374,30 +374,28 @@ def exact_sphere_profile(params: ProblemParams, psi_grid: np.ndarray) -> SphereP
     (``_profile_connection``).  Near the edge it is summed in the connection
     form C [F(a, b; 1 - sigma; x) + (B/A) x^sigma F(a + sigma, b + sigma; 1 + sigma; x)],
     whose two terms have opposite signs; where they cancel by more than
-    _PROFILE_CANCELLATION, and wherever x > 1/2, the direct series is summed
-    instead, with a cut point z_max = 1 - 2^-k just above its largest argument.
-    Every series has positive terms.  The boundary value and every psi = 0
-    entry are C.  Angles outside [0, pi/2] raise ValueError.
+    _PROFILE_CANCELLATION, and wherever x > 1/2, the direct series is taken
+    instead.  All three are summed in one sweep cut at z_max = 1/2; if an edge
+    node is direct, the direct nodes are summed again, cut at 1 - 2^-k just
+    above their largest argument.  The boundary value and every psi = 0 entry
+    are C.  Angles outside [0, pi/2] and a grid that is not 1-D raise ValueError.
     """
     psi_grid = np.asarray(psi_grid, dtype=float)
-    if not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
-        raise ValueError("profile angles must lie in [0, pi/2]")
+    if psi_grid.ndim != 1 or not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
+        raise ValueError("profile angles must be a 1-D array in [0, pi/2]")
     sigma, C = params.sigma, singular_constant(params)
     a, b, A, B_over_A = _profile_connection(params)
     x = np.sin(psi_grid) ** 2
-    edge = np.flatnonzero(x <= 0.5)
-    xe = x[edge]
-    first = _hyp2f1_series(a, b, 1.0 - sigma, xe, 0.5)
-    conn = first + B_over_A * xe ** sigma * _hyp2f1_series(
-        a + sigma, b + sigma, 1.0 + sigma, xe, 0.5)
-    phi = np.empty_like(psi_grid)
-    phi[edge] = C * conn
-    direct = x > 0.5
-    direct[edge] = (first > _PROFILE_CANCELLATION * conn) & (xe >= _PROFILE_X_FLOOR)
-    if direct.any():
+    cos2 = np.cos(psi_grid) ** 2
+    rows = ((a, b, 1.0 - sigma), (a + sigma, b + sigma, 1.0 + sigma), (a, b, params.n / 2.0))
+    first, second, pole = _hyp2f1_sweep(rows, np.stack([x, x, cos2]), 0.5)
+    conn = first + B_over_A * x ** sigma * second
+    edge = x <= 0.5
+    direct = ~edge | ((first > _PROFILE_CANCELLATION * conn) & (x >= _PROFILE_X_FLOOR))
+    phi = np.where(direct, C / A * pole, C * conn)
+    if (direct & edge).any():
         k = min(4, max(1, math.ceil(-math.log2(x[direct].min()))))
-        phi[direct] = C / A * _hyp2f1_series(a, b, params.n / 2.0, np.cos(psi_grid[direct]) ** 2,
-                                             1.0 - 2.0 ** -k)
+        phi[direct] = C / A * _hyp2f1_sweep(rows[2:], cos2[direct], 1.0 - 2.0 ** -k)[0]
     return SphereProfile(psi_grid=psi_grid, phi=phi, boundary_value=C)
 
 

@@ -25,9 +25,11 @@ the sphere, and a quadratic transformation (DLMF 15.8) of the result, give
 
 whose parameters are positive for mu >= n/2, so its Taylor series in h^2
 has positive terms; it is cut where they fall below 2^-54 (38-53 terms
-for n <= 10).  The same cached Horner series ``_hyp2f1_series`` sums the
+for n <= 10).  ``_hyp2f1_sweep`` sums several such series, each on its own
+row of arguments, in one Horner sweep: here the moments, and in the
 closed-form sphere profile of the exact solution
-(``extension.exact_sphere_profile``), with arguments up to 15/16.
+(``extension.exact_sphere_profile``) its three series, with the cut 1/2, or
+its direct series alone with a cut of up to 15/16.
 
 Against 40-digit mpmath (n in {2, 3, 4, 5, 10}, sigma in {.05, .15, ..., .95},
 1200 rows per regime, see tests/test_quadrature.py) Phi_m is within 6.9e-15
@@ -57,6 +59,9 @@ _SERIES_Z_MAX = (2.0 / (_ANGULAR_SWITCH + 2.0
 #: PV and flux rules are cached per (n, sigma, cfg), so their warm
 #: evaluations never reach it.
 _BLOCK_ROWS = 128
+#: Up to this many nodes ``_hyp2f1_sweep`` repeats its coefficients to the rows'
+#: shape, as contiguous ufunc operands are faster; wider sweeps save the memory.
+_SWEEP_TABLE_NODES = 1024
 
 
 @lru_cache(maxsize=64)
@@ -139,13 +144,21 @@ def _hyp2f1_coefficients(a: float, b: float, c: float, z_max: float) -> tuple[fl
         coefs.append(coef)
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: np.ndarray,
-                   z_max: float = _SERIES_Z_MAX) -> np.ndarray:
-    """2F1(a, b; c; z) for 0 <= z <= z_max < 1 and a, b, c > 0, by Horner's
-    rule; every term is positive, so the sum keeps its relative accuracy."""
-    coefs = _hyp2f1_coefficients(a, b, c, z_max)
-    f = np.full(z.shape, coefs[-1])
-    for coef in coefs[-2::-1]:
+def _hyp2f1_sweep(rows, z, z_max: float = _SERIES_Z_MAX) -> np.ndarray:
+    """2F1(a, b; c; z) for each (a, b, c) of ``rows`` on its row of z, broadcast
+    to (len(rows), nodes), 0 <= z <= z_max < 1 and a, b, c > 0, by one Horner
+    sweep; every term is positive, so each sum keeps its relative accuracy.
+    Shorter coefficient lists are padded with leading zeros, which leave a sum
+    on z >= 0 at exactly 0, so each row is bit-identical to a sweep of its own.
+    """
+    coefs = [_hyp2f1_coefficients(a, b, c, z_max) for a, b, c in rows]
+    size = max(map(len, coefs))
+    table = np.array([(0.0,) * (size - len(c)) + c[::-1] for c in coefs]).T[:, :, None]
+    z = np.ascontiguousarray(np.broadcast_to(z, (len(coefs), np.shape(z)[-1])))
+    if z.shape[1] <= _SWEEP_TABLE_NODES:
+        table = np.repeat(table, z.shape[1], axis=2)
+    f = np.broadcast_to(table[0], z.shape).copy()
+    for coef in table[1:]:
         f *= z
         f += coef
     return f
@@ -181,11 +194,11 @@ def _sphere_integral(c0, q, n: int, mu: float, n_nodes: int, moments: int = 1):
     h2 = qs / A  # q / A, not (a - s) / (2 q), which cancels when c0 >> q
     h2 *= h2
     power = A ** -mu
+    series = _hyp2f1_sweep([(mu + k, mu + k - n / 2.0 + 1.0, n / 2.0) for k in range(moments)], h2)
     for k in range(moments):
         if k:
             power /= A
-        series = _hyp2f1_series(mu + k, mu + k - n / 2.0 + 1.0, n / 2.0, h2)
-        out[k, rows] = unit_sphere_area(n) * (power * series)
+        out[k, rows] = unit_sphere_area(n) * (power * series[k])
 
     xg, wg = gauss_legendre(n_nodes)
     x01, w01 = (xg + 1.0) / 2.0, wg / 2.0

@@ -111,12 +111,14 @@ def psi_rule(psi: np.ndarray, n: int, sigma: float) -> PsiRule:
     """The cached ``PsiRule`` of a grid from psi = 0 to the pole.
 
     It is keyed on the grid's bytes, n and sigma, so a caller may change its
-    own psi array afterwards.  A grid that does not start at psi = 0 raises
-    ValueError: the edge model and the flux row need the psi = 0 node.
+    own psi array afterwards.  ValueError is raised unless the grid is 1-D,
+    starts at psi = 0 (for the edge model and the flux row) and is finite and
+    strictly increasing (for the stencil); the last is checked only when the
+    rule is built, so a warm call pays nothing for it.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi[0] != 0.0:
-        raise ValueError(f"the psi grid must start at psi = 0, got psi[0] = {psi[0]!r}")
+    if psi.ndim != 1 or psi[0] != 0.0:
+        raise ValueError(f"the psi grid must be 1-D from psi = 0, got {psi.shape} from {psi.ravel()[:1]}")
     return _psi_rule(psi.tobytes(), n, sigma)
 
 
@@ -130,6 +132,8 @@ def _psi_rule(key: bytes, n: int, sigma: float) -> PsiRule:
     the pole with even reflection across psi = pi/2.
     """
     psi = np.frombuffer(key)
+    if not (np.all(np.isfinite(psi)) and np.all(np.diff(psi) > 0.0)):
+        raise ValueError("the psi grid must be finite and strictly increasing")
     npsi = len(psi)
     d1, d2 = derivative_weights(psi)
     edge = edge_model(psi, sigma)

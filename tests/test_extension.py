@@ -1,12 +1,13 @@
 """Half-space extension: kernel mass, trace recovery, flux, profiles, barrier."""
 
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from hardyhenon import specialfn
+from hardyhenon import extension, specialfn
 from hardyhenon.cylinder import CylinderGrid, psi_nodes
 from hardyhenon.extension import (
     _FLUX_T_SEQUENCE,
@@ -295,6 +296,11 @@ class TestSphereProfile:
             with pytest.raises(ValueError, match="angle"):
                 exact_sphere_profile(P352, np.array([0.3, psi]))
 
+    def test_grid_that_is_not_1d_rejected(self):
+        for psi in (np.full((2, 3), 0.5), np.float64(0.5)):
+            with pytest.raises(ValueError, match="1-D"):
+                exact_sphere_profile(P352, psi)
+
     def test_positive_and_bounded(self, profile):
         assert profile.phi.min() > 0.0
         assert np.isfinite(profile.phi).all()
@@ -388,6 +394,31 @@ class TestClosedFormProfile:
             want = mpmath_profile(params, self.ANGLES)
             err = np.max(np.abs(prof.phi / prof.boundary_value - want) / want)
             assert err <= 1e-13, (params, err)
+
+    # the two default-grid profiles of the benchmark sweep (p at the midpoint
+    # of Serrin and Sobolev) whose cancellation test sends an edge node to the
+    # direct series, and the SHA-256 of their phi bytes
+    LONG_CUT = {(5, 0.25, -0.25): "837eeb2c341740ab86bbc6c8e66da696a900b04a93108ac8525a68f920b3d641",
+                (5, 0.25, 0.0): "229be311ee731c2300ebb156873bcd83555551dfe2299674299a2e839bd247b8"}
+
+    @pytest.mark.parametrize("key", list(LONG_CUT) + [(3, 0.5, 0.0), (5, 0.25, 0.25)])
+    def test_only_long_cut_profiles_take_a_second_sweep(self, key, monkeypatch):
+        n, sigma, alpha = key
+        m = n - 2.0 * sigma
+        params = validate_params(n, sigma, alpha, 0.5 * ((n + alpha) / m + (n + 2.0 * sigma) / m))
+        cuts, sweep = [], extension._hyp2f1_sweep
+
+        def counted(rows, z, z_max):
+            cuts.append(z_max)
+            return sweep(rows, z, z_max)
+
+        monkeypatch.setattr(extension, "_hyp2f1_sweep", counted)
+        phi = exact_sphere_profile(params, psi_nodes(CylinderGrid())).phi
+        if key in self.LONG_CUT:
+            assert cuts[0] == 0.5 < cuts[1] and len(cuts) == 2
+            assert hashlib.sha256(phi.tobytes()).hexdigest() == self.LONG_CUT[key]
+        else:
+            assert cuts == [0.5]
 
     @pytest.mark.parametrize("quad", [(3, 0.5, 0.0, 1.8), (3, 0.45, 0.0, 1.8), (4, 0.75, 0.0, 5.0 / 3.0),
                                       (3, 0.3, 0.0, 1.6), (2, 0.3, 0.2, 3.0), (5, 0.6, -0.3, 1.5)])

@@ -17,7 +17,8 @@ from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.quadrature import (
     _BLOCK_ROWS,
     _SERIES_Z_MAX,
-    _hyp2f1_series,
+    _SWEEP_TABLE_NODES,
+    _hyp2f1_sweep,
     angular_flux_kernel,
     angular_kernel,
 )
@@ -82,11 +83,39 @@ def test_hyp2f1_series_against_mpmath(n, sigma):
     (mu + k, mu + k - n/2 + 1; n/2) with mu = m/2 and k = 0, 1."""
     m = n + 2.0 * sigma
     h2 = np.array([0.0, _SERIES_Z_MAX / 2.0, _SERIES_Z_MAX])
-    for a, b, c in ((m / 2.0, sigma + 1.0, n / 2.0), (m / 2.0 + 1.0, sigma + 2.0, n / 2.0)):
-        got = _hyp2f1_series(a, b, c, h2)
+    rows = ((m / 2.0, sigma + 1.0, n / 2.0), (m / 2.0 + 1.0, sigma + 2.0, n / 2.0))
+    got = _hyp2f1_sweep(rows, h2)
+    assert got.shape == (2, 3)
+    for (a, b, c), row in zip(rows, got):
         with mpmath.workdps(40):
             want = [float(mpmath.hyp2f1(a, b, c, x)) for x in h2]
-        assert np.allclose(got, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (a, b, c)
+        assert np.allclose(row, want, rtol=2.0 * np.finfo(float).eps, atol=0.0), (a, b, c)
+
+
+@pytest.mark.parametrize("nodes", [1, 65, _SWEEP_TABLE_NODES + 7])
+def test_hyp2f1_sweep_rows_match_their_own_sweeps(nodes):
+    """Rows of different lengths and arguments, summed in one sweep, equal
+    each row's own Horner loop, bit for bit: the zeros that pad the shorter
+    rows pass through Horner's rule exactly on z >= 0.  The widest case
+    broadcasts the coefficient column instead of repeating the table."""
+    rows = ((0.4, 2.1, 0.75), (1.4, 3.1, 1.25), (0.4, 2.1, 2.5), (3.0, 1.5, 1.5))
+    rng = np.random.default_rng(7)
+    for z_max in (_SERIES_Z_MAX, 0.5, 15.0 / 16.0):
+        lengths = {len(quadrature._hyp2f1_coefficients(*row, z_max)) for row in rows}
+        assert len(lengths) > 1
+        z = rng.uniform(0.0, z_max, (len(rows), nodes))
+        z[:, 0] = (0.0, z_max, 0.0, z_max)[:len(rows)]
+        got = _hyp2f1_sweep(rows, z, z_max)
+        for k, row in enumerate(rows):
+            coefs = quadrature._hyp2f1_coefficients(*row, z_max)
+            want = np.full(nodes, coefs[-1])
+            for coef in coefs[-2::-1]:
+                want *= z[k]
+                want += coef
+            np.testing.assert_array_equal(got[k], want)
+        # a z shared by every row is the same as its copy in each row
+        np.testing.assert_array_equal(_hyp2f1_sweep(rows, z[0], z_max),
+                                      _hyp2f1_sweep(rows, np.tile(z[0], (len(rows), 1)), z_max))
 
 
 def gauss_jacobi_reference(n, beta, s):

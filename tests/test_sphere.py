@@ -128,3 +128,22 @@ class TestPsiRule:
             psi_rule(psi, 3, 0.5)
         with pytest.raises(ValueError, match="psi grid"):
             psi_operator(np.linspace(0.1, math.pi / 2.0, 9), 3, 0.5)
+
+    @pytest.mark.parametrize("psi", [[0.0, 0.5, 0.2, 1.0, 1.5], [0.0, 0.5, 0.5, 1.0, 1.5],
+                                     [0.0, 0.5, 1.0, np.inf], [0.0, 0.5, np.nan, 1.5]],
+                             ids=["unordered", "repeated", "infinite", "nan"])
+    def test_grid_not_finite_and_increasing_rejected(self, psi):
+        # the unordered and repeated grids are valid profile grids, so only
+        # psi_rule's check stops verify_sphere_ode on them
+        params = validate_params(3, 0.5, 0.0, 1.8)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            psi_rule(np.array(psi), 3, 0.5)
+        if np.all(np.isfinite(psi)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                verify_sphere_ode(exact_sphere_profile(params, psi), params)
+
+    def test_grid_that_is_not_1d_rejected(self):
+        psi = psi_nodes(CylinderGrid(n_psi=9))
+        for grid in (np.stack([psi, psi]), np.float64(0.0)):
+            with pytest.raises(ValueError, match="1-D"):
+                psi_rule(grid, 3, 0.5)
