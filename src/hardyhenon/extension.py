@@ -375,18 +375,18 @@ def exact_sphere_profile(params: ProblemParams, psi_grid: np.ndarray) -> SphereP
     form C [F(a, b; 1 - sigma; x) + (B/A) x^sigma F(a + sigma, b + sigma; 1 + sigma; x)],
     whose two terms have opposite signs; where they cancel by more than
     _PROFILE_CANCELLATION, and wherever x > 1/2, the direct series is taken
-    instead.  All three are summed in one sweep cut at z_max = 1/2; if an edge
-    node is direct, the direct nodes are summed again, cut at 1 - 2^-k just
-    above their largest argument.  The boundary value and every psi = 0 entry
-    are C.  Angles outside [0, pi/2] and a grid that is not 1-D raise ValueError.
+    instead.  All three are summed in one sweep cut at z_max = 1/2, and np.where
+    drops their entries past the cut; an edge node taken direct needs a longer cut,
+    so then the direct nodes are summed again, cut at 1 - 2^-k just above their
+    largest argument.  The boundary value and every psi = 0 entry are C.  Angles
+    outside [0, pi/2] and a grid that is not 1-D raise ValueError.
     """
     psi_grid = np.asarray(psi_grid, dtype=float)
     if psi_grid.ndim != 1 or not np.all((psi_grid >= 0.0) & (psi_grid <= math.pi / 2.0)):
         raise ValueError("profile angles must be a 1-D array in [0, pi/2]")
     sigma, C = params.sigma, singular_constant(params)
     a, b, A, B_over_A = _profile_connection(params)
-    x = np.sin(psi_grid) ** 2
-    cos2 = np.cos(psi_grid) ** 2
+    x, cos2 = np.sin(psi_grid) ** 2, np.cos(psi_grid) ** 2
     rows = ((a, b, 1.0 - sigma), (a + sigma, b + sigma, 1.0 + sigma), (a, b, params.n / 2.0))
     first, second, pole = _hyp2f1_sweep(rows, np.stack([x, x, cos2]), 0.5)
     conn = first + B_over_A * x ** sigma * second

@@ -111,10 +111,9 @@ def psi_rule(psi: np.ndarray, n: int, sigma: float) -> PsiRule:
     """The cached ``PsiRule`` of a grid from psi = 0 to the pole.
 
     It is keyed on the grid's bytes, n and sigma, so a caller may change its
-    own psi array afterwards.  ValueError is raised unless the grid is 1-D,
-    starts at psi = 0 (for the edge model and the flux row) and is finite and
-    strictly increasing (for the stencil); the last is checked only when the
-    rule is built, so a warm call pays nothing for it.
+    own psi array afterwards.  ValueError is raised unless the grid is 1-D from
+    psi = 0 (for the edge model and the flux row) and, checked only when the rule
+    is built so warm calls pay nothing, finite and strictly increasing (stencil).
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or psi[0] != 0.0:

@@ -266,21 +266,33 @@ class TestBatchInvariance:
 
 
 class TestBlockMemory:
-    """The spike rule's memory does not grow with the batch."""
+    """Neither rule's memory grows with the batch beyond (rows,) arrays."""
+
+    @staticmethod
+    def peak(c0, q):
+        quadrature._sphere_integral(c0[:1], q[:1], 3, 1.75, N_NODES, moments=2)  # warm the caches
+        tracemalloc.start()
+        try:
+            quadrature._sphere_integral(c0, q, 3, 1.75, N_NODES, moments=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_peak_is_bounded_by_the_block(self):
         # 20,000 spike rows: one (rows, nodes) temporary alone would be 10 MB
         rng = np.random.default_rng(0)
         q = rng.uniform(0.5, 2.0, 20_000)
         c0 = q * 10.0 ** rng.uniform(-12.0, -0.7, q.size)
-        quadrature._sphere_integral(c0[:1], q[:1], 3, 1.75, N_NODES, moments=2)  # warm the caches
-        tracemalloc.start()
-        try:
-            quadrature._sphere_integral(c0, q, 3, 1.75, N_NODES, moments=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        assert self.peak(c0, q) < 2e6
+
+    def test_wide_series_sweep_does_not_repeat_its_table(self):
+        # 20,000 series rows peak at 2.1 MB; with the 42-term coefficient table
+        # repeated to their width, as narrow sweeps do, they peak at 17 MB
+        rng = np.random.default_rng(0)
+        q = rng.uniform(0.5, 2.0, 20_000)
+        c0 = q * 10.0 ** rng.uniform(0.0, 3.0, q.size)
+        assert q.size > _SWEEP_TABLE_NODES
+        assert self.peak(c0, q) < 4e6
 
 
 class TestTailCutoff:
