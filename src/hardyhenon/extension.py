@@ -99,8 +99,8 @@ class SphereProfile:
 class _RadialRule(NamedTuple):
     """A radial rule for a batch of points, kernel rows in its weights."""
 
-    zones: tuple  # (points, rho, weight) per zone; rho and weight are (points, nodes)
-    rho0: np.ndarray  # per point, the upper end of the closed-form piece [0, rho0]
+    nodes: np.ndarray  # (points, 1 + zones * N): rho0, then each zone's N nodes
+    weight: np.ndarray  # (points, zones, N), zero where a zone misses a point
     k0: np.ndarray  # per point, the kernel row at rho = 0
 
 
@@ -111,13 +111,16 @@ def _radial_rule(x, t, n, cfg, kernel) -> _RadialRule:
     point's radius.  ``kernel(c0, q, t2)`` maps the offsets
     c0 = (x-rho)^2 + t^2, the products x*rho and the points' t^2, which
     broadcast together, to the sphere-reduced kernel.  It is called once per
-    zone and once for the rows at rho = 0, and each weight is the node weight
-    times rho^{n-1} times the kernel row.
+    zone, on the points the zone reaches, and once for the rows at rho = 0;
+    each weight is the node weight times rho^{n-1} times the kernel row.
     The zones are, in summation order, the spike at rho = x (only when
-    x > 0.05 |X|), the outer and the inner log zone; [0, rho0] is left to
-    ``_radial_sum``.  Both kernels are homogeneous of degree -n - 2 sigma in
-    (x, t, rho), so the rule of the points l (x, t) is this one with nodes
-    l rho (see ``_radial_sum``).  The arrays are read-only.
+    x > 0.05 |X|), the outer and the inner log zone, N = ``nodes_radial``
+    nodes each; [0, rho0] is left to ``_radial_sum``.  A zone that misses a
+    point has zero weights there and the nodes |X|, where the trace is
+    finite, so ``_radial_sum`` evaluates the trace once per call.  Both
+    kernels are homogeneous of degree -n - 2 sigma in (x, t, rho), so the
+    rule of the points l (x, t) is this one with nodes l rho (see
+    ``_radial_sum``).  The arrays are read-only.
     """
     L = np.hypot(x, t)
     R = cfg.tail_cutoff * L
@@ -131,43 +134,50 @@ def _radial_rule(x, t, n, cfg, kernel) -> _RadialRule:
     xs = x[spike, None]
     d = np.maximum(t[spike, None] / xs, 1e-300)
     zmax = np.arcsinh(h / d)
-    xg, wg = gauss_legendre(cfg.nodes_radial)
+    N = cfg.nodes_radial
+    xg, wg = gauss_legendre(N)
     z = zmax * xg
     # spike of width ~t at rho = x: sinh clustering on both sides
     zones = [(spike, xs * (1.0 + d * np.sinh(z)), wg, xs * d * np.cosh(z) * zmax)]
     for lo, hi in ((np.where(spike, x * (1.0 + h), inner_hi), R), (rho0, inner_hi)):
         on = hi > lo
-        zones.append((on, *log_zone_nodes(lo[on, None], hi[on, None], cfg.nodes_radial), 1.0))
+        zones.append((on, *log_zone_nodes(lo[on, None], hi[on, None], N), 1.0))
 
-    rule = []
-    for on, rho, w, jac in zones:
+    nodes = np.empty((len(x), 1 + len(zones) * N))
+    nodes[:, 1:] = L[:, None]
+    nodes[:, 0] = rho0
+    weight = np.zeros((len(x), len(zones), N))
+    for i, (on, rho, w, jac) in enumerate(zones):
         xz, t2z = x[on, None], t2[on, None]
         k = kernel((xz - rho) ** 2 + t2z, xz * rho, t2z)
-        rule.append((on, rho, w * rho ** (n - 1) * k * jac))
+        nodes[on, 1 + i * N:1 + (i + 1) * N] = rho
+        weight[on, i] = w * rho ** (n - 1) * k * jac
     k0 = kernel(x * x + t2, np.zeros_like(x), t2)
-    for a in (rho0, k0, *(a for zone in rule for a in zone)):
+    for a in (nodes, weight, k0):
         a.flags.writeable = False
-    return _RadialRule(tuple(rule), rho0, k0)
+    return _RadialRule(nodes, weight, k0)
 
 
-def _radial_sum(trace, rule: _RadialRule, n, sigma, scale=1.0) -> np.ndarray:
-    """Per point, the rule's integral of the trace at the points ``scale`` (x, t).
+def _radial_sum(trace, rule: _RadialRule, n, sigma, R, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the rule's integral of the trace at the points ``scale`` (x, t),
+    and the trace at the tail radii ``R``.
 
-    The zones are summed in order, then [0, rho0] is added, where the kernel
-    is constant to O((rho0/|X|)^2) and the asserted inner power law of the
-    trace is used.
+    The trace is evaluated once, on ``scale`` times the rule's nodes with R
+    appended.  Each zone is summed over its own nodes, the zone sums are
+    added in order, then [0, rho0] is added, where the kernel is constant to
+    O((rho0/|X|)^2) and the asserted inner power law of the trace is used.
     """
-    u = trace.evaluate
-    total = np.zeros(len(rule.rho0))
-    for on, rho, weight in rule.zones:
-        total[on] += np.sum(weight * u(scale * rho), axis=1)
+    u = trace.evaluate(np.concatenate([(scale * rule.nodes).ravel(), R]))
+    u_nodes = u[:rule.nodes.size].reshape(rule.nodes.shape)
+    spike, outer, inner = np.sum(rule.weight * u_nodes[:, 1:].reshape(rule.weight.shape), axis=2).T
+    total = spike + outer + inner
     total *= scale ** (-2.0 * sigma)
 
     a = trace.inner_exponent
-    rho0 = scale * rule.rho0
-    ua = u(rho0) * rho0 ** a
+    rho0 = scale * rule.nodes[:, 0]
+    ua = u_nodes[:, 0] * rho0 ** a
     total += scale ** (-n - 2.0 * sigma) * rule.k0 * ua * rho0 ** (n - a) / (n - a)
-    return total
+    return total, u[rule.nodes.size:]
 
 
 def poisson_extend_radial(
@@ -206,12 +216,12 @@ def _poisson_values(trace, r, psi, n, sigma, cfg) -> np.ndarray:
     t = r * np.sin(psi)
     m = n + 2.0 * sigma
     rule = _radial_rule(x, t, n, cfg, lambda c0, q, t2: angular_kernel(c0, q, n, m, cfg.nodes_angular))
-    total = _radial_sum(trace, rule, n, sigma)
+    R = cfg.tail_cutoff * np.hypot(x, t)
+    total, uR = _radial_sum(trace, rule, n, sigma, R)
 
     # power tail beyond R with the second-order far-field kernel moment
-    R = cfg.tail_cutoff * np.hypot(x, t)
     b = trace.outer_exponent
-    ub = trace.evaluate(R) * R ** b
+    ub = uR * R ** b
     A = tail_moment_coefficient(n, sigma, x * x, t * t)
     total += unit_sphere_area(n) * ub * _power_tail(R, b, sigma, 1.0, A)
     return poisson_normalizer(n, sigma) * t ** (2.0 * sigma) * total
@@ -237,13 +247,13 @@ def _flux_rule(n: int, sigma: float, cfg: QuadratureConfig) -> _RadialRule:
 def _weighted_t_derivatives(trace, r, n, sigma, cfg) -> np.ndarray:
     """-t^{1-2 sigma} d/dt of the extension at the points (r, r _FLUX_T_SEQUENCE),
     by differentiating the kernel."""
-    total = _radial_sum(trace, _flux_rule(n, sigma, cfg), n, sigma, r)
-
     t = r * _FLUX_T_SEQUENCE
     t2 = t * t
     R = cfg.tail_cutoff * np.hypot(r, t)
+    total, uR = _radial_sum(trace, _flux_rule(n, sigma, cfg), n, sigma, R, r)
+
     b = trace.outer_exponent
-    ub = trace.evaluate(R) * R ** b
+    ub = uR * R ** b
     m = n + 2.0 * sigma
     A = tail_moment_coefficient(n, sigma, r * r, t2)
     total += unit_sphere_area(n) * ub * _power_tail(R, b, sigma, 2.0 * sigma, 2.0 * sigma * A - m * t2)

@@ -78,11 +78,12 @@ class RadialProfile:
     """A radial function with asserted power-law behavior at 0 and infinity.
 
     ``evaluate`` must accept numpy arrays of radii and be elementwise: each
-    value depends only on its own radius.  The PV operator calls it once
-    per rule evaluation, on one 1-D array holding r, rho0, R and r times the
-    rule's nodes, and reads u(r), u(rho0) and u(R) from its front; being
-    elementwise is what makes those the values separate calls give, to the
-    bit.
+    value depends only on its own radius.  Both operators evaluate it once
+    per call: the PV operator on one 1-D array holding r, rho0, R and r
+    times the rule's nodes, reading u(r), u(rho0) and u(R) from its front,
+    and the extension (``extension._radial_sum``) on every point's rho0 and
+    zone nodes with the tail radii R appended.  Being elementwise is what
+    makes those the values separate calls give, to the bit.
     ``inner_exponent`` a asserts u ~ r^{-a} near 0, ``outer_exponent`` b
     asserts u ~ r^{-b} at infinity; both are trusted by the closed-form
     endpoint corrections.

@@ -107,15 +107,22 @@ class PsiRule(NamedTuple):
     edge_quad: np.ndarray
 
 
+#: The fewest nodes a psi grid may have: ``cell_weights`` interpolates on four.
+_MIN_PSI_NODES = 4
+
+
 def psi_rule(psi: np.ndarray, n: int, sigma: float) -> PsiRule:
     """The cached ``PsiRule`` of a grid from psi = 0 to the pole.
 
     It is keyed on the grid's bytes, n and sigma, so a caller may change its
-    own psi array afterwards.  ValueError is raised unless the grid is 1-D from
-    psi = 0 (for the edge model and the flux row) and, checked only when the rule
-    is built so warm calls pay nothing, finite and strictly increasing (stencil).
+    own psi array afterwards.  ValueError is raised unless the grid is 1-D with
+    at least _MIN_PSI_NODES nodes from psi = 0 (for the edge model and the flux
+    row) and, checked only when the rule is built so warm calls pay nothing,
+    finite and strictly increasing (stencil).
     """
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim == 1 and len(psi) < _MIN_PSI_NODES:
+        raise ValueError(f"the psi grid needs at least {_MIN_PSI_NODES} nodes, got {len(psi)}")
     if psi.ndim != 1 or psi[0] != 0.0:
         raise ValueError(f"the psi grid must be 1-D from psi = 0, got {psi.shape} from {psi.ravel()[:1]}")
     return _psi_rule(psi.tobytes(), n, sigma)

@@ -31,6 +31,7 @@ from hardyhenon.extension import (
 )
 from hardyhenon.fraclap import QuadratureConfig, RadialProfile, power_profile
 from hardyhenon.params import derive_exponents, validate_params
+from hardyhenon.quadrature import angular_kernel
 from hardyhenon.specialfn import kappa_sigma, singular_constant
 from hardyhenon.sphere import derivative_weights, edge_model, power_fit
 
@@ -120,8 +121,7 @@ class TestNeumannFlux:
 
     def test_cached_arrays_are_read_only(self):
         rule = _flux_rule(3, 0.5, QuadratureConfig())
-        arrays = [rule.rho0, rule.k0] + [a for zone in rule.zones for a in zone]
-        for a in arrays:
+        for a in (rule.nodes, rule.weight, rule.k0):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0
 
@@ -132,6 +132,61 @@ class TestNeumannFlux:
         f2 = neumann_flux(exact_trace(params), 2.0, params)
         want = 2.0 ** (params.alpha - d.beta * params.p)
         assert f2.value / f1.value == pytest.approx(want, rel=1e-5)
+
+
+def counting_trace(trace):
+    """``trace`` with a list that gets one entry per call of its evaluate."""
+    calls = []
+
+    def evaluate(r):
+        calls.append(1)
+        return trace.evaluate(r)
+
+    return RadialProfile(evaluate, trace.inner_exponent, trace.outer_exponent), calls
+
+
+class TestOneTraceEvaluation:
+    """The extension's rule stacks its zones, so a flux and a Poisson batch
+    each evaluate the trace once, and give what separate zones gave."""
+
+    # the spike zone reaches x > 0.05 |X|: psi = 1e-3 and 0.3, not 1.53 and pi/2
+    PSI = np.array([1e-3, 0.3, 1.53, math.pi / 2.0])
+
+    def test_one_evaluation_per_flux(self):
+        trace, calls = counting_trace(exact_trace(P352))
+        for r in (0.5, 1.0, 2.0):
+            neumann_flux(trace, r, P352)
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_one_evaluation_per_poisson_batch(self):
+        trace, calls = counting_trace(exact_trace(P352))
+        for r in (np.ones(4), np.array([0.5, 1.0, 2.0, 3.0])):
+            extension._poisson_values(trace, r, self.PSI, 3, 0.5, QuadratureConfig())
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_missed_zone_pads_with_zero_weights_at_the_radius(self):
+        r = np.array([0.5, 1.0, 2.0, 3.0])
+        x, t = r * np.cos(self.PSI), r * np.sin(self.PSI)
+        cfg = QuadratureConfig()
+        kernel = lambda c0, q, t2: angular_kernel(c0, q, 3, 4.0, cfg.nodes_angular)
+        rule = extension._radial_rule(x, t, 3, cfg, kernel)
+        N = cfg.nodes_radial
+        assert rule.nodes.shape == (4, 1 + 3 * N) and rule.weight.shape == (4, 3, N)
+        spike = np.any(rule.weight[:, 0] != 0.0, axis=1)
+        np.testing.assert_array_equal(spike, [True, True, False, False])
+        pad = np.hypot(x, t)[~spike, None]
+        np.testing.assert_array_equal(rule.nodes[~spike, 1:1 + N], np.broadcast_to(pad, (2, N)))
+
+    @pytest.mark.parametrize("n, sigma", [(2, 0.3), (3, 0.5), (5, 0.75)])
+    def test_batch_matches_single_points_bitwise(self, n, sigma):
+        traces = (power_profile(0.0), power_profile(1.0, 2.0), exact_trace(P352))
+        r = np.array([0.5, 1.0, 2.0, 3.0])
+        for trace in traces:
+            batch = extension._poisson_values(trace, r, self.PSI, n, sigma, QuadratureConfig())
+            single = [poisson_extend_radial(trace, (ri, psi), n, sigma) for ri, psi in zip(r, self.PSI)]
+            np.testing.assert_array_equal(batch, single)
 
 
 def mpmath_t0_fit(t, samples, sigma):

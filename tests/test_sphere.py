@@ -142,6 +142,17 @@ class TestPsiRule:
             with pytest.raises(ValueError, match="strictly increasing"):
                 verify_sphere_ode(exact_sphere_profile(params, psi), params)
 
+    @pytest.mark.parametrize("psi", [[], [0.0], [0.0, 1.0], [0.0, 0.5, 1.0]],
+                             ids=["empty", "one", "two", "three"])
+    def test_grid_with_fewer_than_four_nodes_rejected(self, psi):
+        # these once raised IndexError, or a numpy error from cell_weights
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            psi_rule(np.array(psi), 3, 0.5)
+
+    def test_four_node_grid_builds(self):
+        rule = psi_rule(np.array([0.0, 0.5, 1.0, math.pi / 2.0]), 3, 0.5)
+        assert rule.L.shape == (4, 4) and np.all(np.isfinite(rule.L))
+
     def test_grid_that_is_not_1d_rejected(self):
         psi = psi_nodes(CylinderGrid(n_psi=9))
         for grid in (np.stack([psi, psi]), np.float64(0.0)):
