@@ -62,14 +62,37 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _write_json(obj, parts: list, nl: str) -> None:
     """Append ``obj`` to ``parts`` as ``json.dumps(obj, indent=2)`` writes it, floats rounded.
 
     ``nl`` is a newline followed by the indent of the line ``obj`` starts on.
     numpy scalars and arrays are written as Python numbers and lists, tuples
     as lists, dataclasses as objects of their fields and keys as ``str(key)``.
+    The exact built-in types, nearly every value of a report, are told apart
+    by ``type``; the rest (subclasses, ``np.float64`` among them, numpy
+    scalars and arrays, tuples and dataclasses) by ``isinstance``.
     """
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is float:
+        parts.append(_json_float(obj))
+    elif kind is str:
+        parts.append(_json_str(obj))
+    elif kind is dict:
+        _write_object(obj, parts, nl)
+    elif kind is list:
+        _write_array(obj, parts, nl)
+    elif kind is int:
+        parts.append(repr(obj))
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, str):
         parts.append(_json_str(obj))
     elif isinstance(obj, (float, np.floating)):
         parts.append(_json_float(float(obj)))
@@ -77,36 +100,42 @@ def _write_json(obj, parts: list, nl: str) -> None:
         parts.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         parts.append(repr(int(obj)))
-    elif obj is None:
-        parts.append("null")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for value in obj:
-            parts.append(sep)
-            _write_json(value, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "]")
+        _write_array(obj, parts, nl)
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), parts, nl)
+    elif isinstance(obj, dict):
+        _write_object(obj, parts, nl)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write_object({name: getattr(obj, name) for name in _field_names(kind)}, parts, nl)
     else:
-        if not isinstance(obj, dict):
-            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
-                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        if not obj:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            parts.append(sep + _json_str(str(key)) + ": ")
-            _write_json(value, parts, inner)
-            sep = "," + inner
-        parts.append(nl + "}")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_array(values, parts: list, nl: str) -> None:
+    if not values:
+        parts.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for value in values:
+        parts.append(sep)
+        _write_json(value, parts, inner)
+        sep = "," + inner
+    parts.append(nl + "]")
+
+
+def _write_object(obj: dict, parts: list, nl: str) -> None:
+    if not obj:
+        parts.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, value in obj.items():
+        parts.append(sep + _json_str(str(key)) + ": ")
+        _write_json(value, parts, inner)
+        sep = "," + inner
+    parts.append(nl + "}")
 
 
 def _rounded(value):
@@ -191,12 +220,9 @@ def _divergence(params, exc: SolverDivergence, tolerances: dict):
 
 
 def _grid_rows(axis0, axis1, values) -> list:
-    """One [x0, x1, value] row per node of a field on a tensor grid."""
-    return [
-        [float(a), float(b), float(values[i, j])]
-        for i, a in enumerate(axis0)
-        for j, b in enumerate(axis1)
-    ]
+    """One [x0, x1, value] row per node of a field on a tensor grid, x1 running fastest."""
+    return np.column_stack(
+        (np.repeat(axis0, len(axis1)), np.tile(axis1, len(axis0)), np.ravel(values))).tolist()
 
 
 def _cmd_classify(args):
@@ -243,15 +269,19 @@ def _cmd_verify_lemma(args):
     return params, results, {"tol_fall": args.tol_fall}, violations
 
 
-def _parse_grid(token: str) -> tuple[int, int]:
-    a, b = token.lower().split("x")
-    return int(a), int(b)
+def _parse_pair(token: str, flag: str, form: str, sep: str, kind) -> tuple:
+    """The two values of ``flag``, given as two ``kind`` tokens joined by ``sep``."""
+    try:
+        a, b = token.lower().split(sep)
+        return kind(a), kind(b)
+    except ValueError:
+        raise ValueError(f"{flag} must have the form {form}, got {token!r}") from None
 
 
 def _cmd_extend(args):
     params = _params_from(args)
-    n_r, n_psi = _parse_grid(args.grid)
-    r_lo, r_hi = (float(t) for t in args.r_range.split(","))
+    n_r, n_psi = _parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int)
+    r_lo, r_hi = _parse_pair(args.r_range, "--r-range", "LO,HI (two numbers)", ",", float)
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
     psi = psi_nodes(CylinderGrid(n_s=n_r, n_psi=n_psi))
@@ -334,8 +364,8 @@ def _cmd_solve_cylinder(args):
 
 def _cmd_energy(args):
     params = _params_from(args)
-    s_lo, s_hi = (float(t) for t in args.s_range.split(","))
-    n_s, n_psi = _parse_grid(args.grid)
+    s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
+    n_s, n_psi = _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int)
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
     tolerances = {"tol_drift": args.tol_drift}
     solver = {}
@@ -371,6 +401,15 @@ def _cmd_barrier(args):
         raise ValueError(f"--levels must be at least 2, got {args.levels}")
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
     point = (math.cos(args.psi), math.sin(args.psi))
+    # level k halves the stencil step h min(cos psi, sin psi) k times, and the
+    # difference quotients divide by its square: refuse a count whose finest
+    # step squares to zero (out-of-range h and psi are named by the ladder)
+    finest = args.h * min(point) * 0.5 ** (args.levels - 1)
+    if args.h > 0.0 and min(point) > 0.0 and finest * finest == 0.0:
+        raise ValueError(
+            f"--levels {args.levels} at --h {args.h!r} and --psi {args.psi!r} takes the finest "
+            f"stencil step h min(cos psi, sin psi) 0.5^(levels-1) to {finest:.6g}, "
+            "whose square underflows a double")
     interior, neumann, ratios_i, ratios_n = _barrier_ladder(
         args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
     )
@@ -394,7 +433,8 @@ def _cmd_kelvin(args):
     results = {
         "vartheta": kmap.vartheta,
         "mapped_params": kmap.mapped,
-        "equivalences": [{**dataclasses.asdict(c), "agree": c.agree} for c in checks],
+        "equivalences": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "agree": c.agree}
+                         for c in checks],
     }
     violations = [] if all(c.agree for c in checks) else ["exponent_equivalences"]
     try:
@@ -428,7 +468,6 @@ def _add_params(sp):
     sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent (> 1)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand, built once per process.
 
@@ -436,6 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     process: callers must not mutate it.  Its ``fn`` defaults, the
     ``_cmd_*`` handlers, are bound when it is first built.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """``build_parser``'s parser and its subparsers by command name."""
     ap = argparse.ArgumentParser(
         prog="hardyhenon",
         description="Numerical verification of singular solutions of fractional "
@@ -518,11 +563,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run the full acceptance battery")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_suite)
-    return ap
+    return ap, sub.choices
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; return the exit status.
+
+    The arguments are parsed once.  When ``argv[0]`` names a subcommand, its
+    parser takes the rest, and leftovers are refused as ``parse_args``
+    refuses them.  Any other argv (empty, ``-h``, an unknown name, ``--``)
+    goes to the top-level parser, which prints its usage or help and exits.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    subparser = commands.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+        args.command = argv[0]
     t0 = time.perf_counter()
     try:
         params, results, tolerances, violations = args.fn(args)

@@ -1,5 +1,7 @@
 """Command-line surface: report schema, determinism, exit-status contract."""
 
+import argparse
+import collections
 import csv
 import dataclasses
 import io
@@ -386,6 +388,42 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("h, levels, finest", [
+        # at h = 0.01 and psi = 0.5 the 531st level's step, 0.01 sin(0.5)
+        # 0.5^530, squares to zero (530 levels end in a report)
+        ("0.01", "531", "1.36403e-162"),
+        ("0.01", "100000", "0"),
+        ("1e-200", "2", "2.39713e-201"),
+    ], ids=["first-underflowing-count", "huge-count", "tiny-h"])
+    def test_barrier_levels_that_underflow_the_step(self, capsys, h, levels, finest):
+        # the difference quotients divide by the step's square, which once
+        # ended in a ZeroDivisionError traceback
+        code = run(["barrier", f"--h={h}", f"--levels={levels}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --levels {levels} at --h {float(h)!r} and --psi 0.5 takes the finest stencil "
+            f"step h min(cos psi, sin psi) 0.5^(levels-1) to {finest}, whose square underflows a double\n")
+
+    @pytest.mark.parametrize("command, flag, form, value", [
+        ("extend", "--grid", "NRxNPSI (two integers)", "81x65x3"),
+        ("extend", "--grid", "NRxNPSI (two integers)", "81"),
+        ("extend", "--grid", "NRxNPSI (two integers)", "9xa"),
+        ("extend", "--r-range", "LO,HI (two numbers)", "1"),
+        ("extend", "--r-range", "LO,HI (two numbers)", "1,2,3"),
+        ("energy", "--grid", "NSxNPSI (two integers)", "81x65x3"),
+        ("energy", "--s-range", "LO,HI (two numbers)", "1"),
+        ("energy", "--s-range", "LO,HI (two numbers)", "a,1"),
+    ])
+    def test_malformed_grid_and_range_name_the_flag(self, capsys, command, flag, form, value):
+        # these once read "too many values to unpack (expected 2)"
+        code = run([command, *QUAD, "1.8", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must have the form {form}, got {value!r}\n"
+
 
 class TestDeterminism:
     def test_reports_identical_up_to_elapsed(self, capsys):
@@ -474,6 +512,21 @@ class TestReportWriter:
         }
         assert serialize_report(report) == reference_serialize(report)
         assert serialize_report({}) == reference_serialize({}) == b"{}\n"
+
+    def test_exact_types_and_their_kin(self):
+        # the writer tells the exact built-in types apart by type(); numpy
+        # scalars (np.float64 is a float) and subclasses take the isinstance path
+        class Label(str):
+            pass
+
+        report = {
+            "f64": np.float64(2.0 / 3.0), "f64_tiny": np.float64(1e-320), "f64_nan": np.float64(math.nan),
+            "bool_": [np.bool_(False), np.bool_(True)], "bool_and_int": [True, 1, False, 0],
+            "ordered": collections.OrderedDict([("b", 1.0 / 7.0), ("a", [np.int64(2)])]),
+            "label": Label("σ"), Label("key"): Label(""),
+            "float": 0.1, "int": -3, "none": None,
+        }
+        assert serialize_report(report) == reference_serialize(report)
 
     def test_unknown_type_is_refused(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -708,3 +761,72 @@ class TestStartUp:
         assert again.err == first.err == ""
         assert without_elapsed(again.out) == without_elapsed(first.out)
         assert len(without_elapsed(first.out)) == len(first.out.splitlines()) - 1
+
+
+class TestGridRows:
+    @staticmethod
+    def comprehension(axis0, axis1, values):
+        """The per-entry rows that ``cli._grid_rows`` replaced."""
+        return [[float(a), float(b), float(values[i, j])]
+                for i, a in enumerate(axis0) for j, b in enumerate(axis1)]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (81, 65)])
+    def test_bit_identical_to_the_comprehension(self, shape):
+        rng = np.random.default_rng(3)
+        axis0, axis1 = rng.normal(size=shape[0]), rng.uniform(0, 1.5, size=shape[1])
+        # a transposed (non-contiguous) field with NaN, -0.0 and a subnormal in it
+        values = rng.normal(size=shape[::-1]).T * 1e3
+        values.flat[[0, -1]] = -0.0, 5e-324
+        values[0, -1] = math.nan
+        got, want = cli._grid_rows(axis0, axis1, values), self.comprehension(axis0, axis1, values)
+        assert [[type(x) for x in row] for row in got] == [[float] * 3] * len(want)
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+
+
+def captured_run(capsys, argv):
+    """(exit status, stdout but its "elapsed" line, stderr) of ``run(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, without_elapsed(out), err
+
+
+class TestOneParse:
+    """``run`` hands argv to the named subcommand's parser directly."""
+
+    CASES = {
+        "empty": [], "-h": ["-h"], "--help": ["--help"], "unknown": ["frobnicate"],
+        "bare": ["classify"], "command-help": ["classify", "-h"],
+        "trailing-option": ["classify", *QUAD, "2", "--bogus"],
+        "stray-positional": ["classify", *QUAD, "2", "stray"],
+        "both-leftovers": ["classify", "stray", *QUAD, "2", "--bogus"],
+        "bad-number": ["classify", "--n", "3", "--sigma=abc", "--alpha", "0", "--p", "2"],
+        "abbreviated": ["classify", "--n", "3", "--sig", "0.5", "--alpha", "0", "--p", "2"],
+        "double-dash": ["--", "classify", *QUAD, "2"],
+        "too-few-levels": ["barrier", "--levels=1"],
+        "valid": ["kelvin", *QUAD, "1.8"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_output_as_the_top_level_parse(self, monkeypatch, capsys, case):
+        argv = self.CASES[case]
+        routed = captured_run(capsys, argv)
+        # with no subcommand to route to, run parses with the top-level parser
+        parser = build_parser()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert captured_run(capsys, argv) == routed
+
+    def test_a_valid_run_parses_once(self, monkeypatch, capsys):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(["classify", *QUAD, "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "classify"
+        assert calls == ["hardyhenon classify"]
