@@ -27,13 +27,15 @@ coefficients: they are applied matrix-free for every residual, and written
 into band storage for the banded LU.  Nothing of it depends on the end data
 or on eps, so ``_newton_system`` builds it, with the separable step's
 factorization (the s-mode eigenvalues and similarity, the stacked mode
-factors, Z and the capacitance matrix G), once per (``ProblemParams``,
-``CylinderGrid``) and keeps it in an ``lru_cache`` of 8 entries, least
-recently used first out, of about 0.75 MB each on 161x65 and 3.0 MB on
-321x129; every solve on that key shares its read-only arrays.  What d
-changes is rebuilt at every Newton step: the LU of I + D G, and the band
-and its LU.  The banded step and the separable step's s-transform buffer
-are made per solve.
+factors, Z, and the capacitance matrix G in Fortran order with the max |G|
+of each row), once per (``ProblemParams``, ``CylinderGrid``) and keeps it
+in an ``lru_cache`` of 8 entries, least recently used first out, of about
+0.75 MB each on 161x65 and 3.0 MB on 321x129; every solve on that key
+shares its read-only arrays.  What d changes is rebuilt at every Newton
+step: I + D G and its LU, and the band and its LU.  The banded step is made
+per solve, and so are the separable step's buffers: the s-transforms' odd
+extension, the mode solve's array and the Fortran-ordered m x m array in
+which I + D G is formed and factored in place by LAPACK ``dgetrf``.
 
 scipy is imported inside the functions that use it, so ``import hardyhenon``
 does not load it: the first solve loads ``scipy.linalg`` and its
@@ -157,7 +159,8 @@ def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
     def apply(x: np.ndarray) -> np.ndarray:
         V = x.reshape(ns, npsi)
         W = V[1:-1]
-        out = V.copy()  # the Dirichlet end rows are identity rows
+        out = np.empty_like(V)
+        out[0], out[-1] = V[0], V[-1]  # the Dirichlet end rows are identity rows
         y = out[1:-1]
         y[:, 1:] = c_up * V[2:, 1:]
         y[:, 0] = c_sup2 * W[:, 2]
@@ -239,7 +242,7 @@ def _dst1(X: np.ndarray, ext: np.ndarray | None = None) -> np.ndarray:
     orthogonal, so the transform is its own inverse.  ``ext``, if given, is
     a zeroed (2(m+1),) + X.shape[1:] array that takes the extension: its
     rows 0 and m+1 are never written, so one buffer serves every transform
-    of that shape.
+    of that shape, and X may be its rows 1..m themselves, scaled in place.
     """
     m = len(X)
     if ext is None:
@@ -279,7 +282,8 @@ class _SeparableFactors(NamedTuple):
     R: np.ndarray  # the similarity diag(r^(i - (m+1)/2)), i = 1..m
     mode_solve: Callable[[np.ndarray], None]  # ``_mode_solver``'s solve
     Z: np.ndarray  # M_j^-1 e_0 of every s-mode j, by rows
-    G: np.ndarray  # the capacitance matrix R Q diag(Z[:, 0]) Q R^-1
+    G: np.ndarray  # the capacitance matrix R Q diag(Z[:, 0]) Q R^-1, Fortran-ordered
+    G_row_max: np.ndarray  # max_k |G_ik| of every row i
 
 
 def _separable_factors(params: ProblemParams, grid: CylinderGrid,
@@ -317,10 +321,11 @@ def _separable_factors(params: ProblemParams, grid: CylinderGrid,
     Z = np.zeros((m, grid.n_psi))
     Z[:, 0] = 1.0
     mode_solve(Z)
-    G = _capacitance(Z[:, 0], R)
-    for a in (R, Z, G):
+    G = np.asfortranarray(_capacitance(Z[:, 0], R))  # LAPACK's order, so no step transposes it
+    G_row_max = np.max(np.abs(G), axis=1)
+    for a in (R, Z, G, G_row_max):
         a.flags.writeable = False
-    return _SeparableFactors(lo, up, R, mode_solve, Z, G)
+    return _SeparableFactors(lo, up, R, mode_solve, Z, G, G_row_max)
 
 
 def _separable_step(grid: CylinderGrid, factors: _SeparableFactors, apply,
@@ -329,47 +334,81 @@ def _separable_step(grid: CylinderGrid, factors: _SeparableFactors, apply,
 
     ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same
     params, grid and L.  Every product with Q is ``_dst1``, a real FFT of
-    length 2(m+1); the whole-grid transforms of one solve share one
-    extension buffer.  A solve is two s-transforms of the whole right-hand
+    length 2(m+1).  A solve is two s-transforms of the whole right-hand
     side, one stacked tridiagonal solve, two transforms of a vector and one
     dense solve of I + D G, whose LU, refactored at every step since d
-    changes, is the step's only BLAS-backed call.  The returned
-    ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with A the
-    row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on the
-    interior flux rows, by one solve and one pass of iterative refinement
-    against ``apply``, which brings its residual down to that of a direct
-    LU solve.
+    changes, is the step's only BLAS-backed call.  Built once per Newton
+    solve, the step owns the buffers that all its calls reuse: the odd
+    extension, which takes each whole-grid transform's input and the
+    rank-one flux correction in place, a contiguous array for the mode
+    solve, and a Fortran-ordered m x m array in which I + D G is formed
+    from the cached Fortran-ordered G and factored in place by LAPACK
+    ``dgetrf`` (solved by ``dgetrs``).  The checks of
+    ``scipy.linalg.lu_factor`` and ``lu_solve`` are kept at O(m) cost: a
+    non-finite d, a d whose product with G overflows (|d_i| max_k |G_ik|
+    is not finite) and a non-finite load raise ValueError, and an exact
+    zero pivot warns with LinAlgWarning.  The returned ``step(F, d)``
+    solves (A + diag(row_scale d)) x = -F, with A the row-scaled matrix
+    ``apply`` applies and d = kappa p V0^(p-1) on the interior flux rows,
+    by one solve and one pass of iterative refinement against ``apply``,
+    which brings its residual down to that of a direct LU solve.
     """
-    import scipy.linalg as sla
+    import warnings
 
-    lo, up, R, mode_solve, Z, G = factors
+    import scipy.linalg.lapack as lapack
+    from scipy.linalg import LinAlgWarning
+
+    lo, up, R, mode_solve, Z, G, G_row_max = factors
     ns, npsi = grid.n_s, grid.n_psi
     m = ns - 2
     flux_rows = np.arange(1, ns - 1) * npsi
+    flux_scale = row_scale[flux_rows]
     ext = np.zeros((2 * (m + 1), npsi))
+    modes = np.empty((m, npsi))
+    coupled = np.empty((m, m), order="F")
+    diagonal = coupled.reshape(-1, order="F")[::m + 1]
 
-    def solve(rhs, d, capacitance):
+    def finite(a: np.ndarray) -> None:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("array must not contain infs or NaNs")
+
+    def factor(d: np.ndarray) -> np.ndarray:
+        """The LU of I + D G in place in ``coupled``; returns its pivots."""
+        finite(d * G_row_max)  # I + D G is finite exactly when this is
+        np.multiply(d[:, None], G, out=coupled)
+        diagonal[:] += 1.0
+        _, piv, info = lapack.dgetrf(coupled, overwrite_a=1)
+        if info > 0:
+            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                          LinAlgWarning, stacklevel=2)
+        return piv
+
+    def solve(rhs, d, piv):
         """Solve the unscaled system with the whole-grid right-hand side rhs, in place."""
         out = rhs.reshape(ns, npsi)
-        B = out[1:-1].copy()
-        B[0, 1:] -= lo * out[0, 1:]
-        B[-1, 1:] -= up * out[-1, 1:]
-        B /= R[:, None]
-        Y = _dst1(B, ext)
-        mode_solve(Y)
-        load = sla.lu_solve(capacitance, d * (R * _dst1(Y[:, 0])))
-        Y -= _dst1(load / R)[:, None] * Z
-        np.multiply(R[:, None], _dst1(Y, ext), out=out[1:-1])
+        B = ext[1:m + 1]  # the transform's input, scaled in place by _dst1
+        np.divide(out[1:-1], R[:, None], out=B)
+        B[0, 1:] = (out[1, 1:] - lo * out[0, 1:]) / R[0]
+        B[-1, 1:] = (out[-2, 1:] - up * out[-1, 1:]) / R[-1]
+        np.copyto(modes, _dst1(B, ext))
+        mode_solve(modes)
+        load = d * (R * _dst1(modes[:, 0]))
+        finite(load)
+        load = lapack.dgetrs(coupled, piv, load, overwrite_b=1)[0]
+        np.multiply(_dst1(load / R)[:, None], Z, out=B)  # the flux correction
+        np.subtract(modes, B, out=B)
+        np.multiply(R[:, None], _dst1(B, ext), out=out[1:-1])
         return rhs
 
     def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
-        coupled = d[:, None] * G
-        coupled.flat[::m + 1] += 1.0  # I + D G
-        capacitance = sla.lu_factor(coupled)
-        dvec = np.zeros(ns * npsi)
-        dvec[flux_rows] = row_scale[flux_rows] * d
-        x = solve(-F / row_scale, d, capacitance)
-        return x + solve((-F - apply(x) - dvec * x) / row_scale, d, capacitance)
+        piv = factor(d)
+        minus_F = -F
+        x = solve(minus_F / row_scale, d, piv)
+        r = apply(x)
+        np.subtract(minus_F, r, out=r)
+        r[flux_rows] -= flux_scale * d * x[flux_rows]  # diag(row_scale d) x, zero elsewhere
+        r /= row_scale
+        return x + solve(r, d, piv)
 
     return step
 
@@ -442,9 +481,11 @@ def solve_cylinder_pde(
     ``boundary_left``/``boundary_right`` give V on the psi nodes at s_min and
     s_max; they must be finite and strictly positive.  The iteration starts
     from the linear interpolation of the end data unless ``initial`` (a finite
-    (n_s, n_psi) array) is supplied.  Divergence raises SolverDivergence with
-    the residual history; negative iterates are projected back to a positive
-    floor and reported on the result.
+    (n_s, n_psi) array, non-negative at psi = 0 on the interior s nodes,
+    where V0^p enters) is supplied.  Divergence, and a residual that is not
+    finite, raise SolverDivergence with the residual history; negative
+    iterates are projected back to a positive floor and reported on the
+    result.
 
     The constant part of the system and the separable step's factorization
     are built at the first solve on a (params, grid) and cached
@@ -498,16 +539,14 @@ def solve_cylinder_pde(
             raise ValueError(f"{name} must be finite")
     if np.any(boundary_left <= 0.0) or np.any(boundary_right <= 0.0):
         raise ValueError("boundary data must be strictly positive")
+    # V0^p is NaN below 0, and a NaN residual would end the iteration at once
+    if initial is not None and np.any(initial[1:-1, 0] < 0.0):
+        raise ValueError("initial must be non-negative at psi = 0 on the interior s nodes")
 
     kap = kappa_sigma(params.sigma)
     p = params.p
     system = _newton_system(params, grid)
     apply, row_scale = system.apply, system.row_scale
-
-    b = np.zeros(ns * npsi)
-    b[:npsi] = boundary_left
-    b[(ns - 1) * npsi :] = boundary_right
-    b = b * row_scale
 
     if initial is None:
         frac = np.linspace(0.0, 1.0, ns)[:, None]
@@ -523,7 +562,9 @@ def solve_cylinder_pde(
         step, linear_solver = _separable_step(grid, system.separable, apply, row_scale), "separable"
 
     def residual(vec):
-        F = apply(vec) - b
+        F = apply(vec)
+        F[:npsi] -= boundary_left  # the Dirichlet end rows, whose scale is 1
+        F[-npsi:] -= boundary_right
         F[flux_rows] += flux_scale * kap * vec[flux_rows] ** p
         return F
 
@@ -537,7 +578,9 @@ def solve_cylinder_pde(
     norm = float(np.max(np.abs(F)))
     history.append(norm)
     it = 0
-    while norm > newton_tol * res_scale(V):
+    while not norm <= newton_tol * res_scale(V):  # a NaN norm fails "<=" and stops below
+        if not math.isfinite(norm):
+            raise SolverDivergence(f"Newton residual is not finite ({norm})", history)
         if it >= max_iterations:
             raise SolverDivergence(
                 f"Newton failed to reach tolerance after {max_iterations} iterations "
@@ -547,7 +590,7 @@ def solve_cylinder_pde(
         direction = step(F, kap * p * np.abs(V[flux_rows]) ** (p - 1.0))
         lam = 1.0
         while True:
-            trial = V + lam * direction
+            trial = V + direction if lam == 1.0 else V + lam * direction
             if np.any(trial[flux_rows] < 0.0):
                 trial = trial.copy()
                 floor = 1e-10 * max(1.0, float(np.max(trial)))

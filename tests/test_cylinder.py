@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -129,6 +130,73 @@ def first_newton_system(params, grid, eps=0.05):
     return L, A, scale, F, kap * p * V[flux] ** (p - 1.0)
 
 
+def reference_apply(params, grid, L):
+    """Reference for ``cylinder._linear_operator``'s apply: the same sums in
+    the same order, written into a copy of the whole input (which supplies
+    the Dirichlet end rows) as the apply was before it wrote only those rows."""
+    lo, diag, up = _axial_stencil(params, grid)
+    ns, npsi = grid.n_s, grid.n_psi
+    main = np.diagonal(L).copy()
+    main[1:] += diag
+    scale = 1.0 / np.maximum(np.abs(main), 1e-30)
+    c_main = scale * main
+    c_lo, c_up = scale[1:] * lo, scale[1:] * up
+    c_sub = scale[1:] * np.diagonal(L, -1)
+    c_sup = scale[:-1] * np.diagonal(L, 1)
+    c_sup2 = scale[0] * L[0, 2]
+
+    def apply(x):
+        V = x.reshape(ns, npsi)
+        W = V[1:-1]
+        out = V.copy()
+        y = out[1:-1]
+        y[:, 1:] = c_up * V[2:, 1:]
+        y[:, 0] = c_sup2 * W[:, 2]
+        y[:, :-1] += c_sup * W[:, 1:]
+        y += c_main * W
+        y[:, 1:] += c_sub * W[:, :-1]
+        y[:, 1:] += c_lo * V[:-2, 1:]
+        return out.reshape(-1)
+
+    return apply
+
+
+def reference_separable_step(grid, factors, apply, row_scale):
+    """Reference for ``cylinder._separable_step``: the same arithmetic with
+    scipy's ``lu_factor``/``lu_solve`` on a C-ordered I + D G, fresh arrays
+    for every transform's input, the mode solve on the FFT output's strided
+    imaginary part, and the d term subtracted on the whole grid."""
+    lo, up, R, Z, G = factors.lo, factors.up, factors.R, factors.Z, np.ascontiguousarray(factors.G)
+    ns, npsi = grid.n_s, grid.n_psi
+    m = ns - 2
+    flux_rows = np.arange(1, ns - 1) * npsi
+    ext = np.zeros((2 * (m + 1), npsi))
+
+    def solve(rhs, d, capacitance):
+        out = rhs.reshape(ns, npsi)
+        B = out[1:-1].copy()
+        B[0, 1:] -= lo * out[0, 1:]
+        B[-1, 1:] -= up * out[-1, 1:]
+        B /= R[:, None]
+        Y = _dst1(B, ext)
+        factors.mode_solve(Y)
+        load = sla.lu_solve(capacitance, d * (R * _dst1(Y[:, 0])))
+        Y -= _dst1(load / R)[:, None] * Z
+        np.multiply(R[:, None], _dst1(Y, ext), out=out[1:-1])
+        return rhs
+
+    def step(F, d):
+        coupled = d[:, None] * G
+        coupled.flat[::m + 1] += 1.0
+        capacitance = sla.lu_factor(coupled)
+        dvec = np.zeros(ns * npsi)
+        dvec[flux_rows] = row_scale[flux_rows] * d
+        x = solve(-F / row_scale, d, capacitance)
+        return x + solve((-F - apply(x) - dvec * x) / row_scale, d, capacitance)
+
+    return step
+
+
 def separable_builder(params, grid, L):
     factors = _separable_factors(params, grid, L)
     if factors is None:
@@ -178,6 +246,79 @@ class TestSeparableStep:
         assert res.linear_solver == "separable"
         assert len(res.line_search) == res.iterations == len(res.residual_history) - 1
         assert all(0.0 < lam <= 1.0 for lam in res.line_search)
+
+
+class TestSeparableArithmetic:
+    """The separable step and the apply against their test-side references,
+    bit for bit.  Both sides run in one process, so this holds on any BLAS
+    thread count."""
+
+    @SEPARABLE_CASES
+    def test_step_and_apply_match_reference_bit_for_bit(self, quad, grid):
+        params = validate_params(*quad)
+        L, _, _, F, d = first_newton_system(params, grid)
+        factors = _separable_factors(params, grid, L)
+        apply, _, row_scale = _linear_operator(params, grid, L)
+        want_apply = reference_apply(params, grid, L)
+        v = np.random.default_rng(grid.n_s).standard_normal(len(row_scale))
+        assert np.array_equal(apply(v), want_apply(v))
+        step = _separable_step(grid, factors, apply, row_scale)
+        want_step = reference_separable_step(grid, factors, want_apply, row_scale)
+        # a second step with other data reuses the first one's buffers
+        for scale in (1.0, 1.5):
+            assert np.array_equal(step(scale * F, scale * d), want_step(scale * F, scale * d))
+
+
+class TestCapacitanceChecks:
+    """The capacitance solve refuses what ``scipy.linalg.lu_factor`` and
+    ``lu_solve`` refuse, and warns where they warn."""
+
+    GRID = GRIDS["71x33"]
+
+    def step(self, params=COR11, grid=GRID):
+        L = psi_operator(psi_nodes(grid), params.n, params.sigma)
+        return separable_builder(params, grid, L), _separable_factors(params, grid, L)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_d_is_refused(self, bad):
+        step, _ = self.step()
+        d = np.ones(self.GRID.n_s - 2)
+        d[5] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            step(np.ones(self.GRID.n_s * self.GRID.n_psi), d)
+
+    def test_d_whose_product_with_G_overflows_is_refused(self):
+        # every |G_ik| is below 1 on the default and 71x33 grids, where no
+        # finite d overflows; here max |G| = 1.26
+        params, grid = validate_params(2, 0.5, 0.0, 2.7), CylinderGrid(-4.0, 4.0, 9, 33)
+        step, factors = self.step(params, grid)
+        row = int(np.argmax(np.max(np.abs(factors.G), axis=1)))
+        assert np.max(np.abs(factors.G[row])) > 1.0
+        d = np.ones(grid.n_s - 2)
+        d[row] = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(d[:, None] * factors.G))
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                step(np.ones(grid.n_s * grid.n_psi), d)
+
+    def test_non_finite_load_is_refused(self):
+        step, _ = self.step()
+        F = np.ones(self.GRID.n_s * self.GRID.n_psi)
+        F[5 * self.GRID.n_psi + 3] = math.nan
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            step(F, np.ones(self.GRID.n_s - 2))
+
+    def test_exact_zero_pivot_warns(self):
+        # d = 0 but in row 0, where 1 + d_0 G_00 rounds to exactly 0: column 0
+        # of I + D G is zero.  The solve then divides by that zero, and the
+        # refinement pass refuses the non-finite load that results
+        step, factors = self.step()
+        d = np.zeros(self.GRID.n_s - 2)
+        d[0] = -1.0 / factors.G[0, 0]
+        assert 1.0 + d[0] * factors.G[0, 0] == 0.0
+        with np.errstate(all="ignore"), pytest.warns(sla.LinAlgWarning, match="^Diagonal number 1 "):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                step(np.ones(self.GRID.n_s * self.GRID.n_psi), d)
 
 
 class TestBandedStep:
@@ -360,7 +501,7 @@ class TestNewtonSystemCache:
     def test_cached_arrays_are_read_only(self):
         system = cylinder._newton_system(COR11, GRIDS["71x33"])
         separable = system.separable
-        for a in (system.row_scale, separable.R, separable.Z, separable.G):
+        for a in (system.row_scale, separable.R, separable.Z, separable.G, separable.G_row_max):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 1.0
 
@@ -421,6 +562,34 @@ class TestEndData:
         data[name].flat[3] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             solve_cylinder_pde(COR11, grid=grid, **data)
+
+    def test_negative_initial_flux_value_is_refused(self):
+        # V0^p is NaN below 0: unchecked, the NaN residual failed the
+        # tolerance test's "greater than" and returned as converged after 0
+        # iterations
+        grid = CylinderGrid()
+        phi = exact_sphere_profile(COR11, psi_nodes(grid)).phi
+        initial = np.tile(phi, (grid.n_s, 1))
+        initial[80, 0] = -0.1
+        with pytest.raises(ValueError, match="^initial must be non-negative at psi = 0"):
+            solve_cylinder_pde(COR11, phi, phi, grid, initial=initial)
+
+    @pytest.mark.parametrize("where", ["initial", "boundary_left"])
+    def test_non_finite_residual_raises(self, where):
+        # finite data whose V0^p overflows: the solve stops at the first
+        # residual, where it went on into the step before
+        grid = GRIDS["71x33"]
+        phi = exact_sphere_profile(COR11, psi_nodes(grid)).phi
+        data = {"boundary_left": phi.copy(), "boundary_right": phi,
+                "initial": np.tile(phi, (grid.n_s, 1))}
+        if where == "initial":
+            data["initial"][40, 0] = 1e300
+        else:
+            data["boundary_left"] *= 1e300
+            del data["initial"]
+        with np.errstate(over="ignore"), pytest.raises(SolverDivergence, match="not finite") as err:
+            solve_cylinder_pde(COR11, grid=grid, **data)
+        assert err.value.history == [math.inf]
 
     @pytest.mark.parametrize("shape", [(33, 71), (71, 32)], ids=["transposed", "short"])
     def test_misshapen_initial_is_refused(self, shape):
