@@ -16,11 +16,13 @@ solved exactly by fast diagonalization in s (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964) with the flux rows folded back through a capacitance matrix
 (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971); on grids
 where that diagonalization is unstable, a banded LU with partial pivoting
-(LAPACK ``dgbsv``) takes the steps.  In s-major order the system is banded
-with n_psi sub- and super-diagonals.  The s-transforms are an FFT-based
-orthonormal DST-I (``numpy.fft``; Swarztrauber, SIAM Rev. 19, 1977), and
-the capacitance matrix is built in closed form as Toeplitz minus Hankel, so
-no dense sine matrix is formed.
+(LAPACK ``dgbtrf``, solved by ``dgbtrs``) takes the steps.  In s-major
+order the system is banded with n_psi sub- and super-diagonals.  Either
+path only factors; one ``_newton_step`` solves with its factors, refines
+once and returns no step at an exact zero pivot.  The s-transforms are an
+FFT-based orthonormal DST-I (``numpy.fft``; Swarztrauber, SIAM Rev. 19,
+1977), and the capacitance matrix is built in closed form as Toeplitz minus
+Hankel, so no dense sine matrix is formed.
 
 The constant part of the system is written as six arrays of row-scaled
 coefficients: they are applied matrix-free for every residual, and written
@@ -32,10 +34,11 @@ of each row), once per (``ProblemParams``, ``CylinderGrid``) and keeps it
 in an ``lru_cache`` of 8 entries, least recently used first out, of about
 0.75 MB each on 161x65 and 3.0 MB on 321x129; every solve on that key
 shares its read-only arrays.  What d changes is rebuilt at every Newton
-step: I + D G and its LU, and the band and its LU.  The banded step is made
-per solve, and so are the separable step's buffers: the s-transforms' odd
-extension, the mode solve's array and the Fortran-ordered m x m array in
-which I + D G is formed and factored in place by LAPACK ``dgetrf``.
+step: I + D G and its LU, and the band and its LU.  The banded factor is
+made per solve, and so are the separable factor's buffers: the
+s-transforms' odd extension, the mode solve's array and the
+Fortran-ordered m x m array in which I + D G is formed and factored in
+place by LAPACK ``dgetrf``.
 
 scipy is imported inside the functions that use it, so ``import hardyhenon``
 does not load it: the first solve loads ``scipy.linalg`` and its
@@ -134,16 +137,17 @@ def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
     otherwise puts ~1/h^2 factors on the first rows and the 1e-8 tolerance
     would sit below the evaluation roundoff.
 
-    Returns ``(apply, band, row_scale)``.  ``apply(x)`` is the matrix times x.
-    It sums each row's products in columns-descending order, the order of a
-    CSR matrix assembled from Kronecker products: the energy pins of the
-    separable path record that rounding, and the tests' Kronecker reference
-    reproduces it exactly.  ``band(d)`` writes the matrix plus
-    diag(row_scale d), d on the interior flux rows, into fresh band storage
-    for LAPACK ``dgbsv`` with kl = ku = n_psi: entry (k, k + o) sits in row
-    2 n_psi - o of a Fortran-ordered (3 n_psi + 1, n_s n_psi) array, whose
-    first n_psi rows are the pivoting's workspace.  ``row_scale`` holds the
-    scale of every row.
+    Returns ``(apply, band, row_scale, flux_rows)``.  ``apply(x)`` is the
+    matrix times x.  It sums each row's products in columns-descending
+    order, the order of a CSR matrix assembled from Kronecker products: the
+    energy pins of the separable path record that rounding, and the tests'
+    Kronecker reference reproduces it exactly.  ``band(d)`` writes the
+    matrix plus diag(row_scale d), d on the interior flux rows, into fresh
+    band storage for LAPACK ``dgbtrf`` with kl = ku = n_psi: entry (k, k + o)
+    sits in row 2 n_psi - o of a Fortran-ordered (3 n_psi + 1, n_s n_psi)
+    array, whose first n_psi rows are the pivoting's workspace.
+    ``row_scale`` holds the scale of every row, and ``flux_rows`` the index
+    of every interior flux row, psi = 0 on s-row 1 to n_s - 2.
     """
     lo, diag, up = _axial_stencil(params, grid)
     ns, npsi = grid.n_s, grid.n_psi
@@ -191,7 +195,7 @@ def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
 
     row_scale = np.ones((ns, npsi))
     row_scale[1:-1] = scale
-    return apply, band, row_scale.reshape(-1)
+    return apply, band, row_scale.reshape(-1), flux_rows
 
 
 def _mode_solver(L: np.ndarray, lam: np.ndarray):
@@ -328,41 +332,33 @@ def _separable_factors(params: ProblemParams, grid: CylinderGrid,
     return _SeparableFactors(lo, up, R, mode_solve, Z, G, G_row_max)
 
 
-def _separable_step(grid: CylinderGrid, factors: _SeparableFactors, apply,
-                    row_scale: np.ndarray):
-    """Exact Newton-step solver for the Jacobian A + diag(d) from ``_separable_factors``.
+def _separable_factor(grid: CylinderGrid, factors: _SeparableFactors, row_scale: np.ndarray):
+    """Factorization of the Jacobian A + diag(row_scale d) from ``_separable_factors``.
 
-    ``apply`` and ``row_scale`` are ``_linear_operator``'s for the same
-    params, grid and L.  Every product with Q is ``_dst1``, a real FFT of
-    length 2(m+1).  A solve is two s-transforms of the whole right-hand
-    side, one stacked tridiagonal solve, two transforms of a vector and one
-    dense solve of I + D G, whose LU, refactored at every step since d
-    changes, is the step's only BLAS-backed call.  Built once per Newton
-    solve, the step owns the buffers that all its calls reuse: the odd
-    extension, which takes each whole-grid transform's input and the
-    rank-one flux correction in place, a contiguous array for the mode
-    solve, and a Fortran-ordered m x m array in which I + D G is formed
-    from the cached Fortran-ordered G and factored in place by LAPACK
-    ``dgetrf`` (solved by ``dgetrs``).  The checks of
-    ``scipy.linalg.lu_factor`` and ``lu_solve`` are kept at O(m) cost: a
-    non-finite d, a d whose product with G overflows (|d_i| max_k |G_ik|
-    is not finite) and a non-finite load raise ValueError, and an exact
-    zero pivot warns with LinAlgWarning.  The returned ``step(F, d)``
-    solves (A + diag(row_scale d)) x = -F, with A the row-scaled matrix
-    ``apply`` applies and d = kappa p V0^(p-1) on the interior flux rows,
-    by one solve and one pass of iterative refinement against ``apply``,
-    which brings its residual down to that of a direct LU solve.
+    ``row_scale`` is ``_linear_operator``'s for the same params, grid and L.
+    Every product with Q is ``_dst1``, a real FFT of length 2(m+1).  A
+    solve is two s-transforms of the whole right-hand side, one stacked
+    tridiagonal solve, two transforms of a vector and one dense solve of
+    I + D G, whose LU, refactored at every step since d changes, is the
+    step's only BLAS-backed call.  Built once per Newton solve, the factor
+    owns the buffers that all its calls reuse: the odd extension, which
+    takes each whole-grid transform's input and the rank-one flux
+    correction in place, a contiguous array for the mode solve, and a
+    Fortran-ordered m x m array in which I + D G is formed from the cached
+    Fortran-ordered G and factored in place by LAPACK ``dgetrf`` (solved by
+    ``dgetrs``).  The checks of ``scipy.linalg.lu_factor`` and ``lu_solve``
+    that can fail on finite data are kept at O(m) cost: a non-finite d, a d
+    whose product with G overflows (|d_i| max_k |G_ik| is not finite) and a
+    non-finite load raise ValueError.  The returned ``factor(d)`` gives
+    ``solve(rhs)``, the solution of (A + diag(row_scale d)) x = rhs for a
+    row-scaled rhs, valid until the next ``factor`` call, or None when the
+    LU of I + D G meets an exact zero pivot.
     """
-    import warnings
-
     import scipy.linalg.lapack as lapack
-    from scipy.linalg import LinAlgWarning
 
     lo, up, R, mode_solve, Z, G, G_row_max = factors
     ns, npsi = grid.n_s, grid.n_psi
     m = ns - 2
-    flux_rows = np.arange(1, ns - 1) * npsi
-    flux_scale = row_scale[flux_rows]
     ext = np.zeros((2 * (m + 1), npsi))
     modes = np.empty((m, npsi))
     coupled = np.empty((m, m), order="F")
@@ -372,74 +368,86 @@ def _separable_step(grid: CylinderGrid, factors: _SeparableFactors, apply,
         if not np.all(np.isfinite(a)):
             raise ValueError("array must not contain infs or NaNs")
 
-    def factor(d: np.ndarray) -> np.ndarray:
-        """The LU of I + D G in place in ``coupled``; returns its pivots."""
+    def factor(d: np.ndarray):
         finite(d * G_row_max)  # I + D G is finite exactly when this is
         np.multiply(d[:, None], G, out=coupled)
         diagonal[:] += 1.0
-        _, piv, info = lapack.dgetrf(coupled, overwrite_a=1)
-        if info > 0:
-            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                          LinAlgWarning, stacklevel=2)
-        return piv
+        _, piv, info = lapack.dgetrf(coupled, overwrite_a=1)  # the LU in place in ``coupled``
+        if info != 0:
+            return None
 
-    def solve(rhs, d, piv):
-        """Solve the unscaled system with the whole-grid right-hand side rhs, in place."""
-        out = rhs.reshape(ns, npsi)
-        B = ext[1:m + 1]  # the transform's input, scaled in place by _dst1
-        np.divide(out[1:-1], R[:, None], out=B)
-        B[0, 1:] = (out[1, 1:] - lo * out[0, 1:]) / R[0]
-        B[-1, 1:] = (out[-2, 1:] - up * out[-1, 1:]) / R[-1]
-        np.copyto(modes, _dst1(B, ext))
-        mode_solve(modes)
-        load = d * (R * _dst1(modes[:, 0]))
-        finite(load)
-        load = lapack.dgetrs(coupled, piv, load, overwrite_b=1)[0]
-        np.multiply(_dst1(load / R)[:, None], Z, out=B)  # the flux correction
-        np.subtract(modes, B, out=B)
-        np.multiply(R[:, None], _dst1(B, ext), out=out[1:-1])
-        return rhs
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = rhs / row_scale  # the unscaled system's right-hand side, solved in place
+            out = x.reshape(ns, npsi)
+            B = ext[1:m + 1]  # the transform's input, scaled in place by _dst1
+            np.divide(out[1:-1], R[:, None], out=B)
+            B[0, 1:] = (out[1, 1:] - lo * out[0, 1:]) / R[0]
+            B[-1, 1:] = (out[-2, 1:] - up * out[-1, 1:]) / R[-1]
+            np.copyto(modes, _dst1(B, ext))
+            mode_solve(modes)
+            load = d * (R * _dst1(modes[:, 0]))
+            finite(load)
+            load = lapack.dgetrs(coupled, piv, load, overwrite_b=1)[0]
+            np.multiply(_dst1(load / R)[:, None], Z, out=B)  # the flux correction
+            np.subtract(modes, B, out=B)
+            np.multiply(R[:, None], _dst1(B, ext), out=out[1:-1])
+            return x
 
-    def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
-        piv = factor(d)
-        minus_F = -F
-        x = solve(minus_F / row_scale, d, piv)
-        r = apply(x)
-        np.subtract(minus_F, r, out=r)
-        r[flux_rows] -= flux_scale * d * x[flux_rows]  # diag(row_scale d) x, zero elsewhere
-        r /= row_scale
-        return x + solve(r, d, piv)
+        return solve
 
-    return step
+    return factor
 
 
-def _banded_step(grid: CylinderGrid, apply, band, row_scale: np.ndarray):
-    """Newton-step solver for the Jacobian by banded LU with partial pivoting.
+def _banded_factor(grid: CylinderGrid, band):
+    """Factorization of the Jacobian by banded LU with partial pivoting.
 
-    ``apply``, ``band`` and ``row_scale`` are ``_linear_operator``'s.  The
-    returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, as
-    ``_separable_step``'s does: one LAPACK ``dgbsv`` on band storage written
-    afresh and factored in place, then one pass of iterative refinement
-    against ``apply`` with the same factors.  Where the Jacobian's condition
-    number reaches about 1e7 (the refined default grid), the plain solve
-    missed a twice-refined LU solution by up to 1.9e-9 relative and the
-    refined step by at most 1.1e-10.  No copy of the band is kept between
-    steps, since at 321x129 one copy is 128 MB.  Pivoting keeps the solve
-    stable on every grid, whatever the axial stencil's similarity.  A
-    singular Jacobian gives a NaN step, which the line search cannot take.
+    ``band`` is ``_linear_operator``'s.  The returned ``factor(d)`` writes
+    the band afresh, factors it in place by LAPACK ``dgbtrf`` and gives
+    ``solve(rhs)``, one ``dgbtrs`` with those factors, or None at an exact
+    zero pivot.  No copy of the band is kept between steps, since at
+    321x129 one copy is 128 MB.  Pivoting keeps the solve stable on every
+    grid, whatever the axial stencil's similarity.
     """
     import scipy.linalg.lapack as lapack
 
     npsi = grid.n_psi
-    flux_rows = np.arange(1, grid.n_s - 1) * npsi
 
-    def step(F: np.ndarray, d: np.ndarray) -> np.ndarray:
-        lu, piv, x, info = lapack.dgbsv(npsi, npsi, band(d), -F, overwrite_ab=1)
+    def factor(d: np.ndarray):
+        lu, piv, info = lapack.dgbtrf(band(d), npsi, npsi, overwrite_ab=1)
         if info != 0:
-            return np.full_like(F, np.nan)
-        dvec = np.zeros_like(F)
-        dvec[flux_rows] = row_scale[flux_rows] * d
-        return x + lapack.dgbtrs(lu, npsi, npsi, -F - apply(x) - dvec * x, piv)[0]
+            return None
+        return lambda rhs: lapack.dgbtrs(lu, npsi, npsi, rhs, piv)[0]
+
+    return factor
+
+
+def _newton_step(factor, apply, row_scale: np.ndarray, flux_rows: np.ndarray):
+    """Newton-step solver for the Jacobian A + diag(row_scale d), with either path's factors.
+
+    ``factor`` is ``_separable_factor``'s or ``_banded_factor``'s, and
+    ``apply``, ``row_scale`` and ``flux_rows`` are ``_linear_operator``'s.
+    The returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with
+    A the row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on
+    the interior flux rows: one factorization, one solve and one pass of
+    iterative refinement against ``apply`` with the same factors, which
+    brings the residual down to that of a direct LU solve.  Where the
+    Jacobian's condition number reaches about 1e7 (the refined default
+    grid), the plain banded solve missed a twice-refined LU solution by up
+    to 1.9e-9 relative and the refined step by at most 1.1e-10.  It returns
+    None when the factorization meets an exact zero pivot.
+    """
+    flux_scale = row_scale[flux_rows]
+
+    def step(F: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+        solve = factor(d)
+        if solve is None:
+            return None
+        minus_F = -F
+        x = solve(minus_F)
+        r = apply(x)
+        np.subtract(minus_F, r, out=r)
+        r[flux_rows] -= flux_scale * d * x[flux_rows]  # diag(row_scale d) x, zero elsewhere
+        return x + solve(r)
 
     return step
 
@@ -450,6 +458,7 @@ class _NewtonSystem(NamedTuple):
     apply: Callable[[np.ndarray], np.ndarray]  # ``_linear_operator``'s
     band: Callable[[np.ndarray], np.ndarray]
     row_scale: np.ndarray  # read-only
+    flux_rows: np.ndarray  # read-only
     separable: _SeparableFactors | None  # None sends the steps to the banded LU
 
 
@@ -461,9 +470,9 @@ def _newton_system(params: ProblemParams, grid: CylinderGrid) -> _NewtonSystem:
     it the capacitance matrix, Z, the stacked mode factors and row_scale.
     """
     L = psi_operator(psi_nodes(grid), params.n, params.sigma)
-    apply, band, row_scale = _linear_operator(params, grid, L)
-    row_scale.flags.writeable = False
-    return _NewtonSystem(apply, band, row_scale, _separable_factors(params, grid, L))
+    apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
+    row_scale.flags.writeable = flux_rows.flags.writeable = False
+    return _NewtonSystem(apply, band, row_scale, flux_rows, _separable_factors(params, grid, L))
 
 
 def solve_cylinder_pde(
@@ -494,19 +503,22 @@ def solve_cylinder_pde(
     part matrix-free (``_linear_operator``), and the capacitance LU is
     refactored at every step.
     Each Newton step is a damped step along the exact solution of the
-    Jacobian system, which one ``step(F, d)`` solves.  Where the axial
+    Jacobian system, which one ``_newton_step`` solves with either path's
+    factors, plus one pass of iterative refinement.  Where the axial
     stencil's similarity is real and its growth r^m ~ exp(|J1| L / 2) on a
-    window of length L is at most _MAX_SIMILARITY_GROWTH = 1e4, that step
-    is fast diagonalization in s, one stacked tridiagonal factorization of
-    the psi systems of all s-modes and a capacitance matrix for the flux
-    rows, plus one pass of iterative refinement (``_separable_step``; the
-    result's ``linear_solver`` reads "separable").  Elsewhere, that is when
-    |J1| ds / 2 >= 1 or the growth exceeds 1e4, it is a banded LU with
-    partial pivoting on the same coefficients (``_banded_step``,
-    "banded_lu").  The line search halves the step length until the
-    max-norm residual falls and never takes a step that raises it: when no
-    length down to 1/1024 lowers the residual, the solve raises
-    SolverDivergence naming the stall.
+    window of length L is at most _MAX_SIMILARITY_GROWTH = 1e4, the factors
+    are fast diagonalization in s, one stacked tridiagonal factorization of
+    the psi systems of all s-modes and the LU of a capacitance matrix for
+    the flux rows (``_separable_factor``; the result's ``linear_solver``
+    reads "separable").  Elsewhere, that is when |J1| ds / 2 >= 1 or the
+    growth exceeds 1e4, they are a banded LU with partial pivoting on the
+    same coefficients (``_banded_factor``, "banded_lu").  A Newton matrix
+    whose factorization meets an exact zero pivot gives no step, and the
+    solve raises SolverDivergence naming the singular matrix and the
+    iteration.  The line search halves the step length until the max-norm
+    residual falls and never takes a step that raises it: when no length
+    down to 1/1024 lowers the residual, the solve raises SolverDivergence
+    naming the stall.
 
     The linearization around the constant-in-s profile has oscillatory axial
     modes, so particular window lengths are Dirichlet-resonant and leave the
@@ -546,7 +558,7 @@ def solve_cylinder_pde(
     kap = kappa_sigma(params.sigma)
     p = params.p
     system = _newton_system(params, grid)
-    apply, row_scale = system.apply, system.row_scale
+    apply, row_scale, flux_rows = system.apply, system.row_scale, system.flux_rows
 
     if initial is None:
         frac = np.linspace(0.0, 1.0, ns)[:, None]
@@ -554,12 +566,12 @@ def solve_cylinder_pde(
     else:
         V = initial.reshape(-1).copy()
 
-    flux_rows = np.arange(1, ns - 1) * npsi
     flux_scale = row_scale[flux_rows]
     if system.separable is None:
-        step, linear_solver = _banded_step(grid, apply, system.band, row_scale), "banded_lu"
+        factor, linear_solver = _banded_factor(grid, system.band), "banded_lu"
     else:
-        step, linear_solver = _separable_step(grid, system.separable, apply, row_scale), "separable"
+        factor, linear_solver = _separable_factor(grid, system.separable, row_scale), "separable"
+    step = _newton_step(factor, apply, row_scale, flux_rows)
 
     def residual(vec):
         F = apply(vec)
@@ -588,6 +600,8 @@ def solve_cylinder_pde(
                 history,
             )
         direction = step(F, kap * p * np.abs(V[flux_rows]) ** (p - 1.0))
+        if direction is None:
+            raise SolverDivergence(f"Newton matrix is singular at iteration {it + 1}", history)
         lam = 1.0
         while True:
             trial = V + direction if lam == 1.0 else V + lam * direction

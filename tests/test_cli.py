@@ -18,7 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hardyhenon import cli
+from hardyhenon import cli, cylinder
 from hardyhenon.cli import build_parser, run, serialize_report
 from hardyhenon.extension import _flux_rule
 from hardyhenon.params import validate_params
@@ -673,6 +673,19 @@ class TestSolverDivergence:
         history = rep["results"]["residual_history"]
         assert len(history) == rep["results"]["iterations"] + 1
         assert history[-1] == rep["results"]["residual_norm"] > 1e-8
+
+    def test_singular_newton_matrix_reports_named_violation(self, tmp_path, capsys, monkeypatch):
+        # a zero pivot in the step's factorization is a failed solve (exit
+        # 1), not a usage error (exit 2)
+        monkeypatch.setattr(cylinder, "_separable_factor", lambda *_: lambda d: None)
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", CONVERGING_SPEC]))
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 1
+        assert "solver_convergence" in captured.err
+        assert rep["results"]["message"] == "Newton matrix is singular at iteration 1"
+        assert rep["results"]["iterations"] == 0
 
 
 def without_elapsed(stdout: str) -> list[str]:

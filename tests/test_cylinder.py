@@ -1,10 +1,11 @@
-"""Newton steps of the cylinder solver: the separable and the banded-LU step
-against SuperLU on an independently assembled Kronecker matrix, the choice
-between them, the matrix-free operator, its band, the stacked mode solve,
-the sine transform and the capacitance matrix against their references, the
-cache of the system's eps-independent part, the line search, the end data it
-refuses, and the consistency of the discrete operator with the exact
-solution."""
+"""Newton steps of the cylinder solver: the one step over the separable and
+over the banded-LU factorization against SuperLU on an independently
+assembled Kronecker matrix, the choice between them, a singular Newton
+matrix on either path, the matrix-free operator, its band, the stacked mode
+solve, the sine transform and the capacitance matrix against their
+references, the cache of the system's eps-independent part, the line
+search, the end data it refuses, and the consistency of the discrete
+operator with the exact solution."""
 
 import hashlib
 import math
@@ -21,13 +22,14 @@ from hardyhenon.cylinder import (
     CylinderGrid,
     SolverDivergence,
     _axial_stencil,
-    _banded_step,
+    _banded_factor,
     _capacitance,
     _dst1,
     _linear_operator,
     _mode_solver,
+    _newton_step,
+    _separable_factor,
     _separable_factors,
-    _separable_step,
     psi_nodes,
     solve_cylinder_pde,
     solve_end_perturbed,
@@ -162,10 +164,11 @@ def reference_apply(params, grid, L):
 
 
 def reference_separable_step(grid, factors, apply, row_scale):
-    """Reference for ``cylinder._separable_step``: the same arithmetic with
-    scipy's ``lu_factor``/``lu_solve`` on a C-ordered I + D G, fresh arrays
-    for every transform's input, the mode solve on the FFT output's strided
-    imaginary part, and the d term subtracted on the whole grid."""
+    """Reference for ``cylinder._newton_step`` over ``_separable_factor``: the
+    same arithmetic with scipy's ``lu_factor``/``lu_solve`` on a C-ordered
+    I + D G, fresh arrays for every transform's input, the mode solve on the
+    FFT output's strided imaginary part, and the d term subtracted on the
+    whole grid."""
     lo, up, R, Z, G = factors.lo, factors.up, factors.R, factors.Z, np.ascontiguousarray(factors.G)
     ns, npsi = grid.n_s, grid.n_psi
     m = ns - 2
@@ -198,15 +201,18 @@ def reference_separable_step(grid, factors, apply, row_scale):
 
 
 def separable_builder(params, grid, L):
+    """The Newton step the solver runs on the separable path, or None off it."""
     factors = _separable_factors(params, grid, L)
     if factors is None:
         return None
-    apply, _, row_scale = _linear_operator(params, grid, L)
-    return _separable_step(grid, factors, apply, row_scale)
+    apply, _, row_scale, flux_rows = _linear_operator(params, grid, L)
+    return _newton_step(_separable_factor(grid, factors, row_scale), apply, row_scale, flux_rows)
 
 
 def banded_builder(params, grid, L):
-    return _banded_step(grid, *_linear_operator(params, grid, L))
+    """The Newton step the solver runs on the banded-LU path."""
+    apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
+    return _newton_step(_banded_factor(grid, band), apply, row_scale, flux_rows)
 
 
 def check_step(builder, params, grid):
@@ -217,9 +223,9 @@ def check_step(builder, params, grid):
     J = jacobian(A, scale, grid, d)
     # the Jacobian's condition number is about 1e7, so a plain sparse-LU
     # step is itself only good to about 2e-9 on the refined grid; one
-    # pass of iterative refinement, as both steps make, moves the
-    # reference by up to 2e-10 more, and a second pass keeps that motion
-    # out of the comparison (worst case measured 2.2e-10)
+    # pass of iterative refinement, as the step makes on either path, moves
+    # the reference by up to 2e-10 more, and a second pass keeps that
+    # motion out of the comparison (worst case measured 2.2e-10)
     lu = spla.splu(J)
     want = lu.solve(-F)
     for _ in range(2):
@@ -258,11 +264,11 @@ class TestSeparableArithmetic:
         params = validate_params(*quad)
         L, _, _, F, d = first_newton_system(params, grid)
         factors = _separable_factors(params, grid, L)
-        apply, _, row_scale = _linear_operator(params, grid, L)
+        apply, _, row_scale, flux_rows = _linear_operator(params, grid, L)
         want_apply = reference_apply(params, grid, L)
         v = np.random.default_rng(grid.n_s).standard_normal(len(row_scale))
         assert np.array_equal(apply(v), want_apply(v))
-        step = _separable_step(grid, factors, apply, row_scale)
+        step = _newton_step(_separable_factor(grid, factors, row_scale), apply, row_scale, flux_rows)
         want_step = reference_separable_step(grid, factors, want_apply, row_scale)
         # a second step with other data reuses the first one's buffers
         for scale in (1.0, 1.5):
@@ -271,7 +277,7 @@ class TestSeparableArithmetic:
 
 class TestCapacitanceChecks:
     """The capacitance solve refuses what ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` refuse, and warns where they warn."""
+    ``lu_solve`` refuse; an exact zero pivot is ``TestSingularNewtonMatrix``'s."""
 
     GRID = GRIDS["71x33"]
 
@@ -308,18 +314,6 @@ class TestCapacitanceChecks:
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             step(F, np.ones(self.GRID.n_s - 2))
 
-    def test_exact_zero_pivot_warns(self):
-        # d = 0 but in row 0, where 1 + d_0 G_00 rounds to exactly 0: column 0
-        # of I + D G is zero.  The solve then divides by that zero, and the
-        # refinement pass refuses the non-finite load that results
-        step, factors = self.step()
-        d = np.zeros(self.GRID.n_s - 2)
-        d[0] = -1.0 / factors.G[0, 0]
-        assert 1.0 + d[0] * factors.G[0, 0] == 0.0
-        with np.errstate(all="ignore"), pytest.warns(sla.LinAlgWarning, match="^Diagonal number 1 "):
-            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-                step(np.ones(self.GRID.n_s * self.GRID.n_psi), d)
-
 
 class TestBandedStep:
     # the separable step's cases, where the banded step must agree with it,
@@ -334,13 +328,45 @@ class TestBandedStep:
     def test_fallback_step_matches_sparse_lu(self, case):
         check_step(banded_builder, COR11, FALLBACK[case][0])
 
-    def test_singular_jacobian_gives_no_step(self):
-        # dgbsv reports the zero pivot; the line search cannot take a NaN step
-        grid = FALLBACK["coarse_axis"][0]
-        L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
-        apply, band, row_scale = _linear_operator(COR11, grid, L)
-        step = _banded_step(grid, apply, lambda d: np.zeros_like(band(d)), row_scale)
-        assert np.all(np.isnan(step(np.ones(len(row_scale)), np.ones(grid.n_s - 2))))
+
+class TestSingularNewtonMatrix:
+    """An exact zero pivot on either path gives no step, and the solve ends
+    in a SolverDivergence that names the singular matrix, before any line
+    search."""
+
+    @pytest.mark.parametrize("path", ["separable", "banded_lu"])
+    def test_zero_pivot_gives_no_step(self, path):
+        if path == "separable":
+            # d = 0 but in row 0, where 1 + d_0 G_00 rounds to exactly 0:
+            # column 0 of I + D G is zero, and dgetrf reports it
+            grid = GRIDS["71x33"]
+            L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
+            G = _separable_factors(COR11, grid, L).G
+            d = np.zeros(grid.n_s - 2)
+            d[0] = -1.0 / G[0, 0]
+            assert 1.0 + d[0] * G[0, 0] == 0.0
+            step = separable_builder(COR11, grid, L)
+        else:
+            # an all-zero band, whose first pivot dgbtrf reports
+            grid = FALLBACK["coarse_axis"][0]
+            L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
+            apply, band, row_scale, flux_rows = _linear_operator(COR11, grid, L)
+            zero_band = _banded_factor(grid, lambda d: np.zeros_like(band(d)))
+            step = _newton_step(zero_band, apply, row_scale, flux_rows)
+            d = np.ones(grid.n_s - 2)
+        assert step(np.ones(grid.n_s * grid.n_psi), d) is None
+
+    @pytest.mark.parametrize("factor, grid", [("_separable_factor", GRIDS["71x33"]),
+                                              ("_banded_factor", FALLBACK["coarse_axis"][0])],
+                             ids=["separable", "banded_lu"])
+    def test_solve_names_the_singular_matrix(self, factor, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cylinder, factor, lambda *_: lambda d: calls.append(d))  # always None
+        with pytest.raises(SolverDivergence, match="^Newton matrix is singular at iteration 1$") as err:
+            solve_end_perturbed(COR11, 0.05, grid)
+        # one factorization and the first residual: no line-search trial ran
+        assert len(calls) == 1
+        assert len(err.value.history) == 1
 
 
 class TestLineSearch:
@@ -375,19 +401,19 @@ class TestPathChoice:
         assert res.linear_solver == "banded_lu"
         assert res.residual_history == history
         assert hashlib.sha256(res.field.values.tobytes()).hexdigest() == digest
-        # the same solve with the steps the fallback took before the banded
-        # LU: SuperLU on the assembled Jacobian (measured 5.7e-12 on
-        # long_window, 1.3e-11 on coarse_axis)
+        # the same solve with SuperLU's factors of the assembled Jacobian in
+        # place of the banded LU's, under the same refinement pass (measured
+        # 7.3e-12 on long_window, 9.4e-12 on coarse_axis)
         A, scale = assemble_linear(COR11, grid, L)
         calls = []
 
-        def superlu_step(F, d):
+        def superlu_factor(d):
             calls.append(d)
-            return spla.spsolve(jacobian(A, scale, grid, d), -F)
+            return spla.splu(jacobian(A, scale, grid, d)).solve
 
-        # the banded step is built per solve, so the patch reaches a solve
+        # the banded factor is built per solve, so the patch reaches a solve
         # on a warm cache too; without it this compares the solve with itself
-        monkeypatch.setattr(cylinder, "_banded_step", lambda *_: superlu_step)
+        monkeypatch.setattr(cylinder, "_banded_factor", lambda *_: superlu_factor)
         want = solve_end_perturbed(COR11, 0.05, grid)
         assert len(calls) == want.iterations >= 1
         want = want.field.values
@@ -411,7 +437,7 @@ class TestLinearOperator:
         # summed in the order the matrix stores each row, the apply
         # reproduces the sparse product exactly; summed in the other order
         # it differed by at most 2 eps of sum_k |a_ik v_k|.  The band holds
-        # the Jacobian's entries exactly, at gbsv's positions, and nothing else.
+        # the Jacobian's entries exactly, at dgbtrf's positions, and nothing else.
         rng = np.random.default_rng(n)
         psi = psi_nodes(grid)
         npsi = grid.n_psi
@@ -419,8 +445,9 @@ class TestLinearOperator:
             params = validate_params(n, sigma, 0.0, 1.8)
             L = psi_operator(psi, n, sigma)
             A, scale = assemble_linear(params, grid, L)
-            apply, band, row_scale = _linear_operator(params, grid, L)
+            apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
             np.testing.assert_array_equal(row_scale, scale)
+            np.testing.assert_array_equal(flux_rows, np.arange(1, grid.n_s - 1) * npsi)
             v = rng.standard_normal(A.shape[0])
             bound = 4.0 * np.finfo(float).eps * (abs(A) @ np.abs(v))
             assert np.all(np.abs(apply(v) - A @ v) <= bound)
@@ -501,7 +528,8 @@ class TestNewtonSystemCache:
     def test_cached_arrays_are_read_only(self):
         system = cylinder._newton_system(COR11, GRIDS["71x33"])
         separable = system.separable
-        for a in (system.row_scale, separable.R, separable.Z, separable.G, separable.G_row_max):
+        for a in (system.row_scale, system.flux_rows, separable.R, separable.Z, separable.G,
+                  separable.G_row_max):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 1.0
 
