@@ -383,6 +383,20 @@ class TestLineSearch:
         assert all(a > b for a, b in zip(history, history[1:]))
         assert history[-1] > 1e-8
 
+    def test_negative_flux_values_are_projected(self):
+        # end data 0.01 phi and phi: the first full steps take V0 below 0 on
+        # the interior flux rows, and the projected trials converge in 7
+        # iterations (residual 5.9e-12, min V0 3.3e-3 on one and two BLAS
+        # threads)
+        params, grid = validate_params(3, 0.5, 0.0, 1.8), CylinderGrid(-4.0, 4.0, 81, 33)
+        phi = exact_sphere_profile(params, psi_nodes(grid)).phi
+        res = solve_cylinder_pde(params, 0.01 * phi, phi, grid)
+        assert res.projected_negative
+        assert res.iterations == 7
+        assert res.line_search == [1 / 32, 1 / 4, 1 / 4, 1 / 2, 1.0, 1.0, 1.0]
+        assert res.residual_norm <= 1e-8
+        assert np.min(res.field.values[1:-1, 0]) > 1e-3
+
 
 class TestPathChoice:
     def test_cases_sit_outside_the_separable_range(self):
