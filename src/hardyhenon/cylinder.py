@@ -18,22 +18,24 @@ Math. 6, 1964) with the flux rows folded back through a capacitance matrix
 where that diagonalization is unstable, a banded LU with partial pivoting
 (LAPACK ``dgbtrf``, solved by ``dgbtrs``) takes the steps.  In s-major
 order the system is banded with n_psi sub- and super-diagonals.  Either
-path only factors; one ``_newton_step`` solves with its factors, refines
-once and returns no step at an exact zero pivot.  The s-transforms are an
+path only factors; one Newton step solves with its factors, refines once
+and returns no step at an exact zero pivot.  The s-transforms are an
 FFT-based orthonormal DST-I (``numpy.fft``; Swarztrauber, SIAM Rev. 19,
 1977), and the capacitance matrix is built in closed form as Toeplitz minus
 Hankel, so no dense sine matrix is formed.
 
-The constant part of the system is written as six arrays of row-scaled
-coefficients: they are applied matrix-free for every residual, and written
-into band storage for the banded LU.  Nothing of it depends on the end data
-or on eps, so ``_newton_system`` builds it, with the separable step's
-factorization (the s-mode eigenvalues and similarity, the stacked mode
-factors, Z, and the capacitance matrix G in Fortran order with the max |G|
-of each row), once per (``ProblemParams``, ``CylinderGrid``) and keeps it
-in an ``lru_cache`` of 8 entries, least recently used first out, of about
-0.75 MB each on 161x65 and 3.0 MB on 321x129; every solve on that key
-shares its read-only arrays.  What d changes is rebuilt at every Newton
+``_NewtonSystem`` is the discrete problem of one (``ProblemParams``,
+``CylinderGrid``), all of it but the end data: the constant part of the
+system as one array of row-scaled coefficients, which it applies
+matrix-free for every residual and writes into band storage for the banded
+LU, the residual, the choice of path and the refined Newton step.  Nothing
+of it depends on the end data or on eps, so ``_newton_system`` builds it,
+with the separable step's factorization (the s-mode eigenvalues and
+similarity, the stacked mode factors, Z, and the capacitance matrix G in
+Fortran order with the max |G| of each row), once per (params, grid) and
+keeps it in an ``lru_cache`` of 8 entries, least recently used first out,
+of about 0.75 MB each on 161x65 and 3.0 MB on 321x129; every solve on that
+key shares its read-only arrays.  What d changes is rebuilt at every Newton
 step: I + D G and its LU, and the band and its LU.  The banded factor is
 made per solve, and so are the separable factor's buffers: the
 s-transforms' odd extension, the mode solve's array and the
@@ -124,78 +126,6 @@ def _axial_stencil(params: ProblemParams, grid: CylinderGrid) -> tuple[float, fl
     ds = (grid.s_max - grid.s_min) / (grid.n_s - 1)
     return (1.0 / ds ** 2 + d.J1 / (2.0 * ds), -2.0 / ds ** 2 - d.J2,
             1.0 / ds ** 2 - d.J1 / (2.0 * ds))
-
-
-def _linear_operator(params: ProblemParams, grid: CylinderGrid, L: np.ndarray):
-    """The row-scaled constant part of the discrete system, applied and in band form.
-
-    The kappa V0^p term stays outside.  The axial stencil acts on every psi
-    node but the flux row, the psi operator L (offsets -1 to 2; the +2
-    diagonal is the flux row's third entry) on every interior axial row, and
-    the Dirichlet end rows are identity rows.  Each row is divided by its
-    diagonal, so the residual is measured in solution units; the graded grid
-    otherwise puts ~1/h^2 factors on the first rows and the 1e-8 tolerance
-    would sit below the evaluation roundoff.
-
-    Returns ``(apply, band, row_scale, flux_rows)``.  ``apply(x)`` is the
-    matrix times x.  It sums each row's products in columns-descending
-    order, the order of a CSR matrix assembled from Kronecker products: the
-    energy pins of the separable path record that rounding, and the tests'
-    Kronecker reference reproduces it exactly.  ``band(d)`` writes the
-    matrix plus diag(row_scale d), d on the interior flux rows, into fresh
-    band storage for LAPACK ``dgbtrf`` with kl = ku = n_psi: entry (k, k + o)
-    sits in row 2 n_psi - o of a Fortran-ordered (3 n_psi + 1, n_s n_psi)
-    array, whose first n_psi rows are the pivoting's workspace.
-    ``row_scale`` holds the scale of every row, and ``flux_rows`` the index
-    of every interior flux row, psi = 0 on s-row 1 to n_s - 2.
-    """
-    lo, diag, up = _axial_stencil(params, grid)
-    ns, npsi = grid.n_s, grid.n_psi
-    main = np.diagonal(L).copy()
-    main[1:] += diag  # the axial stencil acts on every psi node but the flux row
-    scale = 1.0 / np.maximum(np.abs(main), 1e-30)
-    c_main = scale * main
-    c_lo, c_up = scale[1:] * lo, scale[1:] * up
-    c_sub = scale[1:] * np.diagonal(L, -1)
-    c_sup = scale[:-1] * np.diagonal(L, 1)
-    c_sup2 = scale[0] * L[0, 2]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        V = x.reshape(ns, npsi)
-        W = V[1:-1]
-        out = np.empty_like(V)
-        out[0], out[-1] = V[0], V[-1]  # the Dirichlet end rows are identity rows
-        y = out[1:-1]
-        y[:, 1:] = c_up * V[2:, 1:]
-        y[:, 0] = c_sup2 * W[:, 2]
-        y[:, :-1] += c_sup * W[:, 1:]
-        y += c_main * W
-        y[:, 1:] += c_sub * W[:, :-1]
-        y[:, 1:] += c_lo * V[:-2, 1:]
-        return out.reshape(-1)
-
-    # the coefficients of an interior s-row at column offsets 0, -1, 1, 2, -n_psi, n_psi
-    offsets = (0, -1, 1, 2, -npsi, npsi)
-    stencil = np.zeros((len(offsets), npsi))
-    stencil[0] = c_main
-    stencil[1, 1:] = c_sub
-    stencil[2, :-1] = c_sup
-    stencil[3, 0] = c_sup2
-    stencil[4, 1:] = c_lo
-    stencil[5, 1:] = c_up
-    flux_rows = np.arange(1, ns - 1) * npsi
-
-    def band(d: np.ndarray) -> np.ndarray:
-        ab = np.zeros((3 * npsi + 1, ns * npsi), order="F")
-        ab[2 * npsi, :npsi] = ab[2 * npsi, -npsi:] = 1.0  # the Dirichlet end rows
-        for o, coefficients in zip(offsets, stencil):
-            ab[2 * npsi - o, npsi + o:(ns - 1) * npsi + o] = np.tile(coefficients, ns - 2)
-        ab[2 * npsi, flux_rows] += scale[0] * d
-        return ab
-
-    row_scale = np.ones((ns, npsi))
-    row_scale[1:-1] = scale
-    return apply, band, row_scale.reshape(-1), flux_rows
 
 
 def _mode_solver(L: np.ndarray, lam: np.ndarray):
@@ -335,7 +265,7 @@ def _separable_factors(params: ProblemParams, grid: CylinderGrid,
 def _separable_factor(grid: CylinderGrid, factors: _SeparableFactors, row_scale: np.ndarray):
     """Factorization of the Jacobian A + diag(row_scale d) from ``_separable_factors``.
 
-    ``row_scale`` is ``_linear_operator``'s for the same params, grid and L.
+    ``row_scale`` is the ``_NewtonSystem``'s of the same params and grid.
     Every product with Q is ``_dst1``, a real FFT of length 2(m+1).  A
     solve is two s-transforms of the whole right-hand side, one stacked
     tridiagonal solve, two transforms of a vector and one dense solve of
@@ -401,7 +331,7 @@ def _separable_factor(grid: CylinderGrid, factors: _SeparableFactors, row_scale:
 def _banded_factor(grid: CylinderGrid, band):
     """Factorization of the Jacobian by banded LU with partial pivoting.
 
-    ``band`` is ``_linear_operator``'s.  The returned ``factor(d)`` writes
+    ``band`` is ``_NewtonSystem.band``.  The returned ``factor(d)`` writes
     the band afresh, factors it in place by LAPACK ``dgbtrf`` and gives
     ``solve(rhs)``, one ``dgbtrs`` with those factors, or None at an exact
     zero pivot.  No copy of the band is kept between steps, since at
@@ -421,45 +351,129 @@ def _banded_factor(grid: CylinderGrid, band):
     return factor
 
 
-def _newton_step(factor, apply, row_scale: np.ndarray, flux_rows: np.ndarray):
-    """Newton-step solver for the Jacobian A + diag(row_scale d), with either path's factors.
+class _NewtonSystem:
+    """The discrete problem of one (params, grid): all of it but the end data.
 
-    ``factor`` is ``_separable_factor``'s or ``_banded_factor``'s, and
-    ``apply``, ``row_scale`` and ``flux_rows`` are ``_linear_operator``'s.
-    The returned ``step(F, d)`` solves (A + diag(row_scale d)) x = -F, with
-    A the row-scaled matrix ``apply`` applies and d = kappa p V0^(p-1) on
-    the interior flux rows: one factorization, one solve and one pass of
-    iterative refinement against ``apply`` with the same factors, which
-    brings the residual down to that of a direct LU solve.  Where the
-    Jacobian's condition number reaches about 1e7 (the refined default
-    grid), the plain banded solve missed a twice-refined LU solution by up
-    to 1.9e-9 relative and the refined step by at most 1.1e-10.  It returns
-    None when the factorization meets an exact zero pivot.
+    ``stencil`` holds the row-scaled coefficients of an interior s-row at
+    column offsets 0, -1, 1, 2, -n_psi and n_psi.  The axial stencil acts on
+    every psi node but the flux row, the psi operator L (offsets -1 to 2;
+    the +2 diagonal is the flux row's third entry) on every interior axial
+    row, and the Dirichlet end rows are identity rows.  Each row is divided
+    by its diagonal (``row_scale``), so the residual is measured in solution
+    units; the graded grid otherwise puts ~1/h^2 factors on the first rows
+    and the 1e-8 tolerance would sit below the evaluation roundoff.  The
+    kappa V0^p term of the interior flux rows (``flux_rows``, psi = 0 on
+    s-row 1 to n_s - 2, all of scale ``flux_scale``) is added by
+    ``residual``, and its derivative d = kappa p V0^(p-1) by ``step``.
+    ``separable`` is the separable step's factorization, or None, which
+    sends the steps to the banded LU.  Every array is read-only.
     """
-    flux_scale = row_scale[flux_rows]
 
-    def step(F: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    def __init__(self, params: ProblemParams, grid: CylinderGrid):
+        L = psi_operator(psi_nodes(grid), params.n, params.sigma)
+        lo, diag, up = _axial_stencil(params, grid)
+        ns, npsi = grid.n_s, grid.n_psi
+        main = np.diagonal(L).copy()
+        main[1:] += diag  # the axial stencil acts on every psi node but the flux row
+        scale = 1.0 / np.maximum(np.abs(main), 1e-30)
+        stencil = np.zeros((6, npsi))
+        stencil[0] = scale * main
+        stencil[1, 1:] = scale[1:] * np.diagonal(L, -1)
+        stencil[2, :-1] = scale[:-1] * np.diagonal(L, 1)
+        stencil[3, 0] = scale[0] * L[0, 2]
+        stencil[4, 1:] = scale[1:] * lo
+        stencil[5, 1:] = scale[1:] * up
+        row_scale = np.ones((ns, npsi))
+        row_scale[1:-1] = scale
+        self.grid, self.kappa, self.p = grid, kappa_sigma(params.sigma), params.p
+        self.stencil, self.row_scale, self.flux_scale = stencil, row_scale.reshape(-1), scale[0]
+        self.flux_rows = np.arange(1, ns - 1) * npsi
+        for a in (self.stencil, self.row_scale, self.flux_rows):
+            a.flags.writeable = False
+        self.separable = _separable_factors(params, grid, L)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The row-scaled constant part of the system times x.
+
+        Each row's products are summed in columns-descending order, the
+        order of a CSR matrix assembled from Kronecker products: the energy
+        pins of the separable path record that rounding, and the tests'
+        Kronecker reference reproduces it exactly.
+        """
+        main, sub, sup, sup2, lo, up = self.stencil
+        V = x.reshape(self.grid.n_s, self.grid.n_psi)
+        W = V[1:-1]
+        out = np.empty_like(V)
+        out[0], out[-1] = V[0], V[-1]  # the Dirichlet end rows are identity rows
+        y = out[1:-1]
+        y[:, 1:] = up[1:] * V[2:, 1:]
+        y[:, 0] = sup2[0] * W[:, 2]
+        y[:, :-1] += sup[:-1] * W[:, 1:]
+        y += main * W
+        y[:, 1:] += sub[1:] * W[:, :-1]
+        y[:, 1:] += lo[1:] * V[:-2, 1:]
+        return out.reshape(-1)
+
+    def band(self, d: np.ndarray) -> np.ndarray:
+        """The Jacobian A + diag(row_scale d), d on the interior flux rows, in fresh band storage.
+
+        The storage is LAPACK ``dgbtrf``'s with kl = ku = n_psi: entry
+        (k, k + o) sits in row 2 n_psi - o of a Fortran-ordered
+        (3 n_psi + 1, n_s n_psi) array, whose first n_psi rows are the
+        pivoting's workspace.
+        """
+        ns, npsi = self.grid.n_s, self.grid.n_psi
+        ab = np.zeros((3 * npsi + 1, ns * npsi), order="F")
+        ab[2 * npsi, :npsi] = ab[2 * npsi, -npsi:] = 1.0  # the Dirichlet end rows
+        for o, coefficients in zip((0, -1, 1, 2, -npsi, npsi), self.stencil):
+            ab[2 * npsi - o, npsi + o:(ns - 1) * npsi + o] = np.tile(coefficients, ns - 2)
+        ab[2 * npsi, self.flux_rows] += self.flux_scale * d
+        return ab
+
+    def residual(self, V: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The row-scaled residual of the field V with end data ``left`` and ``right``."""
+        F = self.apply(V)
+        npsi, rows = self.grid.n_psi, self.flux_rows
+        F[:npsi] -= left  # the Dirichlet end rows, whose scale is 1
+        F[-npsi:] -= right
+        F[rows] += self.flux_scale * self.kappa * V[rows] ** self.p
+        return F
+
+    def factorization(self):
+        """One solve's factor and the name of its path.
+
+        ``_separable_factor``, "separable", where ``separable`` is set, and
+        ``_banded_factor``, "banded_lu", elsewhere.  The factor owns its
+        buffers, so each solve makes its own.
+        """
+        if self.separable is None:
+            return _banded_factor(self.grid, self.band), "banded_lu"
+        return _separable_factor(self.grid, self.separable, self.row_scale), "separable"
+
+    def step(self, factor, F: np.ndarray, V: np.ndarray) -> np.ndarray | None:
+        """The Newton step x of the field V, whose residual is F, with ``factor``'s factors.
+
+        x solves (A + diag(row_scale d)) x = -F, with A the matrix ``apply``
+        applies and d = kappa p |V0|^(p-1) on the interior flux rows: one
+        factorization, one solve and one pass of iterative refinement
+        against ``apply`` with the same factors, which brings the residual
+        down to that of a direct LU solve.  Where the Jacobian's condition
+        number reaches about 1e7 (the refined default grid), the plain
+        banded solve missed a twice-refined LU solution by up to 1.9e-9
+        relative and the refined step by at most 1.1e-10.  Returns None when
+        the factorization meets an exact zero pivot.
+        """
+        rows = self.flux_rows
+        d = self.kappa * self.p * np.abs(V[rows]) ** (self.p - 1.0)
         solve = factor(d)
         if solve is None:
             return None
         minus_F = -F
         x = solve(minus_F)
-        r = apply(x)
+        r = self.apply(x)
         np.subtract(minus_F, r, out=r)
-        r[flux_rows] -= flux_scale * d * x[flux_rows]  # diag(row_scale d) x, zero elsewhere
+        r[rows] -= self.flux_scale * d * x[rows]  # diag(row_scale d) x, zero elsewhere
         return x + solve(r)
-
-    return step
-
-
-class _NewtonSystem(NamedTuple):
-    """The part of the Newton system that the end data and d do not change."""
-
-    apply: Callable[[np.ndarray], np.ndarray]  # ``_linear_operator``'s
-    band: Callable[[np.ndarray], np.ndarray]
-    row_scale: np.ndarray  # read-only
-    flux_rows: np.ndarray  # read-only
-    separable: _SeparableFactors | None  # None sends the steps to the banded LU
 
 
 @lru_cache(maxsize=8)
@@ -469,10 +483,7 @@ def _newton_system(params: ProblemParams, grid: CylinderGrid) -> _NewtonSystem:
     An entry takes about 0.75 MB on 161x65 and 3.0 MB on 321x129, most of
     it the capacitance matrix, Z, the stacked mode factors and row_scale.
     """
-    L = psi_operator(psi_nodes(grid), params.n, params.sigma)
-    apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
-    row_scale.flags.writeable = flux_rows.flags.writeable = False
-    return _NewtonSystem(apply, band, row_scale, flux_rows, _separable_factors(params, grid, L))
+    return _NewtonSystem(params, grid)
 
 
 def solve_cylinder_pde(
@@ -496,29 +507,26 @@ def solve_cylinder_pde(
     iterates are projected back to a positive floor and reported on the
     result.
 
-    The constant part of the system and the separable step's factorization
-    are built at the first solve on a (params, grid) and cached
-    (``_newton_system``, 8 entries); every residual (the Newton residual,
-    the line search's trials, the refinement pass) applies the constant
-    part matrix-free (``_linear_operator``), and the capacitance LU is
-    refactored at every step.
-    Each Newton step is a damped step along the exact solution of the
-    Jacobian system, which one ``_newton_step`` solves with either path's
-    factors, plus one pass of iterative refinement.  Where the axial
-    stencil's similarity is real and its growth r^m ~ exp(|J1| L / 2) on a
-    window of length L is at most _MAX_SIMILARITY_GROWTH = 1e4, the factors
-    are fast diagonalization in s, one stacked tridiagonal factorization of
-    the psi systems of all s-modes and the LU of a capacitance matrix for
-    the flux rows (``_separable_factor``; the result's ``linear_solver``
-    reads "separable").  Elsewhere, that is when |J1| ds / 2 >= 1 or the
-    growth exceeds 1e4, they are a banded LU with partial pivoting on the
-    same coefficients (``_banded_factor``, "banded_lu").  A Newton matrix
-    whose factorization meets an exact zero pivot gives no step, and the
-    solve raises SolverDivergence naming the singular matrix and the
-    iteration.  The line search halves the step length until the max-norm
-    residual falls and never takes a step that raises it: when no length
-    down to 1/1024 lowers the residual, the solve raises SolverDivergence
-    naming the stall.
+    The discrete problem of a (params, grid), with the separable step's
+    factorization, is built at the first solve on it and cached
+    (``_newton_system``, 8 entries).  Its ``residual`` (the Newton residual
+    and the line search's trials) applies the constant part matrix-free.
+    Each Newton step (``_NewtonSystem.step``) is a damped step along the
+    exact solution of the Jacobian system, refactored at every step, plus
+    one pass of iterative refinement.  Where the axial stencil's similarity
+    is real and its growth r^m ~ exp(|J1| L / 2) on a window of length L is
+    at most _MAX_SIMILARITY_GROWTH = 1e4, the factors are fast
+    diagonalization in s, one stacked tridiagonal factorization of the psi
+    systems of all s-modes and the LU of a capacitance matrix for the flux
+    rows.  Elsewhere, that is when |J1| ds / 2 >= 1 or the growth exceeds
+    1e4, they are a banded LU with partial pivoting on the same
+    coefficients.  The result's ``linear_solver`` names the path.  A Newton
+    matrix whose factorization meets an exact zero pivot gives no step, and
+    the solve raises SolverDivergence naming the singular matrix and the
+    iteration.  The line search halves the step
+    length until the max-norm residual falls and never takes a step that
+    raises it: when no length down to 1/1024 lowers the residual, the solve
+    raises SolverDivergence naming the stall.
 
     The linearization around the constant-in-s profile has oscillatory axial
     modes, so particular window lengths are Dirichlet-resonant and leave the
@@ -555,42 +563,24 @@ def solve_cylinder_pde(
     if initial is not None and np.any(initial[1:-1, 0] < 0.0):
         raise ValueError("initial must be non-negative at psi = 0 on the interior s nodes")
 
-    kap = kappa_sigma(params.sigma)
-    p = params.p
     system = _newton_system(params, grid)
-    apply, row_scale, flux_rows = system.apply, system.row_scale, system.flux_rows
-
     if initial is None:
         frac = np.linspace(0.0, 1.0, ns)[:, None]
         V = ((1.0 - frac) * boundary_left[None, :] + frac * boundary_right[None, :]).reshape(-1)
     else:
         V = initial.reshape(-1).copy()
-
-    flux_scale = row_scale[flux_rows]
-    if system.separable is None:
-        factor, linear_solver = _banded_factor(grid, system.band), "banded_lu"
-    else:
-        factor, linear_solver = _separable_factor(grid, system.separable, row_scale), "separable"
-    step = _newton_step(factor, apply, row_scale, flux_rows)
-
-    def residual(vec):
-        F = apply(vec)
-        F[:npsi] -= boundary_left  # the Dirichlet end rows, whose scale is 1
-        F[-npsi:] -= boundary_right
-        F[flux_rows] += flux_scale * kap * vec[flux_rows] ** p
-        return F
-
-    def res_scale(vec):
-        return max(1.0, float(np.max(np.abs(vec))))
+    flux_rows = system.flux_rows
+    factor, linear_solver = system.factorization()
 
     projected = False
     history: list[float] = []
     line_search: list[float] = []
-    F = residual(V)
+    F = system.residual(V, boundary_left, boundary_right)
     norm = float(np.max(np.abs(F)))
     history.append(norm)
     it = 0
-    while not norm <= newton_tol * res_scale(V):  # a NaN norm fails "<=" and stops below
+    # a NaN norm fails "<=" and stops below
+    while not norm <= newton_tol * max(1.0, float(np.max(np.abs(V)))):
         if not math.isfinite(norm):
             raise SolverDivergence(f"Newton residual is not finite ({norm})", history)
         if it >= max_iterations:
@@ -599,7 +589,7 @@ def solve_cylinder_pde(
                 f"(residual {norm:.3e})",
                 history,
             )
-        direction = step(F, kap * p * np.abs(V[flux_rows]) ** (p - 1.0))
+        direction = system.step(factor, F, V)
         if direction is None:
             raise SolverDivergence(f"Newton matrix is singular at iteration {it + 1}", history)
         lam = 1.0
@@ -610,7 +600,7 @@ def solve_cylinder_pde(
                 floor = 1e-10 * max(1.0, float(np.max(trial)))
                 trial[flux_rows] = np.maximum(trial[flux_rows], floor)
                 projected = True
-            Ft = residual(trial)
+            Ft = system.residual(trial, boundary_left, boundary_right)
             nt = float(np.max(np.abs(Ft)))
             if nt < norm:
                 V, F, norm = trial, Ft, nt

@@ -25,11 +25,9 @@ from hardyhenon.cylinder import (
     _banded_factor,
     _capacitance,
     _dst1,
-    _linear_operator,
     _mode_solver,
-    _newton_step,
+    _NewtonSystem,
     _separable_factor,
-    _separable_factors,
     psi_nodes,
     solve_cylinder_pde,
     solve_end_perturbed,
@@ -74,8 +72,8 @@ FALLBACK = {
 
 
 def assemble_linear(params, grid, L):
-    """Reference for ``cylinder._linear_operator``: the constant part of the
-    discrete system as a sparse matrix, with its row scales.
+    """Reference for ``cylinder._NewtonSystem``'s stencil: the constant part
+    of the discrete system as a sparse matrix, with its row scales.
 
     The interior operator is separable, so the matrix is a sum of Kronecker
     products: the axial operator T_s acts on every psi node but the flux row
@@ -113,9 +111,16 @@ def jacobian(A, scale, grid, d):
     return (A + sp.diags(dvec)).tocsc()
 
 
+def flux_derivative(params, grid, V):
+    """d = kappa p |V0|^(p-1) of the field V on the interior flux rows, as
+    the Newton step forms it."""
+    flux = np.arange(1, grid.n_s - 1) * grid.n_psi
+    return kappa_sigma(params.sigma) * params.p * np.abs(V[flux]) ** (params.p - 1.0)
+
+
 def first_newton_system(params, grid, eps=0.05):
-    """Psi operator, scaled matrix, row scales, residual and flux derivative
-    kappa p V0^(p-1) at the start of the end-perturbed solve."""
+    """Psi operator, scaled matrix, row scales, residual and field at the
+    start of the end-perturbed solve."""
     psi = psi_nodes(grid)
     L = psi_operator(psi, params.n, params.sigma)
     A, scale = assemble_linear(params, grid, L)
@@ -129,11 +134,11 @@ def first_newton_system(params, grid, eps=0.05):
     kap, p = kappa_sigma(params.sigma), params.p
     F = A @ V - b * scale
     F[flux] += scale[flux] * kap * V[flux] ** p
-    return L, A, scale, F, kap * p * V[flux] ** (p - 1.0)
+    return L, A, scale, F, V
 
 
 def reference_apply(params, grid, L):
-    """Reference for ``cylinder._linear_operator``'s apply: the same sums in
+    """Reference for ``cylinder._NewtonSystem.apply``: the same sums in
     the same order, written into a copy of the whole input (which supplies
     the Dirichlet end rows) as the apply was before it wrote only those rows."""
     lo, diag, up = _axial_stencil(params, grid)
@@ -164,7 +169,7 @@ def reference_apply(params, grid, L):
 
 
 def reference_separable_step(grid, factors, apply, row_scale):
-    """Reference for ``cylinder._newton_step`` over ``_separable_factor``: the
+    """Reference for ``cylinder._NewtonSystem.step`` over ``_separable_factor``: the
     same arithmetic with scipy's ``lu_factor``/``lu_solve`` on a C-ordered
     I + D G, fresh arrays for every transform's input, the mode solve on the
     FFT output's strided imaginary part, and the d term subtracted on the
@@ -200,26 +205,25 @@ def reference_separable_step(grid, factors, apply, row_scale):
     return step
 
 
-def separable_builder(params, grid, L):
-    """The Newton step the solver runs on the separable path, or None off it."""
-    factors = _separable_factors(params, grid, L)
-    if factors is None:
-        return None
-    apply, _, row_scale, flux_rows = _linear_operator(params, grid, L)
-    return _newton_step(_separable_factor(grid, factors, row_scale), apply, row_scale, flux_rows)
+def separable_builder(params, grid):
+    """The Newton step ``step(F, V)`` the solver runs on the separable path."""
+    system = _NewtonSystem(params, grid)
+    factor = _separable_factor(grid, system.separable, system.row_scale)
+    return lambda F, V: system.step(factor, F, V)
 
 
-def banded_builder(params, grid, L):
-    """The Newton step the solver runs on the banded-LU path."""
-    apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
-    return _newton_step(_banded_factor(grid, band), apply, row_scale, flux_rows)
+def banded_builder(params, grid):
+    """The Newton step ``step(F, V)`` the solver runs on the banded-LU path."""
+    system = _NewtonSystem(params, grid)
+    factor = _banded_factor(grid, system.band)
+    return lambda F, V: system.step(factor, F, V)
 
 
 def check_step(builder, params, grid):
     """The builder's first Newton step against SuperLU on the reference matrix."""
-    L, A, scale, F, d = first_newton_system(params, grid)
-    step = builder(params, grid, L)
-    assert step is not None
+    _, A, scale, F, V = first_newton_system(params, grid)
+    step = builder(params, grid)
+    d = flux_derivative(params, grid, V)
     J = jacobian(A, scale, grid, d)
     # the Jacobian's condition number is about 1e7, so a plain sparse-LU
     # step is itself only good to about 2e-9 on the refined grid; one
@@ -230,7 +234,7 @@ def check_step(builder, params, grid):
     want = lu.solve(-F)
     for _ in range(2):
         want += lu.solve(-F - J @ want)
-    got = step(F, d)
+    got = step(F, V)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -262,17 +266,17 @@ class TestSeparableArithmetic:
     @SEPARABLE_CASES
     def test_step_and_apply_match_reference_bit_for_bit(self, quad, grid):
         params = validate_params(*quad)
-        L, _, _, F, d = first_newton_system(params, grid)
-        factors = _separable_factors(params, grid, L)
-        apply, _, row_scale, flux_rows = _linear_operator(params, grid, L)
+        L, _, _, F, V = first_newton_system(params, grid)
+        system = _NewtonSystem(params, grid)
         want_apply = reference_apply(params, grid, L)
-        v = np.random.default_rng(grid.n_s).standard_normal(len(row_scale))
-        assert np.array_equal(apply(v), want_apply(v))
-        step = _newton_step(_separable_factor(grid, factors, row_scale), apply, row_scale, flux_rows)
-        want_step = reference_separable_step(grid, factors, want_apply, row_scale)
+        v = np.random.default_rng(grid.n_s).standard_normal(len(system.row_scale))
+        assert np.array_equal(system.apply(v), want_apply(v))
+        factor = _separable_factor(grid, system.separable, system.row_scale)
+        want_step = reference_separable_step(grid, system.separable, want_apply, system.row_scale)
         # a second step with other data reuses the first one's buffers
         for scale in (1.0, 1.5):
-            assert np.array_equal(step(scale * F, scale * d), want_step(scale * F, scale * d))
+            d = flux_derivative(params, grid, scale * V)
+            assert np.array_equal(system.step(factor, scale * F, scale * V), want_step(scale * F, d))
 
 
 class TestCapacitanceChecks:
@@ -281,23 +285,23 @@ class TestCapacitanceChecks:
 
     GRID = GRIDS["71x33"]
 
-    def step(self, params=COR11, grid=GRID):
-        L = psi_operator(psi_nodes(grid), params.n, params.sigma)
-        return separable_builder(params, grid, L), _separable_factors(params, grid, L)
+    def factor(self, params=COR11, grid=GRID):
+        system = _NewtonSystem(params, grid)
+        return _separable_factor(grid, system.separable, system.row_scale), system.separable
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_d_is_refused(self, bad):
-        step, _ = self.step()
+        factor, _ = self.factor()
         d = np.ones(self.GRID.n_s - 2)
         d[5] = bad
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-            step(np.ones(self.GRID.n_s * self.GRID.n_psi), d)
+            factor(d)
 
     def test_d_whose_product_with_G_overflows_is_refused(self):
         # every |G_ik| is below 1 on the default and 71x33 grids, where no
         # finite d overflows; here max |G| = 1.26
         params, grid = validate_params(2, 0.5, 0.0, 2.7), CylinderGrid(-4.0, 4.0, 9, 33)
-        step, factors = self.step(params, grid)
+        factor, factors = self.factor(params, grid)
         row = int(np.argmax(np.max(np.abs(factors.G), axis=1)))
         assert np.max(np.abs(factors.G[row])) > 1.0
         d = np.ones(grid.n_s - 2)
@@ -305,14 +309,14 @@ class TestCapacitanceChecks:
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(d[:, None] * factors.G))
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-                step(np.ones(grid.n_s * grid.n_psi), d)
+                factor(d)
 
     def test_non_finite_load_is_refused(self):
-        step, _ = self.step()
+        solve = self.factor()[0](np.ones(self.GRID.n_s - 2))
         F = np.ones(self.GRID.n_s * self.GRID.n_psi)
         F[5 * self.GRID.n_psi + 3] = math.nan
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-            step(F, np.ones(self.GRID.n_s - 2))
+            solve(F)
 
 
 class TestBandedStep:
@@ -340,21 +344,21 @@ class TestSingularNewtonMatrix:
             # d = 0 but in row 0, where 1 + d_0 G_00 rounds to exactly 0:
             # column 0 of I + D G is zero, and dgetrf reports it
             grid = GRIDS["71x33"]
-            L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
-            G = _separable_factors(COR11, grid, L).G
+            system = _NewtonSystem(COR11, grid)
+            G = system.separable.G
             d = np.zeros(grid.n_s - 2)
             d[0] = -1.0 / G[0, 0]
             assert 1.0 + d[0] * G[0, 0] == 0.0
-            step = separable_builder(COR11, grid, L)
+            factor = _separable_factor(grid, system.separable, system.row_scale)
         else:
             # an all-zero band, whose first pivot dgbtrf reports
             grid = FALLBACK["coarse_axis"][0]
-            L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
-            apply, band, row_scale, flux_rows = _linear_operator(COR11, grid, L)
-            zero_band = _banded_factor(grid, lambda d: np.zeros_like(band(d)))
-            step = _newton_step(zero_band, apply, row_scale, flux_rows)
+            system = _NewtonSystem(COR11, grid)
+            factor = _banded_factor(grid, lambda d: np.zeros_like(system.band(d)))
             d = np.ones(grid.n_s - 2)
-        assert step(np.ones(grid.n_s * grid.n_psi), d) is None
+        # d < 0 is no kappa p |V0|^(p-1), so the factor takes it directly;
+        # the step passes its None on (test_solve_names_the_singular_matrix)
+        assert factor(d) is None
 
     @pytest.mark.parametrize("factor, grid", [("_separable_factor", GRIDS["71x33"]),
                                               ("_banded_factor", FALLBACK["coarse_axis"][0])],
@@ -410,7 +414,7 @@ class TestPathChoice:
     def test_fallback_is_the_banded_lu_solve(self, case, monkeypatch):
         grid, history, digest = FALLBACK[case]
         L = psi_operator(psi_nodes(grid), COR11.n, COR11.sigma)
-        assert separable_builder(COR11, grid, L) is None
+        assert _NewtonSystem(COR11, grid).separable is None
         res = solve_end_perturbed(COR11, 0.05, grid)
         assert res.linear_solver == "banded_lu"
         assert res.residual_history == history
@@ -459,15 +463,16 @@ class TestLinearOperator:
             params = validate_params(n, sigma, 0.0, 1.8)
             L = psi_operator(psi, n, sigma)
             A, scale = assemble_linear(params, grid, L)
-            apply, band, row_scale, flux_rows = _linear_operator(params, grid, L)
-            np.testing.assert_array_equal(row_scale, scale)
-            np.testing.assert_array_equal(flux_rows, np.arange(1, grid.n_s - 1) * npsi)
+            system = _NewtonSystem(params, grid)
+            np.testing.assert_array_equal(system.row_scale, scale)
+            np.testing.assert_array_equal(system.flux_rows, np.arange(1, grid.n_s - 1) * npsi)
+            assert np.all(scale[system.flux_rows] == system.flux_scale)
             v = rng.standard_normal(A.shape[0])
             bound = 4.0 * np.finfo(float).eps * (abs(A) @ np.abs(v))
-            assert np.all(np.abs(apply(v) - A @ v) <= bound)
+            assert np.all(np.abs(system.apply(v) - A @ v) <= bound)
             d = rng.random(grid.n_s - 2)
             J = jacobian(A, scale, grid, d).tocoo()
-            ab = band(d)
+            ab = system.band(d)
             assert ab.shape == (3 * npsi + 1, A.shape[0]) and ab.flags.f_contiguous
             np.testing.assert_array_equal(ab[2 * npsi + J.row - J.col, J.col], J.data)
             assert np.count_nonzero(ab) == np.count_nonzero(J.data)
@@ -542,7 +547,7 @@ class TestNewtonSystemCache:
     def test_cached_arrays_are_read_only(self):
         system = cylinder._newton_system(COR11, GRIDS["71x33"])
         separable = system.separable
-        for a in (system.row_scale, system.flux_rows, separable.R, separable.Z, separable.G,
+        for a in (system.stencil, system.row_scale, system.flux_rows, separable.R, separable.Z, separable.G,
                   separable.G_row_max):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 1.0
