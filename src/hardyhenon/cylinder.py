@@ -523,7 +523,8 @@ def solve_cylinder_pde(
     coefficients.  The result's ``linear_solver`` names the path.  A Newton
     matrix whose factorization meets an exact zero pivot gives no step, and
     the solve raises SolverDivergence naming the singular matrix and the
-    iteration.  The line search halves the step
+    iteration; so does a step whose load the separable path finds not
+    finite, naming the non-finite step.  The line search halves the step
     length until the max-norm residual falls and never takes a step that
     raises it: when no length down to 1/1024 lowers the residual, the solve
     raises SolverDivergence naming the stall.
@@ -575,46 +576,52 @@ def solve_cylinder_pde(
     projected = False
     history: list[float] = []
     line_search: list[float] = []
-    F = system.residual(V, boundary_left, boundary_right)
-    norm = float(np.max(np.abs(F)))
-    history.append(norm)
-    it = 0
-    # a NaN norm fails "<=" and stops below
-    while not norm <= newton_tol * max(1.0, float(np.max(np.abs(V)))):
-        if not math.isfinite(norm):
-            raise SolverDivergence(f"Newton residual is not finite ({norm})", history)
-        if it >= max_iterations:
-            raise SolverDivergence(
-                f"Newton failed to reach tolerance after {max_iterations} iterations "
-                f"(residual {norm:.3e})",
-                history,
-            )
-        direction = system.step(factor, F, V)
-        if direction is None:
-            raise SolverDivergence(f"Newton matrix is singular at iteration {it + 1}", history)
-        lam = 1.0
-        while True:
-            trial = V + direction if lam == 1.0 else V + lam * direction
-            if np.any(trial[flux_rows] < 0.0):
-                trial = trial.copy()
-                floor = 1e-10 * max(1.0, float(np.max(trial)))
-                trial[flux_rows] = np.maximum(trial[flux_rows], floor)
-                projected = True
-            Ft = system.residual(trial, boundary_left, boundary_right)
-            nt = float(np.max(np.abs(Ft)))
-            if nt < norm:
-                V, F, norm = trial, Ft, nt
-                break
-            if lam < 1e-3:
+    # the loop refuses a non-finite residual or step, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = system.residual(V, boundary_left, boundary_right)
+        norm = float(np.max(np.abs(F)))
+        history.append(norm)
+        it = 0
+        # a NaN norm fails "<=" and stops below
+        while not norm <= newton_tol * max(1.0, float(np.max(np.abs(V)))):
+            if not math.isfinite(norm):
+                raise SolverDivergence(f"Newton residual is not finite ({norm})", history)
+            if it >= max_iterations:
                 raise SolverDivergence(
-                    f"Newton stalled at iteration {it + 1}: no step length down to 1/1024 "
-                    f"lowers the residual {norm:.3e}",
+                    f"Newton failed to reach tolerance after {max_iterations} iterations "
+                    f"(residual {norm:.3e})",
                     history,
                 )
-            lam *= 0.5
-        history.append(norm)
-        line_search.append(lam)
-        it += 1
+            try:
+                direction = system.step(factor, F, V)
+            except ValueError as exc:  # the separable factor refuses non-finite data
+                raise SolverDivergence(f"Newton step is not finite at iteration {it + 1}",
+                                       history) from exc
+            if direction is None:
+                raise SolverDivergence(f"Newton matrix is singular at iteration {it + 1}", history)
+            lam = 1.0
+            while True:
+                trial = V + direction if lam == 1.0 else V + lam * direction
+                if np.any(trial[flux_rows] < 0.0):
+                    trial = trial.copy()
+                    floor = 1e-10 * max(1.0, float(np.max(trial)))
+                    trial[flux_rows] = np.maximum(trial[flux_rows], floor)
+                    projected = True
+                Ft = system.residual(trial, boundary_left, boundary_right)
+                nt = float(np.max(np.abs(Ft)))
+                if nt < norm:
+                    V, F, norm = trial, Ft, nt
+                    break
+                if lam < 1e-3:
+                    raise SolverDivergence(
+                        f"Newton stalled at iteration {it + 1}: no step length down to 1/1024 "
+                        f"lowers the residual {norm:.3e}",
+                        history,
+                    )
+                lam *= 0.5
+            history.append(norm)
+            line_search.append(lam)
+            it += 1
 
     field = FowlerField(
         s_grid=np.linspace(grid.s_min, grid.s_max, ns),

@@ -688,6 +688,26 @@ class TestSolverDivergence:
         assert rep["results"]["iterations"] == 0
 
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"params": {"n": 3, "sigma": 0.5, "alpha": 0, "p": 1.8}, "perturbation": 1e308},
+         "Newton step is not finite at iteration 1"),
+        ({"params": {"n": 4, "sigma": 0.75, "alpha": 0, "p": 5.0 / 3.0}, "s_range": [-3, 3],
+          "grid": [5, 33], "perturbation": 1e308},
+         "Newton stalled at iteration 1: no step length down to 1/1024 lowers the residual 2.665e+307"),
+    ], ids=["separable", "banded_lu"])
+    def test_non_finite_step_reports_named_violation(self, tmp_path, capsys, spec, message):
+        # finite end data whose step is not: the separable path once printed
+        # numpy overflow warnings and exited 2 with the factor's bare
+        # ValueError, while the banded path's line search refused the step
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 1
+        assert captured.err == "tolerance violations: solver_convergence\n"
+        assert rep["results"]["message"] == message
+        assert rep["results"]["iterations"] == 0
+
 def without_elapsed(stdout: str) -> list[str]:
     """The lines of a printed report but its "elapsed" one."""
     return [line for line in stdout.splitlines() if not line.startswith('  "elapsed":')]

@@ -373,6 +373,18 @@ class TestSingularNewtonMatrix:
         assert len(err.value.history) == 1
 
 
+class TestNonFiniteStep:
+    def test_separable_solve_names_the_non_finite_step(self):
+        # (1 + 1e308) phi is finite, but the step's s-transforms of it
+        # overflow: the separable factor refuses the load, and the solve
+        # names the step, where it once leaked that ValueError after numpy
+        # overflow warnings (which pyproject turns into errors here)
+        with pytest.raises(SolverDivergence, match="^Newton step is not finite at iteration 1$") as err:
+            solve_end_perturbed(validate_params(3, 0.5, 0.0, 1.8), 1e308, GRIDS["71x33"])
+        assert isinstance(err.value.__cause__, ValueError)
+        assert len(err.value.history) == 1
+
+
 class TestLineSearch:
     def test_stalled_solve_raises(self):
         # no step lowers the residual below 2.6e-4; one that raises it (to
