@@ -256,7 +256,10 @@ def _cmd_constants(args):
 
 def _cmd_verify_lemma(args):
     params = _params_from(args)
-    radii = [float(tok) for tok in args.radii.split(",")]
+    try:
+        radii = [float(tok) for tok in args.radii.split(",")]
+    except ValueError:
+        raise ValueError(f"--radii must have the form R1,R2,... (numbers), got {args.radii!r}") from None
     cfg = QuadratureConfig(nodes_radial=args.nodes_radial, nodes_angular=args.nodes_angular)
     report = verify_fall_identity(params, radii, cfg)
     results = {
@@ -278,9 +281,24 @@ def _parse_pair(token: str, flag: str, form: str, sep: str, kind) -> tuple:
         raise ValueError(f"{flag} must have the form {form}, got {token!r}") from None
 
 
+def _node_counts(counts, name: str) -> tuple:
+    """The two node counts of a grid, refused by ``name`` when one is below ``CylinderGrid``'s 5."""
+    if min(counts) < 5:
+        raise ValueError(f"{name} needs at least 5 nodes on each axis, got {counts[0]} and {counts[1]}")
+    return counts
+
+
+def _perturbation(eps, name: str):
+    """eps of the end data (1 + eps) phi, which must be finite and positive."""
+    if not (_is_number(eps) and -1.0 < eps < math.inf):
+        raise ValueError(f"{name} must be a finite number > -1, got {eps!r}")
+    return eps
+
+
 def _cmd_extend(args):
     params = _params_from(args)
-    n_r, n_psi = _parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int)
+    n_r, n_psi = _node_counts(
+        _parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int), "--grid")
     r_lo, r_hi = _parse_pair(args.r_range, "--r-range", "LO,HI (two numbers)", ",", float)
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
@@ -337,10 +355,9 @@ def _cmd_solve_cylinder(args):
         raise ValueError(f'spec "params" must give the numbers n, sigma, alpha and p, got {raw!r}')
     params = validate_params(**raw)
     s_range = _spec_pair(spec, "s_range", [_DEFAULT_GRID.s_min, _DEFAULT_GRID.s_max], (int, float), "numbers")
-    n_s, n_psi = _spec_pair(spec, "grid", [_DEFAULT_GRID.n_s, _DEFAULT_GRID.n_psi], int, "integers")
-    eps = spec.get("perturbation", 0.0)
-    if not _is_number(eps):
-        raise ValueError(f'spec "perturbation" must be a number, got {eps!r}')
+    n_s, n_psi = _node_counts(
+        _spec_pair(spec, "grid", [_DEFAULT_GRID.n_s, _DEFAULT_GRID.n_psi], int, "integers"), 'spec "grid"')
+    eps = _perturbation(spec.get("perturbation", 0.0), 'spec "perturbation"')
     grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
     tolerances = {"tol_residual": args.tol_residual}
     try:
@@ -365,11 +382,12 @@ def _cmd_solve_cylinder(args):
 def _cmd_energy(args):
     params = _params_from(args)
     s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
-    n_s, n_psi = _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int)
+    n_s, n_psi = _node_counts(
+        _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int), "--grid")
     grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
     tolerances = {"tol_drift": args.tol_drift}
     solver = {}
-    if args.perturbation != 0.0:
+    if _perturbation(args.perturbation, "--perturbation") != 0.0:
         try:
             solved = solve_end_perturbed(params, args.perturbation, grid)
         except SolverDivergence as exc:

@@ -96,8 +96,13 @@ class CylinderGrid:
             raise ValueError(
                 f"axial range needs finite s_min < s_max, got s_min={self.s_min}, s_max={self.s_max}"
             )
-        if self.n_s < 5 or self.n_psi < 5:
-            raise ValueError("grid too small")
+        for name in ("n_s", "n_psi"):
+            count = getattr(self, name)
+            # a float count fails later inside numpy, and True would count 1 node
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 5:
+                raise ValueError(f"{name} must be at least 5, got {count}")
 
     def refined(self) -> "CylinderGrid":
         return replace(self, n_s=2 * (self.n_s - 1) + 1, n_psi=2 * (self.n_psi - 1) + 1)

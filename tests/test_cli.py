@@ -250,7 +250,7 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: boundary_left must be finite\n"
+        assert captured.err == f"error: --perturbation must be a finite number > -1, got {value}\n"
 
     def test_non_finite_spec_perturbation_exits_two(self, tmp_path, capsys):
         # JSON NaN is a number; the solve once ended in a solver_residual violation
@@ -259,7 +259,34 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: boundary_left must be finite\n"
+        assert captured.err == 'error: spec "perturbation" must be a finite number > -1, got nan\n'
+
+    # end data (1 + eps) phi at or below 0 once read "boundary data must be
+    # strictly positive", naming neither the flag nor the spec key
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_energy_perturbation_must_exceed_minus_one(self, capsys, value):
+        code = run(["energy", *QUAD, "1.8", "--perturbation", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --perturbation must be a finite number > -1, got {float(value)}\n"
+
+    def test_spec_perturbation_must_exceed_minus_one(self, tmp_path, capsys):
+        spec = {**CONVERGING_SPEC, "perturbation": -2}
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == 'error: spec "perturbation" must be a finite number > -1, got -2\n'
+
+    @pytest.mark.parametrize("radii", ["1,,2", "abc", "1,2,"])
+    def test_malformed_radii_name_the_flag(self, capsys, radii):
+        # these once read "could not convert string to float"
+        code = run(["verify-lemma", *QUAD, "1.8", "--radii", radii])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --radii must have the form R1,R2,... (numbers), got {radii!r}\n"
 
     @pytest.mark.parametrize("radius", ["inf", "nan", "0", "-1"])
     def test_radius_must_be_finite_and_positive(self, capsys, radius):
@@ -423,6 +450,23 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {flag} must have the form {form}, got {value!r}\n"
+
+    @pytest.mark.parametrize("command, a, b", [("extend", 4, 9), ("energy", 9, 4)])
+    def test_grid_below_five_nodes_names_the_flag(self, capsys, command, a, b):
+        # this once read "grid too small"
+        code = run([command, *QUAD, "1.8", "--grid", f"{a}x{b}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --grid needs at least 5 nodes on each axis, got {a} and {b}\n"
+
+    def test_spec_grid_below_five_nodes_names_the_key(self, tmp_path, capsys):
+        spec = {**CONVERGING_SPEC, "grid": [4, 9]}
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == 'error: spec "grid" needs at least 5 nodes on each axis, got 4 and 9\n'
 
 
 class TestDeterminism:
@@ -687,7 +731,6 @@ class TestSolverDivergence:
         assert rep["results"]["message"] == "Newton matrix is singular at iteration 1"
         assert rep["results"]["iterations"] == 0
 
-
     @pytest.mark.parametrize("spec, message", [
         ({"params": {"n": 3, "sigma": 0.5, "alpha": 0, "p": 1.8}, "perturbation": 1e308},
          "Newton step is not finite at iteration 1"),
@@ -707,6 +750,7 @@ class TestSolverDivergence:
         assert captured.err == "tolerance violations: solver_convergence\n"
         assert rep["results"]["message"] == message
         assert rep["results"]["iterations"] == 0
+
 
 def without_elapsed(stdout: str) -> list[str]:
     """The lines of a printed report but its "elapsed" one."""

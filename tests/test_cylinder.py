@@ -661,6 +661,22 @@ class TestEndData:
             solve_cylinder_pde(COR11, phi, phi, grid, initial=initial)
 
 
+class TestGrid:
+    @pytest.mark.parametrize("count", [81.0, True, "81"], ids=["float", "bool", "str"])
+    def test_non_integral_count_is_refused(self, count):
+        # 81.0 once failed later with a numpy TypeError, and True was taken as 1
+        with pytest.raises(ValueError, match=f"^n_s must be an integer, got {count!r}$"):
+            CylinderGrid(n_s=count)
+
+    @pytest.mark.parametrize("name", ["n_s", "n_psi"])
+    def test_count_below_five_is_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 5, got 4$"):
+            CylinderGrid(**{name: 4})
+
+    def test_numpy_integer_count_is_accepted(self):
+        assert CylinderGrid(n_s=np.int64(9), n_psi=9) == CylinderGrid(n_s=9, n_psi=9)
+
+
 class TestExactSolutionConsistency:
     """With phi as the data at both ends, the exact profile phi solves the
     continuous problem, so the discrete answer measures the psi operator's
