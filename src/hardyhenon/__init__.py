@@ -30,7 +30,6 @@ from .fraclap import (
     QuadratureConfig,
     QuadratureError,
     power_profile,
-    combine_profiles,
     check_Lsigma_membership,
     frac_laplacian_radial,
     verify_fall_identity,
@@ -42,7 +41,6 @@ from .extension import (
     poisson_extend_radial,
     neumann_flux,
     fowler_map,
-    fowler_unmap,
     exact_sphere_profile,
     exact_extension_field,
     verify_sphere_ode,
@@ -53,7 +51,6 @@ from .cylinder import solve_end_perturbed
 from .energy import (
     EnergyTrace,
     MonotonicityVerdict,
-    energy_cylinder,
     energy_halfsphere,
     energy_trace,
     derivative_identity_check,
@@ -61,7 +58,6 @@ from .energy import (
 )
 from .kelvin import (
     KelvinMap,
-    kelvin_profile,
     kelvin_exponent,
     verify_equivalences,
     constant_invariance,

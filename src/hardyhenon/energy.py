@@ -22,7 +22,6 @@ from .sphere import gradient_integral, psi_rule
 __all__ = [
     "EnergyTrace",
     "MonotonicityVerdict",
-    "energy_cylinder",
     "energy_halfsphere",
     "energy_trace",
     "derivative_identity_check",
@@ -48,12 +47,6 @@ def _locate(grid: np.ndarray, value: float, margin: int) -> int:
     if i < margin or i >= len(grid) - margin:
         raise ValueError(f"value {value} is too close to the grid edge")
     return i
-
-
-def energy_cylinder(field: FowlerField, s: float, params: ProblemParams) -> float:
-    """Cylinder energy at axial node s (interior; edges are rejected)."""
-    i = _locate(field.s_grid, s, margin=2)
-    return _energy_cylinder_rows(field, params)[0][i]
 
 
 def _energy_cylinder_rows(field: FowlerField, params: ProblemParams):

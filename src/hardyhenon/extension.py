@@ -54,7 +54,6 @@ __all__ = [
     "poisson_extend_radial",
     "neumann_flux",
     "fowler_map",
-    "fowler_unmap",
     "exact_sphere_profile",
     "exact_extension_field",
     "verify_sphere_ode",
@@ -337,16 +336,6 @@ def fowler_map(field: ExtensionField) -> FowlerField:
     scale = field.r_grid[:, None] ** beta
     return FowlerField(
         s_grid=s, psi_grid=field.psi_grid.copy(), values=field.values * scale,
-        params=field.params,
-    )
-
-
-def fowler_unmap(field: FowlerField) -> ExtensionField:
-    beta = derive_exponents(field.params).beta
-    r = np.exp(field.s_grid)
-    scale = r[:, None] ** (-beta)
-    return ExtensionField(
-        r_grid=r, psi_grid=field.psi_grid.copy(), values=field.values * scale,
         params=field.params,
     )
 

@@ -40,7 +40,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "power_profile",
-    "combine_profiles",
     "check_Lsigma_membership",
     "frac_laplacian_radial",
     "verify_fall_identity",
@@ -107,19 +106,6 @@ def power_profile(exponent: float, coefficient: float = 1.0) -> RadialProfile:
         return u
 
     return RadialProfile(evaluate=ev, inner_exponent=exponent, outer_exponent=exponent)
-
-
-def combine_profiles(coeffs: list[float], profiles: list[RadialProfile]) -> RadialProfile:
-    """Linear combination; endpoint exponents take the dominant behavior."""
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        return sum(c * prof.evaluate(r) for c, prof in zip(coeffs, profiles))
-
-    return RadialProfile(
-        evaluate=ev,
-        inner_exponent=max(p.inner_exponent for p in profiles),
-        outer_exponent=min(p.outer_exponent for p in profiles),
-    )
 
 
 # zone geometry in multiples of the evaluation radius: the symmetric zone

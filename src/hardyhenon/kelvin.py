@@ -1,25 +1,24 @@
-"""Inversion of radial traces and the induced map on the weight exponent.
+"""The Kelvin inversion's map on the weight exponent, and what it preserves.
 
 The inversion u -> |y|^{-(n-2s)} u(y/|y|^2) exchanges the singularities at
 the origin and at infinity and replaces the weight exponent alpha by
-vartheta = p(n-2s) - (n+2s+alpha).  Every consequence verified here is
-checkable on traces alone.
+vartheta = p(n-2s) - (n+2s+alpha).  ``kelvin_exponent`` gives the mapped
+quadruple, ``verify_equivalences`` evaluates both sides of each exponent
+biconditional that the map induces, and ``constant_invariance`` compares the
+singular amplitude C before and after the map.  All three act on the
+parameters alone: no trace is inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fraclap import RadialProfile
 from .params import ProblemParams, derive_exponents
 from .specialfn import singular_constant
 
 __all__ = [
     "KelvinMap",
     "EquivalenceCheck",
-    "kelvin_profile",
     "kelvin_exponent",
     "verify_equivalences",
     "constant_invariance",
@@ -33,21 +32,6 @@ class KelvinMap:
     source: ProblemParams
     vartheta: float
     mapped: ProblemParams
-
-
-def kelvin_profile(u: RadialProfile, n: int, sigma: float) -> RadialProfile:
-    """The inverted trace as a profile; endpoint exponents swap accordingly."""
-    k = n - 2.0 * sigma
-
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        return r ** (-k) * u.evaluate(1.0 / r)
-
-    return RadialProfile(
-        evaluate=ev,
-        inner_exponent=k - u.outer_exponent,
-        outer_exponent=k - u.inner_exponent,
-    )
 
 
 def kelvin_exponent(params: ProblemParams) -> KelvinMap:

@@ -16,7 +16,6 @@ from hardyhenon.cylinder import (
 from hardyhenon.energy import (
     MonotonicityVerdict,
     derivative_identity_check,
-    energy_cylinder,
     energy_halfsphere,
     energy_trace,
     monotonicity_verdict,
@@ -27,7 +26,6 @@ from hardyhenon.extension import (
     exact_extension_field,
     exact_sphere_profile,
     fowler_map,
-    fowler_unmap,
 )
 from hardyhenon.params import derive_exponents, validate_params
 from hardyhenon.specialfn import kappa_sigma, singular_constant, unit_sphere_area
@@ -45,6 +43,19 @@ def closed_form_energy(params):
         * C ** (params.p + 1.0)
         * unit_sphere_area(params.n)
     )
+
+
+def cylinder_energy_at(field, s, params):
+    """The cylinder energy E at the node s, read from the energy trace."""
+    tr = energy_trace(field, None, params)
+    return float(tr.E[np.argmin(np.abs(tr.s_values - s))])
+
+
+def unmapped(field):
+    """The extension field of a cylinder field: U(r, psi) = r^-beta V(ln r, psi)."""
+    r = np.exp(field.s_grid)
+    scale = r[:, None] ** -derive_exponents(field.params).beta
+    return ExtensionField(r, field.psi_grid, field.values * scale, field.params)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +101,7 @@ class TestExactField:
         fow = fowler_map(exact_field)
         r = float(exact_field.r_grid[80])
         a = energy_halfsphere(exact_field, r, P352)
-        b = energy_cylinder(fow, math.log(r), P352)
+        b = cylinder_energy_at(fow, math.log(r), P352)
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_trace_flat_with_constant_verdict(self, exact_field):
@@ -103,12 +114,11 @@ class TestExactField:
         psi = psi_nodes(CylinderGrid(n_psi=17))
         s = np.linspace(-1.0, 1.0, 11)
         fow = FowlerField(s, psi, np.zeros((11, 17)), P352)
-        assert energy_cylinder(fow, 0.0, P352) == 0.0
+        assert not energy_trace(fow, None, P352).E.any()
 
     def test_edge_samples_rejected(self, exact_field):
-        fow = fowler_map(exact_field)
         with pytest.raises(ValueError, match="edge"):
-            energy_cylinder(fow, float(fow.s_grid[0]), P352)
+            energy_halfsphere(exact_field, float(exact_field.r_grid[0]), P352)
 
     @pytest.mark.parametrize("lam,k", [(2.0, 32), (0.5, -32)])
     def test_scaling_invariance(self, lam, k):
@@ -193,10 +203,10 @@ class TestPerturbedEnergy:
         assert derivative_identity_check(tr) > 0.5
 
     def test_halfsphere_cylinder_agreement_on_solved_field(self, perturbed_solution):
-        ext = fowler_unmap(perturbed_solution.field)
+        ext = unmapped(perturbed_solution.field)
         r = float(ext.r_grid[30])
         a = energy_halfsphere(ext, r, SUB)
-        b = energy_cylinder(perturbed_solution.field, float(np.log(r)), SUB)
+        b = cylinder_energy_at(perturbed_solution.field, float(np.log(r)), SUB)
         scale = abs(closed_form_energy(SUB))
         assert abs(a - b) < 1e-4 * scale
 
@@ -211,7 +221,7 @@ class TestPerturbedEnergy:
         cut = FowlerField(fld.s_grid, fld.psi_grid[1:], fld.values[:, 1:], SUB)
         with pytest.raises(ValueError, match="psi grid"):
             energy_trace(cut, (-3.5, 3.5), SUB)
-        ext = fowler_unmap(cut)
+        ext = unmapped(cut)
         with pytest.raises(ValueError, match="psi grid"):
             energy_halfsphere(ext, float(ext.r_grid[30]), SUB)
 

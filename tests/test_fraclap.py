@@ -18,12 +18,10 @@ from hardyhenon.fraclap import (
     _frac_laplacian_raw,
     _pv_rule,
     check_Lsigma_membership,
-    combine_profiles,
     frac_laplacian_radial,
     power_profile,
     verify_fall_identity,
 )
-from hardyhenon.kelvin import kelvin_profile
 from hardyhenon.params import validate_params
 from hardyhenon.quadrature import _power_tail, angular_kernel, tail_moment_coefficient
 from hardyhenon.specialfn import lambda_multiplier, unit_sphere_area
@@ -144,7 +142,8 @@ class TestOperator:
         cfg = QuadratureConfig(tail_cutoff=1e5)
         u = power_profile(0.8)
         v = power_profile(1.2)
-        combo = combine_profiles([2.0, 3.0], [u, v])
+        combo = RadialProfile(evaluate=lambda r: 2.0 * u.evaluate(r) + 3.0 * v.evaluate(r),
+                              inner_exponent=1.2, outer_exponent=0.8)
         lhs = frac_laplacian_radial(combo, 1.3, P352, cfg)
         rhs = 2.0 * frac_laplacian_radial(u, 1.3, P352, cfg) + 3.0 * frac_laplacian_radial(
             v, 1.3, P352, cfg
@@ -236,8 +235,13 @@ class TestSingleEvaluation:
     def test_derived_profiles_match_reference_bitwise(self, kind, cfg):
         def make(power):
             if kind == "combined":
-                return combine_profiles([2.0, -0.3], [power(0.8), power(1.2, 3.0)])
-            return kelvin_profile(power(0.8, 2.0), 3, 0.5)
+                u, v = power(0.8), power(1.2, 3.0)
+                return RadialProfile(evaluate=lambda r: 2.0 * u.evaluate(r) - 0.3 * v.evaluate(r),
+                                     inner_exponent=1.2, outer_exponent=0.8)
+            # the Kelvin inversion r^-(n - 2 sigma) u(1 / r) at n = 3, sigma = 1/2
+            u = power(0.8, 2.0)
+            return RadialProfile(evaluate=lambda r: np.asarray(r, dtype=float) ** -2.0 * u.evaluate(1.0 / r),
+                                 inner_exponent=1.2, outer_exponent=1.2)
 
         new, old = make(power_profile), make(reference_power_profile)
         for r in SWEEP_RADII:
