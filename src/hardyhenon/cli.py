@@ -31,7 +31,9 @@ from .extension import (
     BARRIER_DELTA, BARRIER_FD_RATIO, BARRIER_H, BARRIER_LEVELS, BARRIER_MU, BARRIER_PSI, BARRIER_T0,
     FowlerField, _barrier_ladder, exact_extension_field, exact_sphere_profile, neumann_flux,
 )
-from .fraclap import DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity
+from .fraclap import (
+    _MAX_NODES, _MIN_NODES, DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity,
+)
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
 from .params import THRESHOLD_TOL, ParamError, classify_regime, derive_exponents, validate_params
 from .specialfn import (
@@ -260,6 +262,9 @@ def _cmd_verify_lemma(args):
         radii = [float(tok) for tok in args.radii.split(",")]
     except ValueError:
         raise ValueError(f"--radii must have the form R1,R2,... (numbers), got {args.radii!r}") from None
+    for flag, count in (("--nodes-radial", args.nodes_radial), ("--nodes-angular", args.nodes_angular)):
+        if not _MIN_NODES <= count <= _MAX_NODES:
+            raise ValueError(f"{flag} must lie in [{_MIN_NODES}, {_MAX_NODES}], got {count}")
     cfg = QuadratureConfig(nodes_radial=args.nodes_radial, nodes_angular=args.nodes_angular)
     report = verify_fall_identity(params, radii, cfg)
     results = {
@@ -286,6 +291,14 @@ def _node_counts(counts, name: str) -> tuple:
     if min(counts) < 5:
         raise ValueError(f"{name} needs at least 5 nodes on each axis, got {counts[0]} and {counts[1]}")
     return counts
+
+
+def _cylinder_grid(s_range, counts, name: str) -> CylinderGrid:
+    """The grid of ``s_range`` and ``counts``, an axial range it refuses named by ``name``."""
+    try:
+        return CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=counts[0], n_psi=counts[1])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _perturbation(eps, name: str):
@@ -355,10 +368,10 @@ def _cmd_solve_cylinder(args):
         raise ValueError(f'spec "params" must give the numbers n, sigma, alpha and p, got {raw!r}')
     params = validate_params(**raw)
     s_range = _spec_pair(spec, "s_range", [_DEFAULT_GRID.s_min, _DEFAULT_GRID.s_max], (int, float), "numbers")
-    n_s, n_psi = _node_counts(
+    counts = _node_counts(
         _spec_pair(spec, "grid", [_DEFAULT_GRID.n_s, _DEFAULT_GRID.n_psi], int, "integers"), 'spec "grid"')
     eps = _perturbation(spec.get("perturbation", 0.0), 'spec "perturbation"')
-    grid = CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=n_s, n_psi=n_psi)
+    grid = _cylinder_grid(s_range, counts, 'spec "s_range"')
     tolerances = {"tol_residual": args.tol_residual}
     try:
         result = solve_end_perturbed(params, eps, grid)
@@ -384,7 +397,7 @@ def _cmd_energy(args):
     s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
     n_s, n_psi = _node_counts(
         _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int), "--grid")
-    grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
+    grid = _cylinder_grid((s_lo, s_hi), (n_s, n_psi), "--s-range")
     tolerances = {"tol_drift": args.tol_drift}
     solver = {}
     if _perturbation(args.perturbation, "--perturbation") != 0.0:
@@ -417,17 +430,27 @@ def _cmd_barrier(args):
     if args.levels < 2:
         # one level gives no ratio, and an empty ratio list would pass the check
         raise ValueError(f"--levels must be at least 2, got {args.levels}")
+    # open at pi/2: the double nearest pi/2 has cosine 6e-17, not 0
+    if not 0.0 < args.psi < math.pi / 2.0:
+        raise ValueError(f"--psi must lie in (0, pi/2), got {args.psi!r}")
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
     point = (math.cos(args.psi), math.sin(args.psi))
     # level k halves the stencil step h min(cos psi, sin psi) k times, and the
     # difference quotients divide by its square: refuse a count whose finest
-    # step squares to zero (out-of-range h and psi are named by the ladder)
+    # step squares to zero (an out-of-range h is named by the ladder)
     finest = args.h * min(point) * 0.5 ** (args.levels - 1)
-    if args.h > 0.0 and min(point) > 0.0 and finest * finest == 0.0:
+    if args.h > 0.0 and finest * finest == 0.0:
         raise ValueError(
             f"--levels {args.levels} at --h {args.h!r} and --psi {args.psi!r} takes the finest "
             f"stencil step h min(cos psi, sin psi) 0.5^(levels-1) to {finest:.6g}, "
             "whose square underflows a double")
+    # the Neumann fit squares elevations up to t0 (1 + fd_ratio): refuse a t0
+    # whose square overflows (out-of-range t0 and fd_ratio are named by the ladder)
+    top = args.t0 * (1.0 + args.fd_ratio)
+    if args.t0 > 0.0 and 0.0 < args.fd_ratio < 1.0 and not top * top < math.inf:
+        raise ValueError(
+            f"--t0 {args.t0!r} at --fd-ratio {args.fd_ratio!r} takes the Neumann fit's largest "
+            f"elevation t0 (1 + fd_ratio) to {top:.6g}, whose square overflows a double")
     interior, neumann, ratios_i, ratios_n = _barrier_ladder(
         args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
     )

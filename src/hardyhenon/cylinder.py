@@ -103,6 +103,14 @@ class CylinderGrid:
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < 5:
                 raise ValueError(f"{name} must be at least 5, got {count}")
+        # the axial stencil divides by ds^2: a width, ds^2 or 1/ds^2 beyond a
+        # double would switch it off or end in a ZeroDivisionError
+        ds = (self.s_max - self.s_min) / (self.n_s - 1)
+        if not (ds < math.inf and 0.0 < ds * ds < math.inf and 1.0 / (ds * ds) < math.inf):
+            raise ValueError(
+                f"axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite and positive "
+                f"in a double, got s_min={self.s_min}, s_max={self.s_max}, n_s={self.n_s}"
+            )
 
     def refined(self) -> "CylinderGrid":
         return replace(self, n_s=2 * (self.n_s - 1) + 1, n_psi=2 * (self.n_psi - 1) + 1)

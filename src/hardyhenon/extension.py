@@ -520,7 +520,7 @@ def verify_barrier_identity(
     if not 0.0 < fd_ratio < 1.0:
         raise ValueError(f"requires 0 < fd_ratio < 1, got fd_ratio={fd_ratio}")
     q, t = point
-    if t <= 0.0 or q <= 0.0:
+    if not (t > 0.0 and q > 0.0):
         raise ValueError("the interior stencil point needs positive coordinates")
 
     def psi_fn(qq, tt):

@@ -334,7 +334,21 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: axial range needs finite s_min < s_max, got s_min=")
+        assert captured.err.startswith("error: --s-range: axial range needs finite s_min < s_max, got s_min=")
+
+    @pytest.mark.parametrize("s_range, eps", [("-1e308,1e308", "0"), ("0,1e-200", "0.05")],
+                             ids=["wide", "narrow"])
+    def test_energy_axial_step_must_fit_a_double(self, capsys, s_range, eps):
+        # the width overflowed to inf, which printed numpy warnings and then
+        # "window leaves fewer than three interior samples"; ds^2 underflowed
+        # to 0, which ended in a ZeroDivisionError traceback (exit 1)
+        code = run(["energy", *QUAD, "1.8", "--grid", "9x9", f"--s-range={s_range}",
+                    f"--perturbation={eps}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --s-range: axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite")
 
     @pytest.mark.parametrize("s_range", [[math.nan, 1], [-math.inf, 1], [2, 1]],
                              ids=["nan", "-inf", "reversed"])
@@ -345,7 +359,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: axial range needs finite s_min < s_max")
+        assert captured.err.startswith('error: spec "s_range": axial range needs finite s_min < s_max')
+
+    @pytest.mark.parametrize("s_range, grid", [([-1e308, 1e308], [9, 9]), ([0, 1e-320], [161, 65])],
+                             ids=["wide", "narrow"])
+    def test_spec_axial_step_must_fit_a_double(self, tmp_path, capsys, s_range, grid):
+        # the wide range once exited 0 with a "converged" field whose s column
+        # was NaN and inf; the narrow one ended in a ZeroDivisionError (exit 1)
+        spec = {**CONVERGING_SPEC, "s_range": s_range, "grid": grid}
+        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            'error: spec "s_range": axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite')
 
     @pytest.mark.parametrize("r_range", ["nan,1", "0,1", "-1,1", "2,1", "1,inf"])
     def test_extend_radial_range_must_be_finite_positive_and_ordered(self, capsys, r_range):
@@ -393,6 +420,17 @@ class TestUsageErrors:
         assert captured.err == (
             f"error: the closed-form ends overflow a double at r={float(radius)!r}\n")
 
+    @pytest.mark.parametrize("flag", ["--nodes-radial", "--nodes-angular"])
+    @pytest.mark.parametrize("count", ["4", "4097", "3000000", "100000000000000000000"])
+    def test_node_counts_name_the_flag(self, capsys, flag, count):
+        # 4 once printed "node counts must be at least 8", 3e6 ended in a
+        # MemoryError traceback and 1e20 in an OverflowError (exit 1)
+        code = run(["verify-lemma", *QUAD, "2", f"{flag}={count}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must lie in [8, 4096], got {count}\n"
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_barrier_needs_two_levels(self, capsys, levels):
         code = run(["barrier", "--levels", levels])
@@ -414,6 +452,27 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("psi", ["nan", "inf", "1.5707963267948966", "0"])
+    def test_barrier_psi_must_lie_in_the_open_quadrant(self, capsys, psi):
+        # nan once exited 1 with barrier_residual_decay_order, inf printed
+        # "math domain error", and pi/2 (cosine 6e-17) exited 1
+        code = run(["barrier", f"--psi={psi}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --psi must lie in (0, pi/2), got {float(psi)!r}\n"
+
+    @pytest.mark.parametrize("t0, top", [("inf", "inf"), ("1e308", "1.05e+308")])
+    def test_barrier_t0_whose_square_overflows(self, capsys, t0, top):
+        # each once printed numpy overflow warnings and exited 1
+        code = run(["barrier", f"--t0={t0}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --t0 {float(t0)!r} at --fd-ratio 0.05 takes the Neumann fit's largest elevation "
+            f"t0 (1 + fd_ratio) to {top}, whose square overflows a double\n")
 
     @pytest.mark.parametrize("h, levels, finest", [
         # at h = 0.01 and psi = 0.5 the 531st level's step, 0.01 sin(0.5)

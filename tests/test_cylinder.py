@@ -673,6 +673,17 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"^{name} must be at least 5, got 4$"):
             CylinderGrid(**{name: 4})
 
+    @pytest.mark.parametrize("s_min, s_max, n_s", [
+        (-1e308, 1e308, 9), (-1e200, 1e200, 9), (0.0, 1e-160, 9), (0.0, 1e-200, 9), (0.0, 1e-320, 161),
+    ], ids=["width-overflows", "ds2-overflows", "inverse-overflows", "ds2-underflows", "subnormal"])
+    def test_axial_step_beyond_a_double_is_refused(self, s_min, s_max, n_s):
+        # each once gave the axial stencil a coefficient of inf (ds = inf
+        # switches it off, 1/ds^2 = inf stalls the solve) or ended in an
+        # OverflowError or ZeroDivisionError in _axial_stencil
+        with pytest.raises(ValueError, match=r"^axial range must keep the width s_max - s_min, ds\^2 and "
+                                             r"1/ds\^2 finite and positive in a double, got s_min="):
+            CylinderGrid(s_min, s_max, n_s, 9)
+
     def test_numpy_integer_count_is_accepted(self):
         assert CylinderGrid(n_s=np.int64(9), n_psi=9) == CylinderGrid(n_s=9, n_psi=9)
 

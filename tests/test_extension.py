@@ -596,3 +596,10 @@ class TestBarrier:
     def test_scales_enforced(self, scales, bound):
         with pytest.raises(ValueError, match=f"requires {bound}"):
             verify_barrier_identity(0.8, 0.3, self.POINT, P352, **scales)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan), (0.0, 0.5), (0.5, -0.1)],
+                             ids=["nan-q", "nan-t", "zero-q", "negative-t"])
+    def test_stencil_point_must_be_positive(self, point):
+        # a NaN coordinate once passed and ended as a failed decay order
+        with pytest.raises(ValueError, match="needs positive coordinates"):
+            verify_barrier_identity(0.8, 0.3, point, P352)

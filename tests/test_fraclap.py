@@ -288,9 +288,13 @@ class TestSingleEvaluation:
 
 
 class TestConfig:
-    def test_node_minimum_enforced(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes_radial=4)
+    @pytest.mark.parametrize("name", ["nodes_radial", "nodes_angular"])
+    @pytest.mark.parametrize("count", [4, 4097, 10 ** 20])
+    def test_node_range_refused_by_name(self, name, count):
+        # 1e20 once ended in an OverflowError inside numpy's leggauss, and
+        # 3e6 asked for 65.5 TiB; the refusal comes before any rule is built
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[8, 4096\], got {count}$"):
+            QuadratureConfig(**{name: count})
 
 
 class TestFallIdentity:
