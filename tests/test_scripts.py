@@ -12,8 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script", ["fall_identity_sweep.py", "monotonicity_experiment.py", "compare_suite.py",
-               "cylinder_digests.py"]
+    "script", ["fall_identity_sweep.py", "compare_suite.py", "cylinder_digests.py"]
 )
 def test_help_exits_zero(script):
     proc = subprocess.run(
