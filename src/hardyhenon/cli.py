@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 
@@ -286,32 +287,33 @@ def _parse_pair(token: str, flag: str, form: str, sep: str, kind) -> tuple:
         raise ValueError(f"{flag} must have the form {form}, got {token!r}") from None
 
 
-def _node_counts(counts, name: str) -> tuple:
-    """The two node counts of a grid, refused by ``name`` when one is below ``CylinderGrid``'s 5."""
+def _node_counts(counts) -> tuple:
+    """The two node counts of ``--grid``, refused when one is below ``CylinderGrid``'s 5."""
     if min(counts) < 5:
-        raise ValueError(f"{name} needs at least 5 nodes on each axis, got {counts[0]} and {counts[1]}")
+        raise ValueError(f"--grid needs at least 5 nodes on each axis, got {counts[0]} and {counts[1]}")
     return counts
 
 
-def _cylinder_grid(s_range, counts, name: str) -> CylinderGrid:
-    """The grid of ``s_range`` and ``counts``, an axial range it refuses named by ``name``."""
+def _cylinder_problem(args):
+    """(params, grid, eps) of the flags that ``_add_cylinder_problem`` declares.
+
+    eps perturbs the end data to (1 + eps) phi, which must be finite and positive.
+    """
+    params = _params_from(args)
+    s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
+    n_s, n_psi = _node_counts(_parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int))
     try:
-        return CylinderGrid(s_min=s_range[0], s_max=s_range[1], n_s=counts[0], n_psi=counts[1])
+        grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _perturbation(eps, name: str):
-    """eps of the end data (1 + eps) phi, which must be finite and positive."""
-    if not (_is_number(eps) and -1.0 < eps < math.inf):
-        raise ValueError(f"{name} must be a finite number > -1, got {eps!r}")
-    return eps
+        raise ValueError(f"--s-range: {exc}") from None
+    if not -1.0 < args.perturbation < math.inf:
+        raise ValueError(f"--perturbation must be a finite number > -1, got {args.perturbation!r}")
+    return params, grid, args.perturbation
 
 
 def _cmd_extend(args):
     params = _params_from(args)
-    n_r, n_psi = _node_counts(
-        _parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int), "--grid")
+    n_r, n_psi = _node_counts(_parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int))
     r_lo, r_hi = _parse_pair(args.r_range, "--r-range", "LO,HI (two numbers)", ",", float)
     if not 0.0 < r_lo < r_hi < math.inf:
         raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
@@ -343,35 +345,8 @@ def _cmd_extend(args):
     return params, results, {"tol_flux_fit": args.tol_flux}, violations
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _spec_pair(spec: dict, key: str, default: list, kind, what: str) -> list:
-    value = spec.get(key, default)
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v, kind) for v in value)):
-        raise ValueError(f'spec "{key}" must be a list of two {what}, got {value!r}')
-    return value
-
-
 def _cmd_solve_cylinder(args):
-    with open(args.spec) as f:
-        spec = json.load(f)
-    if not isinstance(spec, dict) or not isinstance(spec.get("params"), dict):
-        raise ValueError('spec must be a JSON object with a "params" object')
-    unknown = sorted(set(spec) - {"params", "s_range", "grid", "perturbation"})
-    if unknown:
-        # a misspelled key would otherwise fall back to its default unseen
-        raise ValueError(f"spec has unknown keys {unknown}")
-    raw = spec["params"]
-    if set(raw) != {"n", "sigma", "alpha", "p"} or not all(_is_number(v) for v in raw.values()):
-        raise ValueError(f'spec "params" must give the numbers n, sigma, alpha and p, got {raw!r}')
-    params = validate_params(**raw)
-    s_range = _spec_pair(spec, "s_range", [_DEFAULT_GRID.s_min, _DEFAULT_GRID.s_max], (int, float), "numbers")
-    counts = _node_counts(
-        _spec_pair(spec, "grid", [_DEFAULT_GRID.n_s, _DEFAULT_GRID.n_psi], int, "integers"), 'spec "grid"')
-    eps = _perturbation(spec.get("perturbation", 0.0), 'spec "perturbation"')
-    grid = _cylinder_grid(s_range, counts, 'spec "s_range"')
+    params, grid, eps = _cylinder_problem(args)
     tolerances = {"tol_residual": args.tol_residual}
     try:
         result = solve_end_perturbed(params, eps, grid)
@@ -393,16 +368,13 @@ def _cmd_solve_cylinder(args):
 
 
 def _cmd_energy(args):
-    params = _params_from(args)
-    s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
-    n_s, n_psi = _node_counts(
-        _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int), "--grid")
-    grid = _cylinder_grid((s_lo, s_hi), (n_s, n_psi), "--s-range")
+    params, grid, eps = _cylinder_problem(args)
+    s_lo, s_hi, n_s = grid.s_min, grid.s_max, grid.n_s
     tolerances = {"tol_drift": args.tol_drift}
     solver = {}
-    if _perturbation(args.perturbation, "--perturbation") != 0.0:
+    if eps != 0.0:
         try:
-            solved = solve_end_perturbed(params, args.perturbation, grid)
+            solved = solve_end_perturbed(params, eps, grid)
         except SolverDivergence as exc:
             return _divergence(params, exc, tolerances)
         field = solved.field
@@ -451,9 +423,16 @@ def _cmd_barrier(args):
         raise ValueError(
             f"--t0 {args.t0!r} at --fd-ratio {args.fd_ratio!r} takes the Neumann fit's largest "
             f"elevation t0 (1 + fd_ratio) to {top:.6g}, whose square overflows a double")
-    interior, neumann, ratios_i, ratios_n = _barrier_ladder(
-        args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
-    )
+    try:
+        interior, neumann, ratios_i, ratios_n = _barrier_ladder(
+            args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
+        )
+    except ValueError as exc:
+        # verify_barrier_identity refuses a value by its keyword ("got t0=nan"): name its flag
+        refused = re.search(r"got (\w+)=", str(exc))
+        if refused is None:
+            raise
+        raise ValueError(f"--{refused[1].replace('_', '-')}: {exc}") from None
     results = {
         "columns": ["level", "interior_residual", "neumann_residual"],
         "rows": [[k, interior[k], neumann[k]] for k in range(args.levels)],
@@ -509,6 +488,19 @@ def _add_params(sp):
     sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent (> 1)")
 
 
+def _add_cylinder_problem(sp):
+    """The flags of a cylinder problem, which ``_cylinder_problem`` reads.
+
+    The axial window and the grid default to ``CylinderGrid()``'s.
+    """
+    _add_params(sp)
+    sp.add_argument("--s-range", default=f"{_DEFAULT_GRID.s_min:g},{_DEFAULT_GRID.s_max:g}",
+                    help="axial window LO,HI")
+    sp.add_argument("--grid", default=f"{_DEFAULT_GRID.n_s}x{_DEFAULT_GRID.n_psi}", help="NSxNPSI")
+    sp.add_argument("--perturbation", type=float, default=0.0,
+                    help="eps of the end data (1 + eps) phi at s_min; finite, > -1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand, built once per process.
 
@@ -558,20 +550,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_extend)
 
-    sp = sub.add_parser("solve-cylinder", help="nonlinear cylinder solve from a JSON spec")
-    sp.add_argument("--spec", required=True,
-                    help='JSON file: {"params": {...}, "s_range": [a,b], "grid": [ns,npsi], '
-                         '"perturbation": eps}')
+    sp = sub.add_parser("solve-cylinder", help="nonlinear cylinder solve with end data (1 + eps) phi")
+    _add_cylinder_problem(sp)
     _add_tolerance(sp, "--tol-residual", 1e-8, "largest Newton residual norm")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_solve_cylinder)
 
     sp = sub.add_parser("energy", help="energy trace and monotonicity verdict")
-    _add_params(sp)
-    sp.add_argument("--s-range", default=f"{_DEFAULT_GRID.s_min:g},{_DEFAULT_GRID.s_max:g}")
-    sp.add_argument("--grid", default=f"{_DEFAULT_GRID.n_s}x{_DEFAULT_GRID.n_psi}",
-                    help="NSxNPSI")
-    sp.add_argument("--perturbation", type=float, default=0.0)
+    _add_cylinder_problem(sp)
     _add_tolerance(sp, "--tol-drift", 1e-4, "slope allowed against sign(J1), in units of max |E|")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=_cmd_energy)
@@ -637,7 +623,7 @@ def run(argv: list[str] | None = None) -> int:
     except ParamError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -28,29 +28,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 
 
+QUAD = ["--n", "3", "--sigma", "0.5", "--alpha", "0", "--p"]
 # a length-3.5 window is Dirichlet-resonant for this configuration: Newton
 # stalls near a residual of 1e-5
-RESONANT_SPEC = {
-    "params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8},
-    "s_range": [-1.75, 1.75], "grid": [71, 33], "perturbation": 0.05,
-}
-CONVERGING_SPEC = {**RESONANT_SPEC, "s_range": [-4, 4], "grid": [41, 17]}
-QUAD = ["--n", "3", "--sigma", "0.5", "--alpha", "0", "--p"]
+RESONANT = [*QUAD, "1.8", "--s-range=-1.75,1.75", "--grid", "71x33", "--perturbation", "0.05"]
+CONVERGING = [*QUAD, "1.8", "--s-range=-4,4", "--grid", "41x17", "--perturbation", "0.05"]
 
 
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
-
-
-def with_spec(tmp_path, argv):
-    """argv with each dict in it written to a JSON file and replaced by its path."""
-    path = tmp_path / "spec.json"
-    for arg in argv:
-        if isinstance(arg, dict):
-            path.write_text(json.dumps(arg))
-    return [str(path) if isinstance(arg, dict) else arg for arg in argv]
 
 
 def _clean(obj):
@@ -143,15 +131,15 @@ class TestEveryReport:
         "energy-exact": ["energy", *QUAD, "2", "--grid", "41x17"],
         "energy-perturbed": ["energy", *QUAD, "1.8", "--grid", "41x17", "--perturbation", "0.05"],
         "barrier": ["barrier"],
-        "solve-cylinder-converging": ["solve-cylinder", "--spec", CONVERGING_SPEC],
-        "solve-cylinder-diverging": ["solve-cylinder", "--spec", RESONANT_SPEC],
+        "solve-cylinder-converging": ["solve-cylinder", *CONVERGING],
+        "solve-cylinder-diverging": ["solve-cylinder", *RESONANT],
     }
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("case", CASES)
     def test_validates_against_shipped_schema(self, tmp_path, capsys, case, out):
         path = tmp_path / "out.csv"
-        argv = with_spec(tmp_path, self.CASES[case]) + (["--out", str(path)] if out else [])
+        argv = self.CASES[case] + (["--out", str(path)] if out else [])
         _, rep = run_json(capsys, argv)
         jsonschema.validate(rep, SCHEMA)
         assert rep["command"] == argv[0]
@@ -225,60 +213,6 @@ class TestUsageErrors:
         assert code == 2
         assert "sigma out of range" in captured.err
 
-    @pytest.mark.parametrize("spec", [
-        {},
-        {"params": {"n": 3}},
-        [],
-        {"params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8}, "s_range": [-1]},
-        {"params": {"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8}, "srange": [-1, 1]},
-    ], ids=["empty", "partial-params", "array", "short-s-range", "misspelled-key"])
-    def test_malformed_cylinder_spec_exits_two(self, tmp_path, capsys, spec):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        code = run(["solve-cylinder", "--spec", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: spec")
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_energy_perturbation_exits_two(self, capsys, value):
-        # NaN end data once passed as a converged solve (exit 0, verdict
-        # Constant), and inf ones failed inside the capacitance LU
-        code = run(["energy", *QUAD, "1.8", "--perturbation", value])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: --perturbation must be a finite number > -1, got {value}\n"
-
-    def test_non_finite_spec_perturbation_exits_two(self, tmp_path, capsys):
-        # JSON NaN is a number; the solve once ended in a solver_residual violation
-        spec = {**CONVERGING_SPEC, "perturbation": math.nan}
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == 'error: spec "perturbation" must be a finite number > -1, got nan\n'
-
-    # end data (1 + eps) phi at or below 0 once read "boundary data must be
-    # strictly positive", naming neither the flag nor the spec key
-    @pytest.mark.parametrize("value", ["-1", "-2"])
-    def test_energy_perturbation_must_exceed_minus_one(self, capsys, value):
-        code = run(["energy", *QUAD, "1.8", "--perturbation", value])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: --perturbation must be a finite number > -1, got {float(value)}\n"
-
-    def test_spec_perturbation_must_exceed_minus_one(self, tmp_path, capsys):
-        spec = {**CONVERGING_SPEC, "perturbation": -2}
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == 'error: spec "perturbation" must be a finite number > -1, got -2\n'
-
     @pytest.mark.parametrize("radii", ["1,,2", "abc", "1,2,"])
     def test_malformed_radii_name_the_flag(self, capsys, radii):
         # these once read "could not convert string to float"
@@ -303,7 +237,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         (["verify-lemma", *QUAD, "2"], "--tol-fall"),
         (["extend", *QUAD, "1.8", "--grid", "9x9"], "--tol-flux"),
-        (["solve-cylinder", "--spec", "unread.json"], "--tol-residual"),
+        (["solve-cylinder", *QUAD, "1.8"], "--tol-residual"),
         (["energy", *QUAD, "1.8"], "--tol-drift"),
         (["barrier"], "--tol-order"),
         (["kelvin", *QUAD, "1.8"], "--tol-invariance"),
@@ -326,53 +260,6 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == (
             f"parameter error: nonlinearity exponent must exceed 1 and be finite: p={float(p)}\n")
-
-    @pytest.mark.parametrize("s_range", ["nan,1", "-inf,1", "1,inf", "1,nan", "1,1"])
-    def test_energy_axial_range_must_be_finite_and_ordered(self, capsys, s_range):
-        # nan once gave NaN rows with exit 0, -inf numpy warnings before exit 2
-        code = run(["energy", *QUAD, "1.8", "--grid", "9x9", f"--s-range={s_range}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: --s-range: axial range needs finite s_min < s_max, got s_min=")
-
-    @pytest.mark.parametrize("s_range, eps", [("-1e308,1e308", "0"), ("0,1e-200", "0.05")],
-                             ids=["wide", "narrow"])
-    def test_energy_axial_step_must_fit_a_double(self, capsys, s_range, eps):
-        # the width overflowed to inf, which printed numpy warnings and then
-        # "window leaves fewer than three interior samples"; ds^2 underflowed
-        # to 0, which ended in a ZeroDivisionError traceback (exit 1)
-        code = run(["energy", *QUAD, "1.8", "--grid", "9x9", f"--s-range={s_range}",
-                    f"--perturbation={eps}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "error: --s-range: axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite")
-
-    @pytest.mark.parametrize("s_range", [[math.nan, 1], [-math.inf, 1], [2, 1]],
-                             ids=["nan", "-inf", "reversed"])
-    def test_spec_axial_range_must_be_finite_and_ordered(self, tmp_path, capsys, s_range):
-        # NaN once ran a full solve and exited 1 with solver_residual
-        spec = {**CONVERGING_SPEC, "s_range": s_range}
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith('error: spec "s_range": axial range needs finite s_min < s_max')
-
-    @pytest.mark.parametrize("s_range, grid", [([-1e308, 1e308], [9, 9]), ([0, 1e-320], [161, 65])],
-                             ids=["wide", "narrow"])
-    def test_spec_axial_step_must_fit_a_double(self, tmp_path, capsys, s_range, grid):
-        # the wide range once exited 0 with a "converged" field whose s column
-        # was NaN and inf; the narrow one ended in a ZeroDivisionError (exit 1)
-        spec = {**CONVERGING_SPEC, "s_range": s_range, "grid": grid}
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(
-            'error: spec "s_range": axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite')
 
     @pytest.mark.parametrize("r_range", ["nan,1", "0,1", "-1,1", "2,1", "1,inf"])
     def test_extend_radial_range_must_be_finite_positive_and_ordered(self, capsys, r_range):
@@ -439,19 +326,23 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: --levels must be at least 2, got {levels}\n"
 
+    # verify_barrier_identity holds the bounds and names its keyword; these
+    # once left the flag unnamed, "error: requires t0 > 0, got t0=nan"
     @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "5", "requires 0 < mu < n - 2*sigma, got mu=5.0"),
+        ("--delta", "0.7", "requires 0 <= delta < 1/2, got delta=0.7"),
         ("--h", "0", "requires 0 < h < 1, got h=0.0"),
-        ("--t0", "0", "requires t0 > 0, got t0=0.0"),
+        ("--t0", "nan", "requires t0 > 0, got t0=nan"),
         ("--t0", "-0.05", "requires t0 > 0, got t0=-0.05"),
         ("--fd-ratio", "0", "requires 0 < fd_ratio < 1, got fd_ratio=0.0"),
         ("--fd-ratio", "1.5", "requires 0 < fd_ratio < 1, got fd_ratio=1.5"),
     ])
-    def test_barrier_scales_out_of_range(self, capsys, flag, value, message):
+    def test_barrier_scalar_out_of_range_names_the_flag(self, capsys, flag, value, message):
         code = run(["barrier", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {flag}: {message}\n"
 
     @pytest.mark.parametrize("psi", ["nan", "inf", "1.5707963267948966", "0"])
     def test_barrier_psi_must_lie_in_the_open_quadrant(self, capsys, psi):
@@ -498,9 +389,6 @@ class TestUsageErrors:
         ("extend", "--grid", "NRxNPSI (two integers)", "9xa"),
         ("extend", "--r-range", "LO,HI (two numbers)", "1"),
         ("extend", "--r-range", "LO,HI (two numbers)", "1,2,3"),
-        ("energy", "--grid", "NSxNPSI (two integers)", "81x65x3"),
-        ("energy", "--s-range", "LO,HI (two numbers)", "1"),
-        ("energy", "--s-range", "LO,HI (two numbers)", "a,1"),
     ])
     def test_malformed_grid_and_range_name_the_flag(self, capsys, command, flag, form, value):
         # these once read "too many values to unpack (expected 2)"
@@ -510,22 +398,96 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must have the form {form}, got {value!r}\n"
 
-    @pytest.mark.parametrize("command, a, b", [("extend", 4, 9), ("energy", 9, 4)])
-    def test_grid_below_five_nodes_names_the_flag(self, capsys, command, a, b):
+    def test_grid_below_five_nodes_names_the_flag(self, capsys):
         # this once read "grid too small"
-        code = run([command, *QUAD, "1.8", "--grid", f"{a}x{b}"])
+        code = run(["extend", *QUAD, "1.8", "--grid", "4x9"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: --grid needs at least 5 nodes on each axis, got {a} and {b}\n"
+        assert captured.err == "error: --grid needs at least 5 nodes on each axis, got 4 and 9\n"
 
-    def test_spec_grid_below_five_nodes_names_the_key(self, tmp_path, capsys):
-        spec = {**CONVERGING_SPEC, "grid": [4, 9]}
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+
+class TestCylinderProblemFlags:
+    """``energy`` and ``solve-cylinder`` read one set of flags and refuse a problem alike."""
+
+    FORM = "must have the form"
+    ORDER = "--s-range: axial range needs finite s_min < s_max, got"
+    STEP = ("--s-range: axial range must keep the width s_max - s_min, ds^2 and 1/ds^2 finite "
+            "and positive in a double, got")
+    EPS = "--perturbation must be a finite number > -1, got"
+    CASES = {
+        # this once read "grid too small"
+        "grid-below-five-s": (["--grid", "4x9"], "--grid needs at least 5 nodes on each axis, got 4 and 9"),
+        "grid-below-five-psi": (["--grid", "9x4"], "--grid needs at least 5 nodes on each axis, got 9 and 4"),
+        # the malformed ones once read "too many values to unpack (expected 2)"
+        "grid-three-counts": (["--grid=81x65x3"], f"--grid {FORM} NSxNPSI (two integers), got '81x65x3'"),
+        "grid-one-count": (["--grid=81"], f"--grid {FORM} NSxNPSI (two integers), got '81'"),
+        "grid-not-integer": (["--grid=9xa"], f"--grid {FORM} NSxNPSI (two integers), got '9xa'"),
+        "s-range-one-number": (["--s-range=1"], f"--s-range {FORM} LO,HI (two numbers), got '1'"),
+        "s-range-three-numbers": (["--s-range=1,2,3"], f"--s-range {FORM} LO,HI (two numbers), got '1,2,3'"),
+        "s-range-not-number": (["--s-range=a,1"], f"--s-range {FORM} LO,HI (two numbers), got 'a,1'"),
+        # nan once gave NaN rows with exit 0, or a full solve that ended in
+        # solver_residual; -inf printed numpy warnings before exit 2
+        "s-range-nan-low": (["--s-range=nan,1"], f"{ORDER} s_min=nan, s_max=1.0"),
+        "s-range-nan-high": (["--s-range=1,nan"], f"{ORDER} s_min=1.0, s_max=nan"),
+        "s-range-inf-low": (["--s-range=-inf,1"], f"{ORDER} s_min=-inf, s_max=1.0"),
+        "s-range-inf-high": (["--s-range=1,inf"], f"{ORDER} s_min=1.0, s_max=inf"),
+        "s-range-reversed": (["--s-range=2,1"], f"{ORDER} s_min=2.0, s_max=1.0"),
+        "s-range-empty": (["--s-range=1,1"], f"{ORDER} s_min=1.0, s_max=1.0"),
+        # the width overflowed to inf, which printed numpy warnings or gave a
+        # "converged" field with NaN and inf in its s column; ds^2
+        # underflowed to 0, which ended in a ZeroDivisionError (exit 1)
+        "step-wide": (["--s-range=-1e308,1e308", "--grid", "9x9"],
+                      f"{STEP} s_min=-1e+308, s_max=1e+308, n_s=9"),
+        "step-narrow": (["--s-range=0,1e-200", "--grid", "9x9", "--perturbation", "0.05"],
+                        f"{STEP} s_min=0.0, s_max=1e-200, n_s=9"),
+        "step-subnormal": (["--s-range=0,1e-320", "--perturbation", "0.05"],
+                           f"{STEP} s_min=0.0, s_max=1e-320, n_s=161"),
+        # NaN end data once passed as a converged solve (exit 0, verdict
+        # Constant), and inf ones failed inside the capacitance LU; end data
+        # (1 + eps) phi at or below 0 once read "boundary data must be
+        # strictly positive", naming no flag
+        "perturbation-nan": (["--perturbation", "nan"], f"{EPS} nan"),
+        "perturbation-inf": (["--perturbation", "inf"], f"{EPS} inf"),
+        "perturbation-minus-inf": (["--perturbation=-inf"], f"{EPS} -inf"),
+        "perturbation-minus-one": (["--perturbation", "-1"], f"{EPS} -1.0"),
+        "perturbation-minus-two": (["--perturbation", "-2"], f"{EPS} -2.0"),
+    }
+    COMMANDS = ("energy", "solve-cylinder")
+
+    @staticmethod
+    def refusal(capsys, argv):
+        """The exit status and stderr of ``argv``, which must print nothing to stdout."""
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
         captured = capsys.readouterr()
-        assert code == 2
         assert captured.out == ""
-        assert captured.err == 'error: spec "grid" needs at least 5 nodes on each axis, got 4 and 9\n'
+        return code, captured.err
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_alike_and_named(self, capsys, case):
+        flags, line = self.CASES[case]
+        refusals = [self.refusal(capsys, [command, *QUAD, "1.8", *flags]) for command in self.COMMANDS]
+        assert refusals == [(2, f"error: {line}\n")] * 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_float_dimension_is_refused(self, capsys, command):
+        # a JSON spec once took "n": 3.0 and solved it, while energy refused it
+        code, err = self.refusal(capsys, [command, "--n=3.0", "--sigma=0.5", "--alpha=0", "--p=1.8"])
+        assert code == 2
+        assert err.splitlines()[-1] == f"hardyhenon {command}: error: argument --n: invalid int value: '3.0'"
+
+    def test_spec_file_is_an_unrecognized_argument(self, capsys):
+        code, err = self.refusal(capsys, ["solve-cylinder", *QUAD, "1.8", "--spec", "spec.json"])
+        assert code == 2
+        assert err.splitlines()[-1] == "hardyhenon: error: unrecognized arguments: --spec spec.json"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults_are_the_default_grid(self, command):
+        args = cli._parsers()[1][command].parse_args([*QUAD, "1.8"])
+        assert cli._cylinder_problem(args)[1:] == (cylinder.CylinderGrid(), 0.0)
 
 
 class TestDeterminism:
@@ -573,8 +535,8 @@ class TestReportWriter:
                                "--alpha", "-1.8299003669778384", "--p", "1.0012244109248665"],
         "verify-lemma": ["verify-lemma", *QUAD, "2", "--radii", "0.5,1,2"],
         "extend": ["extend", *QUAD, "1.8", "--grid", "9x9"],
-        "solve-cylinder-converging": ["solve-cylinder", "--spec", CONVERGING_SPEC],
-        "solve-cylinder-diverging": ["solve-cylinder", "--spec", RESONANT_SPEC],
+        "solve-cylinder-converging": ["solve-cylinder", *CONVERGING],
+        "solve-cylinder-diverging": ["solve-cylinder", *RESONANT],
         "energy-exact": ["energy", *QUAD, "2", "--grid", "41x17"],
         "energy-perturbed": ["energy", *QUAD, "1.8", "--grid", "41x17", "--perturbation", "0.05"],
         "barrier": ["barrier"],
@@ -582,13 +544,13 @@ class TestReportWriter:
         # the CSV bytes of a key-value and of a table report, and their stdout
         "verify-lemma-out": ["verify-lemma", *QUAD, "2", "--radii", "0.5,1,2", "--out"],
         "energy-out": ["energy", *QUAD, "2", "--grid", "41x33", "--s-range=-4,4", "--out"],
-        "solve-cylinder-diverging-out": ["solve-cylinder", "--spec", RESONANT_SPEC, "--out"],
+        "solve-cylinder-diverging-out": ["solve-cylinder", *RESONANT, "--out"],
         "suite-out": ["suite", "--out"],
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_report_matches_reference(self, tmp_path, capsys, reference_bytes, case):
-        argv = with_spec(tmp_path, self.CASES[case])
+        argv = list(self.CASES[case])
         path = tmp_path / "out.csv"
         if argv[-1] == "--out":
             argv.append(str(path))
@@ -702,13 +664,12 @@ class TestElapsed:
         (["extend", *QUAD, "2", "--grid", "9x17"], 0),
         # a diverging solve reports no field, so serializing the report
         # costs little against the solve
-        (["solve-cylinder", "--spec", RESONANT_SPEC], 1),
+        (["solve-cylinder", *RESONANT], 1),
     ], ids=["extend", "solve-cylinder"])
-    def test_elapsed_covers_the_computation(self, tmp_path, capsys, argv, code):
+    def test_elapsed_covers_the_computation(self, capsys, argv, code):
         # with the flux rule cached by earlier tests, extend's computation is
         # cheaper than serializing its field; time the cold computation
         _flux_rule.cache_clear()
-        argv = with_spec(tmp_path, argv)
         t0 = time.perf_counter()
         got = run(argv)
         wall = time.perf_counter() - t0
@@ -723,14 +684,11 @@ class TestSolverReport:
         # |J1| L / 2 = 10 on this window at J1 = 2: past the separable step's bound
         ([-5, 5], [101, 33], "banded_lu"),
     ])
-    def test_solve_cylinder_names_its_linear_solver(self, tmp_path, capsys, s_range, grid, solver):
-        params = ({"n": 3, "sigma": 0.5, "alpha": 0.0, "p": 1.8} if solver == "separable"
-                  else {"n": 4, "sigma": 0.75, "alpha": 0.0, "p": 5.0 / 3.0})
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(
-            {"params": params, "s_range": s_range, "grid": grid, "perturbation": 0.05}
-        ))
-        code, rep = run_json(capsys, ["solve-cylinder", "--spec", str(spec)])
+    def test_solve_cylinder_names_its_linear_solver(self, capsys, s_range, grid, solver):
+        params = ([*QUAD, "1.8"] if solver == "separable"
+                  else ["--n", "4", "--sigma", "0.75", "--alpha", "0", "--p", repr(5.0 / 3.0)])
+        code, rep = run_json(capsys, ["solve-cylinder", *params, f"--s-range={s_range[0]},{s_range[1]}",
+                                      "--grid", f"{grid[0]}x{grid[1]}", "--perturbation", "0.05"])
         jsonschema.validate(rep, SCHEMA)
         assert code == 0
         res = rep["results"]
@@ -766,8 +724,8 @@ class TestUnperturbedEnergy:
 
 
 class TestSolverDivergence:
-    def test_resonant_window_reports_named_violation(self, tmp_path, capsys):
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", RESONANT_SPEC]))
+    def test_resonant_window_reports_named_violation(self, capsys):
+        code = run(["solve-cylinder", *RESONANT])
         captured = capsys.readouterr()
         rep = json.loads(captured.out)
         jsonschema.validate(rep, SCHEMA)
@@ -777,11 +735,11 @@ class TestSolverDivergence:
         assert len(history) == rep["results"]["iterations"] + 1
         assert history[-1] == rep["results"]["residual_norm"] > 1e-8
 
-    def test_singular_newton_matrix_reports_named_violation(self, tmp_path, capsys, monkeypatch):
+    def test_singular_newton_matrix_reports_named_violation(self, capsys, monkeypatch):
         # a zero pivot in the step's factorization is a failed solve (exit
         # 1), not a usage error (exit 2)
         monkeypatch.setattr(cylinder, "_separable_factor", lambda *_: lambda d: None)
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", CONVERGING_SPEC]))
+        code = run(["solve-cylinder", *CONVERGING])
         captured = capsys.readouterr()
         rep = json.loads(captured.out)
         jsonschema.validate(rep, SCHEMA)
@@ -790,18 +748,17 @@ class TestSolverDivergence:
         assert rep["results"]["message"] == "Newton matrix is singular at iteration 1"
         assert rep["results"]["iterations"] == 0
 
-    @pytest.mark.parametrize("spec, message", [
-        ({"params": {"n": 3, "sigma": 0.5, "alpha": 0, "p": 1.8}, "perturbation": 1e308},
-         "Newton step is not finite at iteration 1"),
-        ({"params": {"n": 4, "sigma": 0.75, "alpha": 0, "p": 5.0 / 3.0}, "s_range": [-3, 3],
-          "grid": [5, 33], "perturbation": 1e308},
+    @pytest.mark.parametrize("flags, message", [
+        ([*QUAD, "1.8", "--perturbation", "1e308"], "Newton step is not finite at iteration 1"),
+        (["--n", "4", "--sigma", "0.75", "--alpha", "0", "--p", repr(5.0 / 3.0), "--s-range=-3,3",
+          "--grid", "5x33", "--perturbation", "1e308"],
          "Newton stalled at iteration 1: no step length down to 1/1024 lowers the residual 2.665e+307"),
     ], ids=["separable", "banded_lu"])
-    def test_non_finite_step_reports_named_violation(self, tmp_path, capsys, spec, message):
+    def test_non_finite_step_reports_named_violation(self, capsys, flags, message):
         # finite end data whose step is not: the separable path once printed
         # numpy overflow warnings and exited 2 with the factor's bare
         # ValueError, while the banded path's line search refused the step
-        code = run(with_spec(tmp_path, ["solve-cylinder", "--spec", spec]))
+        code = run(["solve-cylinder", *flags])
         captured = capsys.readouterr()
         rep = json.loads(captured.out)
         jsonschema.validate(rep, SCHEMA)
@@ -864,12 +821,12 @@ class TestStartUp:
         assert "scipy.linalg" in modules
         assert [m for m in modules if m.startswith(("scipy.sparse", "scipy.fft"))] == []
 
-    def test_fallback_solve_loads_no_sparse_module(self, tmp_path):
+    def test_fallback_solve_loads_no_sparse_module(self):
         # |J1| L / 2 = 10 on this window at J1 = 2: the steps go to the
         # banded LU, which LAPACK factors from band storage
-        spec = {"params": {"n": 4, "sigma": 0.75, "alpha": 0.0, "p": 5.0 / 3.0},
-                "s_range": [-5, 5], "grid": [101, 33], "perturbation": 0.05}
-        codes, modules = self.scipy_modules_after([with_spec(tmp_path, ["solve-cylinder", "--spec", spec])])
+        argv = ["solve-cylinder", "--n", "4", "--sigma", "0.75", "--alpha", "0", "--p", repr(5.0 / 3.0),
+                "--s-range=-5,5", "--grid", "101x33", "--perturbation", "0.05"]
+        codes, modules = self.scipy_modules_after([argv])
         assert codes == [0]
         assert "scipy.linalg" in modules
         assert [m for m in modules if m.startswith("scipy.sparse")] == []

@@ -11,9 +11,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script", ["fall_identity_sweep.py", "compare_suite.py", "cylinder_digests.py"]
-)
+@pytest.mark.parametrize("script", ["compare_suite.py", "cylinder_digests.py"])
 def test_help_exits_zero(script):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--help"],
