@@ -8,6 +8,13 @@ times it, argument validation included, and builds and emits the report.
 Defaults that the library or the acceptance suite also uses are read from them.
 Exit status: 0 when all checks pass their tolerances, 1 on a tolerance
 violation (the violated check is named), 2 on usage errors.
+
+The library refuses, the CLI names the flag: each input bound is checked
+only by the library function that owns the input, which raises ValueError
+naming its keyword ("got t0=nan").  ``run`` prefixes the message with that
+keyword's flag, ``--`` and the keyword with dashes for underscores, or the
+flag that ``_KEYWORD_FLAGS`` gives (``r`` is ``--radii``).  The handlers
+check only the form of their own flags.
 """
 
 from __future__ import annotations
@@ -32,9 +39,7 @@ from .extension import (
     BARRIER_DELTA, BARRIER_FD_RATIO, BARRIER_H, BARRIER_LEVELS, BARRIER_MU, BARRIER_PSI, BARRIER_T0,
     FowlerField, _barrier_ladder, exact_extension_field, exact_sphere_profile, neumann_flux,
 )
-from .fraclap import (
-    _MAX_NODES, _MIN_NODES, DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity,
-)
+from .fraclap import DEFAULT_CONFIG, QuadratureConfig, power_profile, verify_fall_identity
 from .kelvin import constant_invariance, kelvin_exponent, verify_equivalences
 from .params import THRESHOLD_TOL, ParamError, classify_regime, derive_exponents, validate_params
 from .specialfn import (
@@ -262,10 +267,7 @@ def _cmd_verify_lemma(args):
     try:
         radii = [float(tok) for tok in args.radii.split(",")]
     except ValueError:
-        raise ValueError(f"--radii must have the form R1,R2,... (numbers), got {args.radii!r}") from None
-    for flag, count in (("--nodes-radial", args.nodes_radial), ("--nodes-angular", args.nodes_angular)):
-        if not _MIN_NODES <= count <= _MAX_NODES:
-            raise ValueError(f"{flag} must lie in [{_MIN_NODES}, {_MAX_NODES}], got {count}")
+        raise ValueError(f"--radii: must have the form R1,R2,... (numbers), got {args.radii!r}") from None
     cfg = QuadratureConfig(nodes_radial=args.nodes_radial, nodes_angular=args.nodes_angular)
     report = verify_fall_identity(params, radii, cfg)
     results = {
@@ -284,50 +286,29 @@ def _parse_pair(token: str, flag: str, form: str, sep: str, kind) -> tuple:
         a, b = token.lower().split(sep)
         return kind(a), kind(b)
     except ValueError:
-        raise ValueError(f"{flag} must have the form {form}, got {token!r}") from None
-
-
-def _node_counts(counts) -> tuple:
-    """The two node counts of ``--grid``, refused when one is below ``CylinderGrid``'s 5."""
-    if min(counts) < 5:
-        raise ValueError(f"--grid needs at least 5 nodes on each axis, got {counts[0]} and {counts[1]}")
-    return counts
+        raise ValueError(f"{flag}: must have the form {form}, got {token!r}") from None
 
 
 def _cylinder_problem(args):
-    """(params, grid, eps) of the flags that ``_add_cylinder_problem`` declares.
-
-    eps perturbs the end data to (1 + eps) phi, which must be finite and positive.
-    """
+    """(params, grid, eps) of the flags that ``_add_cylinder_problem`` declares."""
     params = _params_from(args)
     s_lo, s_hi = _parse_pair(args.s_range, "--s-range", "LO,HI (two numbers)", ",", float)
-    n_s, n_psi = _node_counts(_parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int))
-    try:
-        grid = CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi)
-    except ValueError as exc:
-        raise ValueError(f"--s-range: {exc}") from None
-    if not -1.0 < args.perturbation < math.inf:
-        raise ValueError(f"--perturbation must be a finite number > -1, got {args.perturbation!r}")
-    return params, grid, args.perturbation
+    n_s, n_psi = _parse_pair(args.grid, "--grid", "NSxNPSI (two integers)", "x", int)
+    return params, CylinderGrid(s_min=s_lo, s_max=s_hi, n_s=n_s, n_psi=n_psi), args.perturbation
 
 
 def _cmd_extend(args):
     params = _params_from(args)
-    n_r, n_psi = _node_counts(_parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int))
+    n_r, n_psi = _parse_pair(args.grid, "--grid", "NRxNPSI (two integers)", "x", int)
     r_lo, r_hi = _parse_pair(args.r_range, "--r-range", "LO,HI (two numbers)", ",", float)
+    # the flag's own form: the radii are log-spaced from lo to hi
     if not 0.0 < r_lo < r_hi < math.inf:
-        raise ValueError(f"--r-range needs finite 0 < lo < hi, got {args.r_range!r}")
+        raise ValueError(f"--r-range: needs finite 0 < lo < hi, got {args.r_range!r}")
     psi = psi_nodes(CylinderGrid(n_s=n_r, n_psi=n_psi))
     r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_r))
+    field = exact_extension_field(params, r_grid, psi)
     beta = derive_exponents(params).beta
-    # a finite range can still take r^-beta phi, or the amplitude read back
-    # from it, beyond a double: refuse it rather than print Infinity and NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        field = exact_extension_field(params, r_grid, psi)
-        amplitude = field.values[0, 0] * r_grid[0] ** beta
-    if not (np.isfinite(field.values).all() and np.isfinite(amplitude)):
-        raise ValueError(
-            f"--r-range {args.r_range!r} takes the exact field r^-beta phi beyond a double")
+    amplitude = field.values[0, 0] * r_grid[0] ** beta
     C = singular_constant(params)
     flux = neumann_flux(power_profile(beta, C), 1.0, params)
     # (-Delta)^sigma u = C^p at r = 1, and the flux is kappa_sigma times it
@@ -399,40 +380,10 @@ def _cmd_energy(args):
 
 
 def _cmd_barrier(args):
-    if args.levels < 2:
-        # one level gives no ratio, and an empty ratio list would pass the check
-        raise ValueError(f"--levels must be at least 2, got {args.levels}")
-    # open at pi/2: the double nearest pi/2 has cosine 6e-17, not 0
-    if not 0.0 < args.psi < math.pi / 2.0:
-        raise ValueError(f"--psi must lie in (0, pi/2), got {args.psi!r}")
     params = validate_params(args.n, args.sigma, 0.0, 2.0)
-    point = (math.cos(args.psi), math.sin(args.psi))
-    # level k halves the stencil step h min(cos psi, sin psi) k times, and the
-    # difference quotients divide by its square: refuse a count whose finest
-    # step squares to zero (an out-of-range h is named by the ladder)
-    finest = args.h * min(point) * 0.5 ** (args.levels - 1)
-    if args.h > 0.0 and finest * finest == 0.0:
-        raise ValueError(
-            f"--levels {args.levels} at --h {args.h!r} and --psi {args.psi!r} takes the finest "
-            f"stencil step h min(cos psi, sin psi) 0.5^(levels-1) to {finest:.6g}, "
-            "whose square underflows a double")
-    # the Neumann fit squares elevations up to t0 (1 + fd_ratio): refuse a t0
-    # whose square overflows (out-of-range t0 and fd_ratio are named by the ladder)
-    top = args.t0 * (1.0 + args.fd_ratio)
-    if args.t0 > 0.0 and 0.0 < args.fd_ratio < 1.0 and not top * top < math.inf:
-        raise ValueError(
-            f"--t0 {args.t0!r} at --fd-ratio {args.fd_ratio!r} takes the Neumann fit's largest "
-            f"elevation t0 (1 + fd_ratio) to {top:.6g}, whose square overflows a double")
-    try:
-        interior, neumann, ratios_i, ratios_n = _barrier_ladder(
-            args.mu, args.delta, point, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
-        )
-    except ValueError as exc:
-        # verify_barrier_identity refuses a value by its keyword ("got t0=nan"): name its flag
-        refused = re.search(r"got (\w+)=", str(exc))
-        if refused is None:
-            raise
-        raise ValueError(f"--{refused[1].replace('_', '-')}: {exc}") from None
+    interior, neumann, ratios_i, ratios_n = _barrier_ladder(
+        args.mu, args.delta, args.psi, params, args.levels, h=args.h, t0=args.t0, fd_ratio=args.fd_ratio
+    )
     results = {
         "columns": ["level", "interior_residual", "neumann_residual"],
         "rows": [[k, interior[k], neumann[k]] for k in range(args.levels)],
@@ -593,6 +544,26 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return ap, sub.choices
 
 
+#: Library keywords whose flag is not the keyword with dashes for underscores.
+_KEYWORD_FLAGS = {
+    "r": "--radii", "n_s": "--grid", "n_psi": "--grid", "s_min": "--s-range",
+    "eps": "--perturbation", "r_grid": "--r-range",
+}
+
+
+def _flag_named(exc: Exception) -> str:
+    """``exc``'s message, led by the flag of the keyword it refuses.
+
+    A library function refuses an input by its keyword ("got t0=nan"); the
+    flag that sets it is looked up in ``_KEYWORD_FLAGS`` or spelled from it.
+    """
+    refused = re.search(r"got (\w+)=", str(exc))
+    if refused is None:
+        return str(exc)
+    keyword = refused[1]
+    return f"{_KEYWORD_FLAGS.get(keyword, '--' + keyword.replace('_', '-'))}: {exc}"
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; return the exit status.
 
@@ -624,7 +595,7 @@ def run(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {_flag_named(exc)}\n")
         return 2
 
 

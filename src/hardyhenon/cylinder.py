@@ -100,9 +100,9 @@ class CylinderGrid:
             count = getattr(self, name)
             # a float count fails later inside numpy, and True would count 1 node
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+                raise ValueError(f"{name} must be an integer, got {name}={count!r}")
             if count < 5:
-                raise ValueError(f"{name} must be at least 5, got {count}")
+                raise ValueError(f"{name} must be at least 5, got {name}={count}")
         # the axial stencil divides by ds^2: a width, ds^2 or 1/ds^2 beyond a
         # double would switch it off or end in a ZeroDivisionError
         ds = (self.s_max - self.s_min) / (self.n_s - 1)
@@ -659,8 +659,11 @@ def solve_end_perturbed(
     """Cylinder solve from the exact sphere profile phi, perturbed at one end.
 
     The end data are (1 + eps) phi at s_min and phi at s_max; Newton starts
-    from phi at every axial node.
+    from phi at every axial node.  eps must be finite and above -1, so that
+    the end data are finite and positive.
     """
+    if not -1.0 < eps < math.inf:
+        raise ValueError(f"end data (1 + eps) phi need a finite eps > -1, got eps={eps}")
     phi = exact_sphere_profile(params, psi_nodes(grid)).phi
     return solve_cylinder_pde(
         params, (1.0 + eps) * phi, phi, grid, initial=np.tile(phi, (grid.n_s, 1))

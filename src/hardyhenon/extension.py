@@ -403,11 +403,22 @@ def exact_extension_field(
     r_grid: np.ndarray,
     psi_grid: np.ndarray,
 ) -> ExtensionField:
-    """Extension of the exact singular solution, built from its homogeneity."""
+    """Extension of the exact singular solution, built from its homogeneity.
+
+    A radius at which the field r^-beta phi, or its Fowler form r^beta U
+    (``fowler_map``), leaves a double raises ValueError: one that is not
+    finite and positive, or so small or large that r^-beta or r^beta
+    overflows.
+    """
     profile = exact_sphere_profile(params, psi_grid)
     beta = derive_exponents(params).beta
     r_grid = np.asarray(r_grid, dtype=float)
-    values = r_grid[:, None] ** (-beta) * profile.phi[None, :]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = r_grid[:, None] ** (-beta) * profile.phi[None, :]
+        fowler = values * r_grid[:, None] ** beta
+    if not np.isfinite(fowler).all():
+        raise ValueError("requires r^-beta phi and its Fowler form r^beta U finite in a double, "
+                         f"got r_grid={float(np.min(r_grid))!r}..{float(np.max(r_grid))!r}")
     return ExtensionField(
         r_grid=r_grid, psi_grid=np.asarray(psi_grid, float), values=values,
         params=params,
@@ -487,6 +498,29 @@ class BarrierResiduals:
     neumann: float
 
 
+def _check_barrier_scales(point, h, t0, fd_ratio) -> None:
+    """Refuse by its keyword a scale of ``verify_barrier_identity`` at ``point``
+    that it cannot evaluate.
+
+    Besides 0 < h < 1, 0 < fd_ratio < 1 and t0 > 0, a double must resolve and
+    square the steps the scales make: the interior steps h q and h t, whose
+    squares the difference quotients divide by, the relative t-step fd_ratio,
+    and the Neumann fit's elevations from t0 2^-8 (1 - fd_ratio), whose
+    t-steps a subnormal elevation loses, to t0 (1 + fd_ratio), which the
+    barrier squares.
+    """
+    q, t = point
+    hq, ht = h * q, h * t
+    # h >= 1 or fd_ratio >= 1 would put stencil points at coordinates <= 0
+    if not (0.0 < h < 1.0 and q - hq < q < q + hq and t - ht < t < t + ht and min(hq, ht) ** 2 > 0.0):
+        raise ValueError(f"requires 0 < h < 1 and steps h q, h t a double resolves and squares, got h={h}")
+    if not (0.0 < fd_ratio < 1.0 and 1.0 - fd_ratio < 1.0 < 1.0 + fd_ratio):
+        raise ValueError(f"requires 0 < fd_ratio < 1 and t-steps a double resolves, got fd_ratio={fd_ratio}")
+    lo, hi = t0 * _T0_HALVINGS[-1], t0 * (1.0 + fd_ratio)
+    if not (t0 > 0.0 and lo * (1.0 - fd_ratio) < lo < lo * (1.0 + fd_ratio) and hi * hi < math.inf):
+        raise ValueError(f"requires t0 > 0 and fit elevations a double resolves and squares, got t0={t0}")
+
+
 def verify_barrier_identity(
     mu: float,
     delta: float,
@@ -505,23 +539,19 @@ def verify_barrier_identity(
     the extrapolated weighted t-derivative at the boundary against
     2 sigma delta |x|^{-2 sigma} times the barrier trace.  Both are second
     order in the respective discretization scales (h; t0 and fd_ratio),
-    which must satisfy 0 < h < 1, t0 > 0 and 0 < fd_ratio < 1.
+    which must satisfy 0 < h < 1, t0 > 0 and 0 < fd_ratio < 1 and make steps
+    and fit elevations that a double resolves and squares
+    (``_check_barrier_scales``); each is refused by its keyword.
     """
     n, sigma = params.n, params.sigma
     if not 0.0 < mu < n - 2.0 * sigma:
         raise ValueError(f"requires 0 < mu < n - 2*sigma, got mu={mu}")
     if not 0.0 <= delta < 0.5:
         raise ValueError(f"requires 0 <= delta < 1/2, got delta={delta}")
-    # h >= 1 or fd_ratio >= 1 would put stencil points at coordinates <= 0
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"requires 0 < h < 1, got h={h}")
-    if not t0 > 0.0:
-        raise ValueError(f"requires t0 > 0, got t0={t0}")
-    if not 0.0 < fd_ratio < 1.0:
-        raise ValueError(f"requires 0 < fd_ratio < 1, got fd_ratio={fd_ratio}")
     q, t = point
     if not (t > 0.0 and q > 0.0):
         raise ValueError("the interior stencil point needs positive coordinates")
+    _check_barrier_scales(point, h, t0, fd_ratio)
 
     def psi_fn(qq, tt):
         return _barrier(mu, delta, sigma, qq, tt)
@@ -559,13 +589,31 @@ def verify_barrier_identity(
     return BarrierResiduals(interior=interior, neumann=neumann)
 
 
-def _barrier_ladder(mu, delta, point, params, levels, h=BARRIER_H, t0=BARRIER_T0,
+def _barrier_ladder(mu, delta, psi, params, levels, h=BARRIER_H, t0=BARRIER_T0,
                     fd_ratio=BARRIER_FD_RATIO):
-    """``verify_barrier_identity`` with h, t0 and fd_ratio scaled by 0.5^k, k < levels.
+    """``verify_barrier_identity`` at the point (cos psi, sin psi), with h, t0
+    and fd_ratio scaled by 0.5^k, k < levels.
 
     Returns the interior and the Neumann residuals per level, then the ratios
-    of successive levels of each (about 4 at second order).
+    of successive levels of each (about 4 at second order).  psi must lie in
+    (0, pi/2) and levels be at least 2, since one level gives no ratio and an
+    empty ratio list passes any gate.  Scales that the first level cannot
+    evaluate are refused by their keyword, and a count whose finest level
+    cannot be evaluated by ``levels``, before any level runs.
     """
+    # open at pi/2: the double nearest pi/2 has cosine 6e-17, not 0
+    if not 0.0 < psi < math.pi / 2.0:
+        raise ValueError(f"requires 0 < psi < pi/2, got psi={psi}")
+    if levels < 2:
+        raise ValueError(f"requires levels >= 2, got levels={levels}")
+    point = (math.cos(psi), math.sin(psi))
+    _check_barrier_scales(point, h, t0, fd_ratio)
+    finest = 0.5 ** (levels - 1)
+    try:
+        _check_barrier_scales(point, h * finest, t0 * finest, fd_ratio * finest)
+    except ValueError:
+        raise ValueError("requires a finest level, at 0.5^(levels-1) times h, t0 and fd_ratio, "
+                         f"that a double can evaluate, got levels={levels}") from None
     res = [verify_barrier_identity(mu, delta, point, params, h=h * f, t0=t0 * f, fd_ratio=fd_ratio * f)
            for f in (0.5 ** k for k in range(levels))]
     interior, neumann = [r.interior for r in res], [r.neumann for r in res]

@@ -146,9 +146,11 @@ class QuadratureConfig:
         for name in ("nodes_radial", "nodes_angular"):
             count = getattr(self, name)
             if not _MIN_NODES <= count <= _MAX_NODES:
-                raise ValueError(f"{name} must lie in [{_MIN_NODES}, {_MAX_NODES}], got {count}")
-        if self.tail_cutoff <= _OUTER_SPLIT:
-            raise ValueError("tail cutoff must lie beyond the outer split")
+                raise ValueError(f"{name} must lie in [{_MIN_NODES}, {_MAX_NODES}], got {name}={count}")
+        # NaN would pass a one-sided test, and inf makes every tail radius inf
+        if not _OUTER_SPLIT < self.tail_cutoff < np.inf:
+            raise ValueError(
+                f"tail_cutoff must be finite and > {_OUTER_SPLIT}, got tail_cutoff={self.tail_cutoff}")
 
     def halved(self) -> "QuadratureConfig":
         return replace(
@@ -235,7 +237,7 @@ def _frac_laplacian_raw(profile: RadialProfile, r: float, n: int, sigma: float, 
         tail_b = _power_tail(R, b, sigma, 1.0, A)
         scale = r ** (-2.0 * sigma)
     except OverflowError as exc:
-        raise ValueError(f"the closed-form ends overflow a double at r={r}") from exc
+        raise ValueError(f"the closed-form ends overflow a double, got r={r}") from exc
     u = profile.evaluate(r * rule.nodes)
     ur, ua, ub = u[:_ENDS].tolist()
     inner = k0 * (ur * rho0_n / n - ua * rho0_a * rho0_na / (n - a))

@@ -333,11 +333,10 @@ def criterion_9_barrier() -> CriterionResult:
     """Second-order decay of both barrier residuals under refinement."""
     details = {}
     ok = True
-    point = (math.cos(BARRIER_PSI), math.sin(BARRIER_PSI))
     for n, sigma in ((3, 0.5), (3, 0.3)):
         params = validate_params(n, sigma, 0.0, 2.0)
         seq_i, seq_n, ratios_i, ratios_n = _barrier_ladder(
-            BARRIER_MU, BARRIER_DELTA, point, params, BARRIER_LEVELS
+            BARRIER_MU, BARRIER_DELTA, BARRIER_PSI, params, BARRIER_LEVELS
         )
         details[f"(n={n},sigma={sigma})"] = {
             "interior": seq_i, "neumann": seq_n,

@@ -665,13 +665,21 @@ class TestGrid:
     @pytest.mark.parametrize("count", [81.0, True, "81"], ids=["float", "bool", "str"])
     def test_non_integral_count_is_refused(self, count):
         # 81.0 once failed later with a numpy TypeError, and True was taken as 1
-        with pytest.raises(ValueError, match=f"^n_s must be an integer, got {count!r}$"):
+        with pytest.raises(ValueError, match=f"^n_s must be an integer, got n_s={count!r}$"):
             CylinderGrid(n_s=count)
 
     @pytest.mark.parametrize("name", ["n_s", "n_psi"])
     def test_count_below_five_is_refused_by_name(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be at least 5, got 4$"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 5, got {name}=4$"):
             CylinderGrid(**{name: 4})
+
+    @pytest.mark.parametrize("s_min, s_max", [
+        (math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0), (1.0, math.inf), (2.0, 1.0), (1.0, 1.0),
+    ], ids=["nan-low", "nan-high", "inf-low", "inf-high", "reversed", "empty"])
+    def test_axial_range_must_be_finite_and_ordered(self, s_min, s_max):
+        # nan once gave NaN rows with exit 0, and -inf printed numpy warnings
+        with pytest.raises(ValueError, match=rf"^axial range needs finite s_min < s_max, got s_min={s_min},"):
+            CylinderGrid(s_min, s_max, 9, 9)
 
     @pytest.mark.parametrize("s_min, s_max, n_s", [
         (-1e308, 1e308, 9), (-1e200, 1e200, 9), (0.0, 1e-160, 9), (0.0, 1e-200, 9), (0.0, 1e-320, 161),

@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
 from hardyhenon import extension, specialfn
-from hardyhenon.cylinder import CylinderGrid, psi_nodes
+from hardyhenon.cylinder import CylinderGrid, psi_nodes, solve_end_perturbed
 from hardyhenon.extension import (
     _FLUX_T_SEQUENCE,
     _T0_HALVINGS,
@@ -263,10 +264,9 @@ class TestWarmCallsRepeatNoWork:
         assert counts == {"pinv": 0, "log_gamma": 0}
 
     def test_barrier_ladder(self, monkeypatch):
-        point = (math.cos(0.5), math.sin(0.5))
-        _barrier_ladder(0.8, 0.3, point, P352, 3)
+        _barrier_ladder(0.8, 0.3, 0.5, P352, 3)
         counts = count_repeat_work(monkeypatch)
-        _barrier_ladder(0.8, 0.3, point, P352, 3)
+        _barrier_ladder(0.8, 0.3, 0.5, P352, 3)
         assert counts == {"pinv": 0, "log_gamma": 0}
 
 
@@ -590,7 +590,7 @@ class TestBarrier:
 
     @pytest.mark.parametrize("scales, bound", [
         ({"h": 0.0}, "0 < h < 1"), ({"h": 1.5}, "0 < h < 1"), ({"h": math.nan}, "0 < h < 1"),
-        ({"t0": 0.0}, "t0 > 0"), ({"t0": -0.05}, "t0 > 0"),
+        ({"t0": 0.0}, "t0 > 0"), ({"t0": -0.05}, "t0 > 0"), ({"t0": math.nan}, "t0 > 0"),
         ({"fd_ratio": 0.0}, "0 < fd_ratio < 1"), ({"fd_ratio": 1.5}, "0 < fd_ratio < 1"),
     ])
     def test_scales_enforced(self, scales, bound):
@@ -603,3 +603,78 @@ class TestBarrier:
         # a NaN coordinate once passed and ended as a failed decay order
         with pytest.raises(ValueError, match="needs positive coordinates"):
             verify_barrier_identity(0.8, 0.3, point, P352)
+
+
+class TestRefusedByKeyword:
+    """Each library entry point refuses an input it cannot evaluate with a
+    ValueError that names the input's keyword ("got t0=..."), before any
+    numpy warning; the CLI names the flag from that keyword."""
+
+    PSI = psi_nodes(CylinderGrid(n_psi=9))
+    P18 = validate_params(3, 0.5, 0.0, 1.8)  # beta = 1.25
+    barrier = partial(verify_barrier_identity, 0.8, 0.3, (math.cos(0.5), math.sin(0.5)), P352)
+    ladder = partial(_barrier_ladder, 0.8, 0.3)
+    field = partial(exact_extension_field, P18)
+    CASES = {
+        # h q squared to zero, and the quotients divided by it (ZeroDivisionError)
+        "h-unresolved": (partial(barrier, h=1e-300), "h"),
+        # a subnormal t0 lost the fit's t-steps, and 1e300 squared to inf,
+        # each with numpy warnings
+        "t0-subnormal": (partial(barrier, t0=5e-324), "t0"),
+        "t0-overflows": (partial(barrier, t0=1e300), "t0"),
+        "t0-inf": (partial(barrier, t0=math.inf), "t0"),
+        "fd-ratio-unresolved": (partial(barrier, fd_ratio=1e-320), "fd_ratio"),
+        # one level once returned empty ratio lists, which passed any gate
+        "one-level": (partial(ladder, 0.5, P352, 1), "levels"),
+        "zero-levels": (partial(ladder, 0.5, P352, 0), "levels"),
+        # at the default h and psi = 0.5 the 531st level's step squares to zero
+        "finest-level-underflows": (partial(ladder, 0.5, P352, 531), "levels"),
+        "huge-level-count": (partial(ladder, 0.5, P352, 100000), "levels"),
+        # at level 0 already: named by the scale, not by the count
+        "tiny-h-in-ladder": (partial(ladder, 0.5, P352, 2, h=1e-200), "h"),
+        "subnormal-t0-in-ladder": (partial(ladder, 0.5, P352, 3, t0=5e-324), "t0"),
+        # open at pi/2: the double nearest pi/2 has cosine 6e-17, not 0
+        "psi-half-pi": (partial(ladder, math.pi / 2.0, P352, 3), "psi"),
+        "psi-zero": (partial(ladder, 0.0, P352, 3), "psi"),
+        "psi-nan": (partial(ladder, math.nan, P352, 3), "psi"),
+        "psi-inf": (partial(ladder, math.inf, P352, 3), "psi"),
+        # r^-beta overflowed to inf with numpy warnings; at 1e300 alone the
+        # field underflows to 0 and r^beta overflows
+        "field-overflows": (partial(field, np.geomspace(1e-300, 1e300, 9), PSI), "r_grid"),
+        "field-underflows": (partial(field, np.array([1.0, 1e300]), PSI), "r_grid"),
+        "radius-zero": (partial(field, np.array([0.0, 1.0]), PSI), "r_grid"),
+        "radius-nan": (partial(field, np.array([math.nan, 1.0]), PSI), "r_grid"),
+        # end data (1 + eps) phi at or below 0 once read "boundary data must be
+        # strictly positive", and NaN ones passed as a converged solve
+        "eps-minus-two": (partial(solve_end_perturbed, P352, -2.0, CylinderGrid()), "eps"),
+        "eps-minus-one": (partial(solve_end_perturbed, P352, -1.0, CylinderGrid()), "eps"),
+        "eps-nan": (partial(solve_end_perturbed, P352, math.nan, CylinderGrid()), "eps"),
+        "eps-inf": (partial(solve_end_perturbed, P352, math.inf, CylinderGrid()), "eps"),
+        "eps-minus-inf": (partial(solve_end_perturbed, P352, -math.inf, CylinderGrid()), "eps"),
+        # NaN was accepted, and the PV operator returned NaN
+        "tail-cutoff-nan": (partial(QuadratureConfig, tail_cutoff=math.nan), "tail_cutoff"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_by_keyword(self, case):
+        call, keyword = self.CASES[case]
+        with pytest.raises(ValueError, match=rf"got {keyword}="):
+            call()
+
+    @pytest.mark.parametrize("levels", [2, 6, 48])
+    def test_every_accepted_level_runs_clean(self, levels):
+        # 48 levels at the default scales are the most a double resolves
+        # (the finest fd_ratio is 3.6e-16); the ratios past the rounding
+        # floor are noise, but each residual is a finite number
+        interior, neumann, ratios_i, ratios_n = _barrier_ladder(0.8, 0.3, 0.5, P352, levels)
+        assert len(interior) == len(neumann) == levels
+        assert len(ratios_i) == len(ratios_n) == levels - 1
+        assert all(math.isfinite(x) for x in interior + neumann)
+
+    @pytest.mark.parametrize("r_grid", [[1e-240, 1.0, 1e240], [0.5, 1.0, 2.0]])
+    def test_extreme_but_representable_field_is_built(self, r_grid):
+        # r^-beta reaches 1e300 and 1e-300, and r^beta their inverses
+        r_grid = np.array(r_grid)
+        field = exact_extension_field(self.P18, r_grid, self.PSI)
+        back = field.values[:, 0] * r_grid ** derive_exponents(self.P18).beta
+        np.testing.assert_allclose(back, singular_constant(self.P18), rtol=1e-12)

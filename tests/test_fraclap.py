@@ -57,7 +57,7 @@ def reference_raw(profile, r, n, sigma, cfg):
             ur * _power_tail(R, 0.0, sigma, 1.0, A) - ub * _power_tail(R, b, sigma, 1.0, A)
         )
     except OverflowError as exc:
-        raise ValueError(f"the closed-form ends overflow a double at r={r}") from exc
+        raise ValueError(f"the closed-form ends overflow a double, got r={r}") from exc
     total = r ** (-2.0 * sigma) * float(rule.weight @ (ur - u(r * rule.nodes[_ENDS:])))
     return total + (inner + tail)
 
@@ -293,8 +293,15 @@ class TestConfig:
     def test_node_range_refused_by_name(self, name, count):
         # 1e20 once ended in an OverflowError inside numpy's leggauss, and
         # 3e6 asked for 65.5 TiB; the refusal comes before any rule is built
-        with pytest.raises(ValueError, match=rf"^{name} must lie in \[8, 4096\], got {count}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[8, 4096\], got {name}={count}$"):
             QuadratureConfig(**{name: count})
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 2.0])
+    def test_tail_cutoff_refused_by_name(self, cutoff):
+        # NaN was once accepted, and the PV operator returned NaN; inf ended
+        # in a RuntimeWarning
+        with pytest.raises(ValueError, match=rf"got tail_cutoff={cutoff}$"):
+            QuadratureConfig(tail_cutoff=cutoff)
 
 
 class TestFallIdentity:
